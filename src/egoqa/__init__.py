@@ -66,7 +66,6 @@ from .blindfilter import (
     FilterRow,
     FrequencyPriorAnswerer,
     MissingDistractors,
-    ScriptedAnswerer,
     UniformRandomAnswerer,
     filter_test_set,
     trial_outcomes,

@@ -8,7 +8,7 @@ whole procedure is a pure function of the seed list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -63,39 +63,6 @@ class UniformRandomAnswerer:
         return choices[int(rng.integers(len(choices)))]
 
 
-class ScriptedAnswerer:
-    """Answers per a fixed script of per-trial outcomes, for tests.
-
-    script maps a question to its per-trial correctness booleans (missing
-    questions default to all wrong); correct_by_question supplies the string
-    to return on a correct trial. The seeds list identifies trial indices.
-    """
-
-    def __init__(
-        self,
-        correct_by_question: Mapping[str, str],
-        seeds: Sequence[int],
-        script: Mapping[str, Sequence[bool]] | None = None,
-    ):
-        self._correct = dict(correct_by_question)
-        self._trial_of_seed = {seed: i for i, seed in enumerate(seeds)}
-        self._script = {q: list(flags) for q, flags in (script or {}).items()}
-
-    def answer(self, question: str, choices: Sequence[str], seed: int) -> str:
-        trial = self._trial_of_seed[seed]
-        flags = self._script.get(question)
-        correct = self._correct.get(question)
-        want_correct = flags[trial] if flags is not None else correct is not None
-        if want_correct and correct is not None:
-            for choice in choices:
-                if normalize_answer(choice) == normalize_answer(correct):
-                    return choice
-        for choice in choices:
-            if correct is None or normalize_answer(choice) != normalize_answer(correct):
-                return choice
-        return choices[0]
-
-
 @dataclass(frozen=True)
 class FilterRow:
     clip_uid: str
@@ -120,6 +87,27 @@ class FilterReport:
                     f"row for {row.question!r} marked removed={row.removed} but "
                     f"outcomes are {row.outcomes}"
                 )
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[FilterRow]) -> "FilterReport":
+        removed = sum(1 for r in rows if r.removed)
+        return cls(len(rows), removed, len(rows) - removed, tuple(rows))
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
+            "total": self.total,
+            "removed": self.removed,
+            "kept": self.kept,
+            "rows": [
+                {
+                    "clip_uid": r.clip_uid,
+                    "question": r.question,
+                    "outcomes": list(r.outcomes),
+                    "removed": r.removed,
+                }
+                for r in self.rows
+            ],
+        }
 
 
 def trial_outcomes(
@@ -148,8 +136,27 @@ def trial_outcomes(
     return tuple(outcomes)
 
 
+def filter_rows(
+    samples: Iterable[QASample],
+    answerer: BlindAnswerer,
+    seeds: Sequence[int],
+    reshuffle_per_trial: bool = True,
+) -> Iterator[tuple[QASample, FilterRow]]:
+    """Stream (sample, outcome row) pairs, one per input sample, in order.
+
+    The seed count is checked before the first sample is read; a sample
+    without distractors fails when it arrives.
+    """
+    seeds = list(seeds)
+    if len(seeds) != TRIALS:
+        raise ValidationError(f"exactly {TRIALS} seeds required, got {len(seeds)}")
+    for sample in samples:
+        outcomes = trial_outcomes(sample, answerer, seeds, reshuffle_per_trial)
+        yield sample, FilterRow(sample.clip_uid, sample.question, outcomes, all(outcomes))
+
+
 def filter_test_set(
-    samples: Sequence[QASample],
+    samples: Iterable[QASample],
     answerer: BlindAnswerer,
     seeds: Sequence[int],
     reshuffle_per_trial: bool = True,
@@ -159,27 +166,6 @@ def filter_test_set(
     Kept samples retain their input order; the report carries every
     sample's per-trial outcome row.
     """
-    seeds = list(seeds)
-    if len(seeds) != TRIALS:
-        raise ValidationError(f"exactly {TRIALS} seeds required, got {len(seeds)}")
-    for sample in samples:
-        if sample.wrong_answers is None:
-            raise MissingDistractors(
-                f"sample {sample.clip_uid!r}/{sample.question!r} has no distractors"
-            )
-
-    kept: list[QASample] = []
-    rows: list[FilterRow] = []
-    for sample in samples:
-        outcomes = trial_outcomes(sample, answerer, seeds, reshuffle_per_trial)
-        removed = all(outcomes)
-        rows.append(FilterRow(sample.clip_uid, sample.question, outcomes, removed))
-        if not removed:
-            kept.append(sample)
-    report = FilterReport(
-        total=len(rows),
-        removed=sum(1 for r in rows if r.removed),
-        kept=len(kept),
-        rows=tuple(rows),
-    )
-    return tuple(kept), report
+    pairs = list(filter_rows(samples, answerer, seeds, reshuffle_per_trial))
+    kept = tuple(sample for sample, row in pairs if not row.removed)
+    return kept, FilterReport.from_rows([row for _, row in pairs])

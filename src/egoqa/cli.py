@@ -10,11 +10,11 @@ aggregates are held in memory.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 import traceback
+from collections import Counter
 from typing import Any, Iterator, Mapping
 
 from .blindfilter import (
@@ -23,7 +23,7 @@ from .blindfilter import (
     FilterRow,
     FrequencyPriorAnswerer,
     UniformRandomAnswerer,
-    trial_outcomes,
+    filter_rows,
 )
 from .chunking import chunk_track
 from .core import (
@@ -44,25 +44,27 @@ from .endpoint import EndpointConfig, EndpointUnavailable, HttpChatEndpoint, Moc
 from .jsonl_io import (
     EmptyCorpus,
     SchemaMismatch,
-    UnreadableInput,
-    dumps_canonical,
     make_meta,
     pred_to_row,
     qa_to_row,
     query_id_for,
+    read_first_row,
+    read_json_object,
     read_jsonl,
     row_to_head,
     row_to_pred,
     row_to_qa,
     row_to_track,
+    staged_writer,
     track_to_row,
+    write_json,
     write_jsonl,
 )
 from .localization import decode_windows
 from .metrics import MissingQuery, closeqa_accuracy, openqa_report, vlg_recall
 from .prompts import load_template
 from .seeding import derive_seed
-from .stats import StatsBuilder, stats_tsv_lines
+from .stats import HISTOGRAMS, StatsBuilder, stats_tsv_lines
 from .synthesis import GenerationRecord, attach_distractors, generate_openqa
 from .windows import NoIntervalData, compute_stats
 
@@ -72,19 +74,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ENDPOINT = 3
 EXIT_INTERNAL = 4
-
-
-def _load_config_file(path: str | None) -> dict[str, Any]:
-    if not path:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            config = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UnreadableInput(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise UnreadableInput(f"config file {path} must hold a JSON object")
-    return config
 
 
 def _resolve(
@@ -104,7 +93,12 @@ def _resolve(
     if value is None:
         value = default
     if cast is not None and value is not None:
-        value = cast(value)
+        try:
+            value = cast(value)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{name}: cannot read {value!r} as {cast.__name__}"
+            ) from None
     return value
 
 
@@ -122,7 +116,7 @@ def _endpoint_config(args: argparse.Namespace, file_config: Mapping[str, Any]) -
 
 def _make_endpoint(args: argparse.Namespace, config: EndpointConfig):
     if getattr(args, "mock", None):
-        return MockChatEndpoint.from_file(args.mock)
+        return MockChatEndpoint(read_json_object(args.mock, "mock fixture"))
     if not config.base_url:
         raise ValidationError(
             "no endpoint configured: pass --base-url / EGOQA_BASE_URL or --mock"
@@ -133,22 +127,33 @@ def _make_endpoint(args: argparse.Namespace, config: EndpointConfig):
 # ---------------------------------------------------------------- ingest
 
 
-def _iter_export_tracks(path: str, which_pass: str) -> Iterator[NarrationTrack]:
+def _pass_items(entry: Mapping[str, Any], pass_keys: tuple[str, ...]) -> list | None:
+    """The raw narration items of the selected passes; None if a pass is malformed."""
+    items: list = []
+    for key in pass_keys:
+        block = entry.get(key) or {}
+        narrations = (block.get("narrations") or []) if isinstance(block, dict) else None
+        if not isinstance(narrations, list):
+            return None
+        items.extend(narrations)
+    return items
+
+
+def _log_reject(unit: str, clip_uid: str, code: str, detail: str = "") -> None:
+    log.warning(
+        "ingest reject %s %s: %s%s", unit, clip_uid, code, f" ({detail})" if detail else ""
+    )
+
+
+def _iter_export_tracks(
+    path: str, which_pass: str, reject=_log_reject
+) -> Iterator[NarrationTrack]:
     """Parse a raw narration export: {clip_uid: {duration_sec, narration_pass_*}}.
 
     Narration-level problems reject the narration; clip-level problems
-    reject the clip. Both are logged with a reason code.
+    reject the clip. Both are reported through reject with a reason code.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            export = json.load(f)
-    except OSError as exc:
-        raise UnreadableInput(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UnreadableInput(f"{path}: not JSON: {exc}") from exc
-    if not isinstance(export, dict):
-        raise SchemaMismatch(f"{path}: export must be an object keyed by clip_uid")
-
+    export = read_json_object(path, "narration export")
     pass_keys = {
         "1": ("narration_pass_1",),
         "2": ("narration_pass_2",),
@@ -158,63 +163,43 @@ def _iter_export_tracks(path: str, which_pass: str) -> Iterator[NarrationTrack]:
     for clip_uid in sorted(export):
         entry = export[clip_uid]
         if not isinstance(entry, dict):
-            log.warning("ingest reject clip %s: not_an_object", clip_uid)
+            reject("clip", clip_uid, "not_an_object")
             continue
         duration = entry.get("duration_sec")
         if not isinstance(duration, (int, float)) or duration <= 0:
-            log.warning("ingest reject clip %s: bad_duration (%r)", clip_uid, duration)
+            reject("clip", clip_uid, "bad_duration", repr(duration))
             continue
         duration = float(duration)
+        items = _pass_items(entry, pass_keys)
+        if items is None:
+            reject("clip", clip_uid, "bad_narration_pass")
+            continue
         narrations = []
-        for key in pass_keys:
-            for item in (entry.get(key) or {}).get("narrations", []):
-                text = item.get("narration_text")
-                t_s = item.get("timestamp_sec")
-                if not isinstance(text, str) or not text.strip():
-                    log.warning("ingest reject narration in %s: empty_text", clip_uid)
-                    continue
-                if not isinstance(t_s, (int, float)):
-                    log.warning("ingest reject narration in %s: bad_timestamp", clip_uid)
-                    continue
-                t_s = float(t_s)
-                if t_s < 0:
-                    log.warning(
-                        "ingest reject narration in %s: negative_timestamp (%s)",
-                        clip_uid,
-                        t_s,
-                    )
-                    continue
-                if t_s > duration:
-                    log.warning(
-                        "ingest reject narration in %s: timestamp_after_end (%s > %s)",
-                        clip_uid,
-                        t_s,
-                        duration,
-                    )
-                    continue
-                narrations.append(Narration(text=text.strip(), t_s=t_s))
+        for item in items:
+            if not isinstance(item, dict):
+                reject("narration in", clip_uid, "not_an_object")
+                continue
+            text = item.get("narration_text")
+            t_s = item.get("timestamp_sec")
+            if not isinstance(text, str) or not text.strip():
+                reject("narration in", clip_uid, "empty_text")
+                continue
+            if not isinstance(t_s, (int, float)):
+                reject("narration in", clip_uid, "bad_timestamp")
+                continue
+            t_s = float(t_s)
+            if t_s < 0:
+                reject("narration in", clip_uid, "negative_timestamp", str(t_s))
+                continue
+            if t_s > duration:
+                reject("narration in", clip_uid, "timestamp_after_end", f"{t_s} > {duration}")
+                continue
+            narrations.append(Narration(text=text.strip(), t_s=t_s))
         if not narrations:
-            log.warning("ingest reject clip %s: no_usable_narrations", clip_uid)
+            reject("clip", clip_uid, "no_usable_narrations")
             continue
         narrations.sort(key=lambda n: (n.t_s, n.text))
         yield NarrationTrack(clip_uid, duration, tuple(narrations))
-
-
-def _sniff_jsonl_tracks(path: str) -> bool:
-    try:
-        with open(path, encoding="utf-8") as f:
-            first = f.readline().strip()
-    except OSError as exc:
-        raise UnreadableInput(f"cannot open {path}: {exc}") from exc
-    if not first:
-        return False
-    try:
-        row = json.loads(first)
-    except json.JSONDecodeError:
-        return False
-    return isinstance(row, dict) and (
-        "_meta" in row or ("clip_uid" in row and "narrations" in row)
-    )
 
 
 def cmd_ingest(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
@@ -222,25 +207,34 @@ def cmd_ingest(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
     if which_pass not in ("1", "2", "merge"):
         raise ValidationError(f"--pass must be 1, 2 or merge, got {which_pass!r}")
 
-    if _sniff_jsonl_tracks(args.input):
+    rejects: Counter[str] = Counter()
+
+    def reject(unit: str, clip_uid: str, code: str, detail: str = "") -> None:
+        rejects[code] += 1
+        _log_reject(unit, clip_uid, code, detail)
+
+    # Only the key set is kept: a one-line export parses whole here.
+    first_keys = set(read_first_row(args.input) or ())
+    if "_meta" in first_keys or {"clip_uid", "narrations"} <= first_keys:
         tracks = (
             row_to_track(row, f"{args.input}:{lineno}")
             for lineno, row in read_jsonl(args.input)
         )
     else:
-        tracks = _iter_export_tracks(args.input, which_pass)
+        tracks = _iter_export_tracks(args.input, which_pass, reject)
 
     def valid_rows():
+        written = 0
         for track in tracks:
             violations = validate_track(track)
             if violations:
-                log.warning(
-                    "ingest reject clip %s: %s",
-                    track.clip_uid,
-                    ",".join(v.code for v in violations),
-                )
+                reject("clip", track.clip_uid, ",".join(v.code for v in violations))
                 continue
+            written += 1
             yield track_to_row(track)
+        if not written:
+            reasons = ", ".join(f"{code}={n}" for code, n in sorted(rejects.items()))
+            raise EmptyCorpus(f"{args.input}: no usable clips (rejects: {reasons or 'none'})")
 
     meta = make_meta({"command": "ingest", "narration_pass": which_pass})
     count = write_jsonl(args.out, valid_rows(), meta)
@@ -252,21 +246,8 @@ def cmd_ingest(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
 
 
 def _record_to_row(record: GenerationRecord) -> dict[str, Any]:
-    row: dict[str, Any] = {
-        "kind": record.kind,
-        "clip_uid": record.clip_uid,
-        "ref": record.ref,
-        "parse_status": record.parse_status,
-        "attempts": record.attempts,
-        "raw_completion": record.raw_completion,
-    }
-    for key in ("question", "answer", "reason"):
-        value = getattr(record, key)
-        if value is not None:
-            row[key] = value
-    if record.wrong_answers is not None:
-        row["wrong_answers"] = list(record.wrong_answers)
-    return row
+    """Every field of the audit record; optional fields only when set."""
+    return {k: v for k, v in vars(record).items() if v is not None}
 
 
 def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
@@ -346,7 +327,7 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
                 )
             except EndpointUnavailable as exc:
                 failure = exc
-                samples, records = getattr(exc, "partial", ((), ()))
+                samples, records = exc.partial
             all_records.extend(_record_to_row(r) for r in records)
             if failure is None and with_distractors:
                 try:
@@ -355,7 +336,7 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
                     )
                 except EndpointUnavailable as exc:
                     failure = exc
-                    samples, records = getattr(exc, "partial", (samples, ()))
+                    samples, records = exc.partial
                 all_records.extend(_record_to_row(r) for r in records)
             for sample in samples:
                 builder.add(sample)
@@ -368,9 +349,7 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
     write_jsonl(records_path, iter(all_records), meta)
     stats_path = args.stats_out or args.out + ".stats.json"
     if count:
-        stats_doc = {"_meta": meta["_meta"], **builder.finalize().to_json_dict()}
-        with open(stats_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(dumps_canonical(stats_doc) + "\n")
+        write_json(stats_path, {"_meta": meta["_meta"], **builder.finalize().to_json_dict()})
     log.info("synthesize: wrote %d samples to %s", count, args.out)
     if failure is not None:
         log.error("synthesize aborted early, partial results persisted: %s", failure)
@@ -383,12 +362,15 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
 
 def cmd_filter_blind(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
     if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",")]
+        try:
+            seeds = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise ValidationError(
+                f"--seeds must be comma-separated integers, got {args.seeds!r}"
+            ) from None
     else:
         base = _resolve(args, file_config, "seed", 0, None, int)
         seeds = [derive_seed("blind-trial", base, t) for t in range(TRIALS)]
-    if len(seeds) != TRIALS:
-        raise ValidationError(f"exactly {TRIALS} seeds required, got {len(seeds)}")
     reshuffle = not getattr(args, "no_reshuffle", False)
 
     kind = _resolve(args, file_config, "answerer", "frequency", None, str)
@@ -401,6 +383,8 @@ def cmd_filter_blind(args: argparse.Namespace, file_config: Mapping[str, Any]) -
         answerer = UniformRandomAnswerer()
     else:
         raise ValidationError(f"--answerer must be frequency or uniform, got {kind!r}")
+    samples = (row_to_qa(row, f"{args.qa}:{n}") for n, row in read_jsonl(args.qa))
+    pairs = filter_rows(samples, answerer, seeds, reshuffle)
 
     hashed_config = {
         "command": "filter-blind",
@@ -413,39 +397,17 @@ def cmd_filter_blind(args: argparse.Namespace, file_config: Mapping[str, Any]) -
     rows: list[FilterRow] = []
 
     def iter_kept():
-        for lineno, row in read_jsonl(args.qa):
-            sample = row_to_qa(row, f"{args.qa}:{lineno}")
-            outcomes = trial_outcomes(sample, answerer, seeds, reshuffle)
-            removed = all(outcomes)
-            rows.append(FilterRow(sample.clip_uid, sample.question, outcomes, removed))
-            if not removed:
+        for sample, row in pairs:
+            rows.append(row)
+            if not row.removed:
                 yield qa_to_row(sample)
 
-    kept_count = write_jsonl(args.out, iter_kept(), meta)
-    report = FilterReport(
-        total=len(rows),
-        removed=sum(1 for r in rows if r.removed),
-        kept=kept_count,
-        rows=tuple(rows),
+    write_jsonl(args.out, iter_kept(), meta)
+    report = FilterReport.from_rows(rows)
+    write_json(
+        args.report or args.out + ".report.json",
+        {"_meta": meta["_meta"], **report.to_json_dict()},
     )
-    report_doc = {
-        "_meta": meta["_meta"],
-        "total": report.total,
-        "removed": report.removed,
-        "kept": report.kept,
-        "rows": [
-            {
-                "clip_uid": r.clip_uid,
-                "question": r.question,
-                "outcomes": list(r.outcomes),
-                "removed": r.removed,
-            }
-            for r in report.rows
-        ],
-    }
-    report_path = args.report or args.out + ".report.json"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(dumps_canonical(report_doc) + "\n")
     log.info(
         "filter-blind: kept %d/%d samples (%d removed)",
         report.kept,
@@ -476,6 +438,8 @@ def _load_preds(path: str) -> dict[str, PredictionSet]:
     preds: dict[str, PredictionSet] = {}
     for lineno, row in read_jsonl(path):
         pred = row_to_pred(row, f"{path}:{lineno}")
+        if pred.query_id in preds:
+            raise SchemaMismatch(f"{path}:{lineno}: duplicate query_id {pred.query_id!r}")
         preds[pred.query_id] = pred
     return preds
 
@@ -551,10 +515,7 @@ def cmd_eval(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
             metrics={"accuracy": MetricValue(mean, std)},
         )
 
-    doc = _report_doc(report, meta, task)
-    out = args.out or "report.json"
-    with open(out, "w", encoding="utf-8", newline="\n") as f:
-        f.write(dumps_canonical(doc) + "\n")
+    write_json(args.out or "report.json", _report_doc(report, meta, task))
     for name in report.metrics:
         log.info("eval %s: %s = %s", task, name, report.render_percent(name))
     return EXIT_OK
@@ -576,22 +537,12 @@ def cmd_stats(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
     stats = builder.finalize()
 
     meta = make_meta({"command": "stats"})
-    doc = {"_meta": meta["_meta"], **stats.to_json_dict()}
-    out = args.out or "stats.json"
-    with open(out, "w", encoding="utf-8", newline="\n") as f:
-        f.write(dumps_canonical(doc) + "\n")
+    write_json(args.out or "stats.json", {"_meta": meta["_meta"], **stats.to_json_dict()})
     if args.tsv_dir:
         os.makedirs(args.tsv_dir, exist_ok=True)
-        for name in (
-            "window_duration_s",
-            "question_words",
-            "answer_words",
-            "distractor_words",
-        ):
-            path = os.path.join(args.tsv_dir, f"{name}.tsv")
-            with open(path, "w", encoding="utf-8", newline="\n") as f:
-                f.write("\n".join(stats_tsv_lines(stats, name)))
-                f.write("\n")
+        for name in HISTOGRAMS:
+            with staged_writer(os.path.join(args.tsv_dir, f"{name}.tsv")) as f:
+                f.write("\n".join(stats_tsv_lines(stats, name)) + "\n")
     log.info(
         "stats: %d samples over %d clips (questions avg %.2f words)",
         stats.sample_count,
@@ -730,7 +681,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        file_config = _load_config_file(args.config)
+        file_config = read_json_object(args.config, "config file") if args.config else {}
         return COMMANDS[args.command](args, file_config)
     except ServiceError as exc:
         log.error("endpoint failure: %s", exc)

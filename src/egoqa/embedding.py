@@ -9,16 +9,12 @@ tests need. Reports produced with it are labeled "offline-sim".
 from __future__ import annotations
 
 import hashlib
-import logging
 from typing import Protocol
 
 import numpy as np
-import requests
 
-from .core import ServiceError, ValidationError
-from .endpoint import EndpointConfig
-
-log = logging.getLogger(__name__)
+from .core import ServiceError
+from .endpoint import EndpointConfig, HttpClient
 
 TRIGRAM_DIM = 256
 
@@ -61,42 +57,24 @@ class TrigramEmbedder:
         return vec / np.linalg.norm(vec)
 
 
-class HttpEmbedder:
+def _unit_vector(reply) -> np.ndarray:
+    vec = np.asarray(reply["data"][0]["embedding"], dtype=np.float64)
+    norm = np.linalg.norm(vec)
+    if vec.ndim != 1 or vec.size == 0 or norm == 0:
+        raise ValueError("embedding response is not a usable vector")
+    return vec / norm
+
+
+class HttpEmbedder(HttpClient):
     """Client for a remote embedding endpoint at {base_url}/embeddings."""
 
+    unavailable = EmbedderUnavailable
+    service = "embedding"
+
     def __init__(self, config: EndpointConfig, api_key: str | None = None):
-        if not config.base_url:
-            raise ValidationError("HttpEmbedder requires a base_url")
-        self.config = config
+        super().__init__(config, api_key)
         self.name = config.model
-        self._headers = {"Content-Type": "application/json"}
-        if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
 
     def embed(self, text: str) -> np.ndarray:
-        url = self.config.base_url.rstrip("/") + "/embeddings"
         body = {"model": self.config.model, "input": text}
-        last_error: Exception | None = None
-        for attempt in range(self.config.max_retries + 1):
-            try:
-                response = requests.post(
-                    url,
-                    json=body,
-                    headers=self._headers,
-                    timeout=self.config.request_timeout_s,
-                )
-                response.raise_for_status()
-                vec = np.asarray(
-                    response.json()["data"][0]["embedding"], dtype=np.float64
-                )
-                norm = np.linalg.norm(vec)
-                if vec.ndim != 1 or vec.size == 0 or norm == 0:
-                    raise ValueError("embedding response is not a usable vector")
-                return vec / norm
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-                last_error = exc
-                log.warning("embedding request failed (attempt %d): %s", attempt + 1, exc)
-        raise EmbedderUnavailable(
-            f"embedding endpoint failed after {self.config.max_retries + 1} attempts: "
-            f"{last_error}"
-        )
+        return self._post_json("embeddings", body, _unit_vector)

@@ -9,11 +9,10 @@ tested hermetically and deterministically.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Any, Callable, Mapping, Protocol
 
 import requests
 
@@ -23,7 +22,15 @@ log = logging.getLogger(__name__)
 
 
 class EndpointUnavailable(ServiceError):
-    """Endpoint could not produce a completion after transport retries."""
+    """Endpoint could not produce a completion after transport retries.
+
+    partial holds the (samples, records) a generation batch finished before
+    the endpoint died, so callers can persist them; it is empty otherwise.
+    """
+
+    def __init__(self, message: str, partial: tuple[tuple, tuple] = ((), ())):
+        super().__init__(message)
+        self.partial: tuple[tuple, tuple] = partial
 
 
 @dataclass(frozen=True)
@@ -55,31 +62,34 @@ class ChatEndpoint(Protocol):
         """Return the raw completion text for one prompt."""
 
 
-class HttpChatEndpoint:
-    """POSTs prompts to {base_url}/chat/completions.
+class HttpClient:
+    """Transport shared by the HTTP clients: JSON POSTs below config.base_url.
 
-    Transport failures and malformed response envelopes are retried up to
-    config.max_retries times, then raised as EndpointUnavailable.
+    Transport failures and malformed response envelopes are retried at once,
+    up to config.max_retries times, then raised as `unavailable`.
     """
+
+    unavailable: type[ServiceError]  # raised when every attempt failed
+    service: str  # names the service in logs and errors
 
     def __init__(self, config: EndpointConfig, api_key: str | None = None):
         if not config.base_url:
-            raise ValidationError("HttpChatEndpoint requires a base_url")
+            raise ValidationError(f"{type(self).__name__} requires a base_url")
         self.config = config
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
 
-    def complete(self, prompt: str) -> str:
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
-        body = {
-            "model": self.config.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.config.temperature,
-            "max_tokens": self.config.max_tokens,
-        }
+    def _post_json(self, route: str, body: Mapping[str, Any], decode: Callable[[Any], Any]):
+        """POST body to {base_url}/{route}; return decode(parsed JSON reply).
+
+        decode raises KeyError, IndexError, TypeError or ValueError on an
+        envelope it cannot use, which counts as a failed attempt.
+        """
+        url = self.config.base_url.rstrip("/") + "/" + route
+        attempts = self.config.max_retries + 1
         last_error: Exception | None = None
-        for attempt in range(self.config.max_retries + 1):
+        for attempt in range(attempts):
             try:
                 response = requests.post(
                     url,
@@ -88,20 +98,42 @@ class HttpChatEndpoint:
                     timeout=self.config.request_timeout_s,
                 )
                 response.raise_for_status()
-                payload = response.json()
-                return payload["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+                return decode(response.json())
+            except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
                 log.warning(
-                    "chat request failed (attempt %d/%d): %s",
+                    "%s request failed (attempt %d/%d): %s",
+                    self.service,
                     attempt + 1,
-                    self.config.max_retries + 1,
+                    attempts,
                     exc,
                 )
-        raise EndpointUnavailable(
-            f"chat endpoint failed after {self.config.max_retries + 1} attempts: "
-            f"{last_error}"
+        raise self.unavailable(
+            f"{self.service} endpoint failed after {attempts} attempts: {last_error}"
         )
+
+
+def _chat_content(reply) -> str:
+    content = reply["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise TypeError(f"completion content is {type(content).__name__}, not text")
+    return content
+
+
+class HttpChatEndpoint(HttpClient):
+    """POSTs prompts to {base_url}/chat/completions."""
+
+    unavailable = EndpointUnavailable
+    service = "chat"
+
+    def complete(self, prompt: str) -> str:
+        body = {
+            "model": self.config.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": self.config.temperature,
+            "max_tokens": self.config.max_tokens,
+        }
+        return self._post_json("chat/completions", body, _chat_content)
 
 
 def prompt_digest(prompt: str) -> str:
@@ -123,11 +155,6 @@ class MockChatEndpoint:
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
         self.calls = 0
-
-    @classmethod
-    def from_file(cls, path: str) -> "MockChatEndpoint":
-        with open(path, encoding="utf-8") as f:
-            return cls(json.load(f))
 
     def complete(self, prompt: str) -> str:
         key = prompt_digest(prompt)

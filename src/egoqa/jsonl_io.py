@@ -15,7 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Iterable, Iterator, Mapping
+from contextlib import contextmanager, suppress
+from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 from .core import (
     Narration,
@@ -80,20 +81,57 @@ def make_meta(config: Mapping[str, Any], seed: int | None = None) -> dict[str, A
     }
 
 
+@contextmanager
+def staged_writer(path: str) -> Iterator[TextIO]:
+    """Open a text file that replaces path only if the block completes.
+
+    Writes go to a uniquely named temp file beside path, created exclusively
+    with open()'s usual mode (0666 & ~umask). On success it is renamed onto
+    path; on any exception it is removed, so neither a partial target nor a
+    stray temp file is left behind, and concurrent writers never collide.
+    """
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    f = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_jsonl(
     path: str, rows: Iterable[Mapping[str, Any]], meta: Mapping[str, Any] | None = None
 ) -> int:
     """Write a header (if given) plus rows; returns the payload row count."""
     count = 0
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+    with staged_writer(path) as f:
         if meta is not None:
             f.write(dumps_canonical(meta) + "\n")
         for row in rows:
             f.write(dumps_canonical(row) + "\n")
             count += 1
-    os.replace(tmp, path)
     return count
+
+
+def write_json(path: str, doc: Mapping[str, Any]) -> None:
+    """Write one canonical JSON document (stats, reports) atomically."""
+    with staged_writer(path) as f:
+        f.write(dumps_canonical(doc) + "\n")
+
+
+def read_json_object(path: str, what: str) -> dict[str, Any]:
+    """Load a whole-file JSON object (config, export, mock fixture)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise UnreadableInput(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UnreadableInput(f"{what} {path} must hold a JSON object")
+    return doc
 
 
 def read_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
@@ -121,22 +159,24 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, row
 
 
-def read_meta(path: str) -> dict[str, Any] | None:
-    """Return the header's _meta object, or None when the file has none."""
+def read_first_row(path: str) -> dict[str, Any] | None:
+    """The first line as a JSON object, or None when it is blank or not one."""
     try:
         with open(path, encoding="utf-8") as f:
-            first = f.readline().strip()
-    except OSError as exc:
-        raise UnreadableInput(f"cannot open {path}: {exc}") from exc
-    if not first:
-        return None
+            first = f.readline()
+    except (OSError, ValueError) as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}") from exc
     try:
         row = json.loads(first)
-    except json.JSONDecodeError:
+    except ValueError:
         return None
-    if isinstance(row, dict) and isinstance(row.get("_meta"), dict):
-        return row["_meta"]
-    return None
+    return row if isinstance(row, dict) else None
+
+
+def read_meta(path: str) -> dict[str, Any] | None:
+    """Return the header's _meta object, or None when the file has none."""
+    meta = (read_first_row(path) or {}).get("_meta")
+    return meta if isinstance(meta, dict) else None
 
 
 def _need(row: Mapping[str, Any], key: str, where: str) -> Any:

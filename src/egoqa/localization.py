@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import InvariantBreach, TemporalWindow, ValidationError
+from .metrics import iou_1d
 
 # Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-7
@@ -279,8 +280,6 @@ def decode_windows(
     nms_iou against an already-taken window, until top_k are chosen. Ties
     rank by earlier start, then lower timestep index.
     """
-    from .metrics import iou_1d
-
     if duration_s <= 0:
         raise ValidationError(f"duration_s must be > 0, got {duration_s}")
     n = len(heads.scores)

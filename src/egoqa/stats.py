@@ -14,6 +14,14 @@ from .core import QASample, ValidationError, normalize_answer
 TOP_ANSWERS = 30
 PREFIX_WORDS = 4
 
+# Histogram name in reports and TSV file names -> DatasetStats attribute.
+HISTOGRAMS = {
+    "window_duration_s": "window_duration_hist",
+    "question_words": "question_word_hist",
+    "answer_words": "answer_word_hist",
+    "distractor_words": "distractor_word_hist",
+}
+
 
 def words_of(text: str) -> list[str]:
     return normalize_answer(text).split()
@@ -58,10 +66,8 @@ class DatasetStats:
             "question_words_mean": self.question_words_mean,
             "answer_words_mean": self.answer_words_mean,
             "histograms": {
-                "window_duration_s": {str(k): v for k, v in sorted(self.window_duration_hist.items())},
-                "question_words": {str(k): v for k, v in sorted(self.question_word_hist.items())},
-                "answer_words": {str(k): v for k, v in sorted(self.answer_word_hist.items())},
-                "distractor_words": {str(k): v for k, v in sorted(self.distractor_word_hist.items())},
+                name: {str(k): v for k, v in sorted(getattr(self, attr).items())}
+                for name, attr in HISTOGRAMS.items()
             },
             "question_prefixes": dict(
                 sorted(self.question_prefixes.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -152,12 +158,6 @@ class StatsBuilder:
 
 def stats_tsv_lines(stats: DatasetStats, histogram: str) -> list[str]:
     """Rows 'bin<TAB>count' for one histogram, for external plotting."""
-    hists = {
-        "window_duration_s": stats.window_duration_hist,
-        "question_words": stats.question_word_hist,
-        "answer_words": stats.answer_word_hist,
-        "distractor_words": stats.distractor_word_hist,
-    }
-    if histogram not in hists:
+    if histogram not in HISTOGRAMS:
         raise ValidationError(f"unknown histogram {histogram!r}")
-    return [f"{k}\t{v}" for k, v in sorted(hists[histogram].items())]
+    return [f"{k}\t{v}" for k, v in sorted(getattr(stats, HISTOGRAMS[histogram]).items())]

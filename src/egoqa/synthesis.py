@@ -75,11 +75,10 @@ def _attempt_loop(
 
 
 def _run_jobs(jobs, worker, parallelism: int):
-    """Run worker over jobs, returning results in input order.
+    """Run worker over jobs; return (finished results in input order, failure).
 
-    An EndpointUnavailable in any job is re-raised after the pool drains,
-    carrying the successfully finished results so callers can persist a
-    partial batch.
+    failure is the first EndpointUnavailable a job raised, or None; the
+    finished results let callers persist a partial batch.
     """
     results: list = [None] * len(jobs)
     failure: EndpointUnavailable | None = None
@@ -114,8 +113,8 @@ def generate_openqa(
 
     Output is sorted by (clip_uid, chunk_index). Completions that stay
     malformed after retries, or violate the length constraints, are dropped
-    with a record. Raises EndpointUnavailable (with partial results attached
-    as exc.partial) if the endpoint dies mid-batch.
+    with a record. Raises EndpointUnavailable (with the finished results as
+    exc.partial) if the endpoint dies mid-batch.
     """
     for chunk in chunks:
         if chunk.clip_uid not in tracks:
@@ -166,9 +165,7 @@ def generate_openqa(
         100.0 * errors / max(len(records), 1),
     )
     if failure is not None:
-        exc = EndpointUnavailable(f"openqa batch aborted: {failure}")
-        exc.partial = (samples, records)
-        raise exc
+        raise EndpointUnavailable(f"openqa batch aborted: {failure}", (samples, records))
     return samples, records
 
 
@@ -226,9 +223,7 @@ def attach_distractors(
             ok / elapsed * 3600.0,
         )
     if failure is not None:
-        exc = EndpointUnavailable(f"distractor batch aborted: {failure}")
-        exc.partial = (out, records)
-        raise exc
+        raise EndpointUnavailable(f"distractor batch aborted: {failure}", (out, records))
     return out, records
 
 

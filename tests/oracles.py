@@ -2,11 +2,16 @@
 
 Everything here is written from the documented contracts alone, in the
 plainest possible style, so a disagreement with the package points at the
-package (or at the contract), never at shared code.
+package (or at the contract), never at shared code. ScriptedAnswerer is
+the exception: a test double that scripts a blind answerer's per-trial
+outcomes, not a reference implementation.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Mapping, Sequence
+
+from egoqa.core import normalize_answer
 
 
 def interval_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -102,3 +107,36 @@ def oracle_nms(
         if all(interval_iou((s, e), (s2, e2)) < nms_iou for s2, e2, _ in taken):
             taken.append((s, e, score))
     return taken
+
+
+class ScriptedAnswerer:
+    """Blind answerer that follows a fixed script of per-trial outcomes.
+
+    script maps a question to its per-trial correctness booleans (missing
+    questions default to all wrong); correct_by_question supplies the string
+    to return on a correct trial. The seeds list identifies trial indices.
+    """
+
+    def __init__(
+        self,
+        correct_by_question: Mapping[str, str],
+        seeds: Sequence[int],
+        script: Mapping[str, Sequence[bool]] | None = None,
+    ):
+        self._correct = dict(correct_by_question)
+        self._trial_of_seed = {seed: i for i, seed in enumerate(seeds)}
+        self._script = {q: list(flags) for q, flags in (script or {}).items()}
+
+    def answer(self, question: str, choices: Sequence[str], seed: int) -> str:
+        trial = self._trial_of_seed[seed]
+        flags = self._script.get(question)
+        correct = self._correct.get(question)
+        want_correct = flags[trial] if flags is not None else correct is not None
+        if want_correct and correct is not None:
+            for choice in choices:
+                if normalize_answer(choice) == normalize_answer(correct):
+                    return choice
+        for choice in choices:
+            if correct is None or normalize_answer(choice) != normalize_answer(correct):
+                return choice
+        return choices[0]

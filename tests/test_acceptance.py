@@ -16,7 +16,6 @@ import pytest
 
 import egoqa.cli as cli
 from egoqa.blindfilter import (
-    ScriptedAnswerer,
     UniformRandomAnswerer,
     filter_test_set,
     trial_outcomes,
@@ -55,7 +54,7 @@ from egoqa.synthesis import shuffled_choices
 from egoqa.windows import compute_stats, narration_window
 
 from .conftest import DATA_DIR, make_track
-from .oracles import oracle_align, oracle_nms, oracle_vlg
+from .oracles import ScriptedAnswerer, oracle_align, oracle_nms, oracle_vlg
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-4

@@ -9,12 +9,13 @@ from egoqa.blindfilter import (
     FilterRow,
     FrequencyPriorAnswerer,
     MissingDistractors,
-    ScriptedAnswerer,
     UniformRandomAnswerer,
     filter_test_set,
     trial_outcomes,
 )
 from egoqa.core import QASample, TemporalWindow, ValidationError
+
+from .oracles import ScriptedAnswerer
 
 SEEDS = list(range(100, 100 + TRIALS))
 

@@ -96,6 +96,39 @@ class TestIngest:
         out = str(tmp_path / "n.jsonl")
         assert cli.main(["ingest", "/nonexistent.json", "--out", out]) == 2
 
+    def test_malformed_passes_and_items_rejected_with_codes(self, tmp_path, caplog):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "ok": {
+                "duration_sec": 10,
+                "narration_pass_1": {"narrations": [
+                    {"narration_text": "C works.", "timestamp_sec": 1},
+                    "C rests.",
+                ]},
+            },
+            "pass-is-list": {
+                "duration_sec": 10,
+                "narration_pass_1": [{"narration_text": "C waits.", "timestamp_sec": 2}],
+            },
+        }))
+        out = str(tmp_path / "n.jsonl")
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(["ingest", str(bad), "--out", out]) == 0
+        assert "reject narration in ok: not_an_object" in caplog.text
+        assert "reject clip pass-is-list: bad_narration_pass" in caplog.text
+        rows = [json.loads(l) for l in _read(out).decode().splitlines()[1:]]
+        assert [r["clip_uid"] for r in rows] == ["ok"]
+        assert len(rows[0]["narrations"]) == 1
+
+    def test_headerless_track_jsonl_ingests(self, tmp_path):
+        with_header = _ingest(tmp_path)
+        lines = _read(with_header).decode().splitlines(keepends=True)
+        headerless = tmp_path / "headerless.jsonl"
+        headerless.write_text("".join(lines[1:]))
+        out = str(tmp_path / "again.jsonl")
+        assert cli.main(["ingest", str(headerless), "--out", out]) == 0
+        assert _read(out) == _read(with_header)
+
 
 class TestSynthesize:
     def _synthesize(self, tmp_path, narrations, out_name="qa.jsonl", *extra):
@@ -202,6 +235,18 @@ class TestFilterBlind:
         out = str(tmp_path / "kept.jsonl")
         assert cli.main(["filter-blind", FILTER_INPUT, "--out", out, "--seeds", "1,2,3"]) == 2
 
+    def test_missing_distractors_exits_2_without_leftovers(self, tmp_path):
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text(json.dumps({
+            "clip_uid": "c", "question": "Did I wave?", "answer": "yes",
+            "window": [0.0, 1.0], "split": "test", "source": "synthesized",
+        }) + "\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = str(out_dir / "kept.jsonl")
+        assert cli.main(["filter-blind", str(bare), "--out", out, "--seed", "11"]) == 2
+        assert os.listdir(out_dir) == []
+
     def test_uniform_answerer_accepted(self, tmp_path):
         out = str(tmp_path / "kept.jsonl")
         code = cli.main([
@@ -269,6 +314,31 @@ class TestDecodeEval:
         with open(preds, "w") as f:
             f.write('{"clip_uid":"clip-d","query_id":"clip-d::0","windows":[[4.0,10.0,1.0]]}\n')
         assert cli.main(["eval", preds, "--gt", GT_VLG, "--task", "vlg"]) == 2
+
+    def test_duplicate_query_id_exits_2_with_line(self, tmp_path, caplog):
+        # the correct prediction for clip-d::0 first, then a wrong duplicate
+        preds = tmp_path / "preds.jsonl"
+        lines = []
+        per_clip: dict[str, int] = {}
+        for line in _read(GT_VLG).decode().splitlines():
+            row = json.loads(line)
+            k = per_clip.get(row["clip_uid"], 0)
+            per_clip[row["clip_uid"]] = k + 1
+            lines.append(json.dumps({
+                "clip_uid": row["clip_uid"], "query_id": f"{row['clip_uid']}::{k}",
+                "windows": [[row["window"][0], row["window"][1], 1.0]],
+            }))
+        first = json.loads(lines[0])
+        lines.append(json.dumps({**first, "windows": [[0.0, 0.1, 1.0]]}))
+        preds.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "report.json"
+        with caplog.at_level(logging.ERROR):
+            code = cli.main([
+                "eval", str(preds), "--gt", GT_VLG, "--task", "vlg", "--out", str(report),
+            ])
+        assert code == 2
+        assert f"preds.jsonl:{len(lines)}: duplicate query_id" in caplog.text
+        assert not report.exists()
 
     def test_closeqa_requires_five_prediction_files(self, tmp_path):
         preds = str(tmp_path / "preds.jsonl")
@@ -389,7 +459,69 @@ class TestConfigPrecedence:
         assert cli.main(["--config", str(config), "ingest", EXPORT, "--out", "x"]) == 2
 
 
+def _export_file(tmp_path, clip_entry):
+    path = tmp_path / "export.json"
+    path.write_text(json.dumps({"clip-x": clip_entry}))
+    return str(path)
+
+
+def _text_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+# (argv builder, text the error must contain) for malformed inputs
+MALFORMED_INPUTS = {
+    "ingest-pass-is-list": (
+        lambda tmp: ["ingest", _export_file(tmp, {
+            "duration_sec": 10,
+            "narration_pass_1": [{"narration_text": "C waits.", "timestamp_sec": 1}],
+        }), "--out", str(tmp / "n.jsonl")],
+        "bad_narration_pass",
+    ),
+    "ingest-narration-is-string": (
+        lambda tmp: ["ingest", _export_file(tmp, {
+            "duration_sec": 10, "narration_pass_1": {"narrations": ["C waits."]},
+        }), "--out", str(tmp / "n.jsonl")],
+        "not_an_object",
+    ),
+    "synthesize-mock-missing": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", str(tmp / "absent.json")],
+        "mock fixture",
+    ),
+    "synthesize-mock-not-json": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", _text_file(tmp, "mock.json", "{broken")],
+        "mock fixture",
+    ),
+    "filter-blind-seed-not-int": (
+        lambda tmp: ["filter-blind", FILTER_INPUT, "--out", str(tmp / "kept.jsonl"),
+                     "--seeds", "1,x"],
+        "--seeds",
+    ),
+    "config-value-fails-cast": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"parallelism": "x"}'),
+                     "synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", MOCK],
+        "parallelism",
+    ),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_malformed_input_exits_2_naming_reason(self, case, tmp_path, caplog):
+        build, reason = MALFORMED_INPUTS[case]
+        argv = build(tmp_path)
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            assert cli.main(argv) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert any(reason in e for e in errors), errors
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
     def test_invariant_breach_maps_to_4(self, tmp_path, monkeypatch):
         def boom(args, file_config):
             raise InvariantBreach("forced")

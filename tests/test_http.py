@@ -1,0 +1,166 @@
+"""HTTP chat and embedding clients against a loopback JSON server."""
+from __future__ import annotations
+
+import json
+import os
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import numpy as np
+import pytest
+
+import egoqa.cli as cli
+from egoqa.embedding import EmbedderUnavailable, HttpEmbedder
+from egoqa.endpoint import EndpointConfig, EndpointUnavailable, HttpChatEndpoint
+
+from .conftest import DATA_DIR
+
+GT_VLG = os.path.join(DATA_DIR, "gt_vlg.jsonl")
+CHAT_OK = {"choices": [{"message": {"content": "hello"}}]}
+EMBED_OK = {"data": [{"embedding": [3.0, 4.0]}]}
+
+
+class ScriptedServer:
+    """Replies to each POST with the next (status, JSON body) of a script.
+
+    The last reply repeats once the script runs out. Every request's path,
+    headers and JSON body are recorded.
+    """
+
+    def __init__(self):
+        self.replies: list[tuple[int, object]] = [(200, {})]
+        self.requests: list[dict] = []
+        owner = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", 0))
+                owner.requests.append({
+                    "path": self.path,
+                    "headers": dict(self.headers),
+                    "body": json.loads(self.rfile.read(length)),
+                })
+                i = min(len(owner.requests), len(owner.replies)) - 1
+                status, body = owner.replies[i]
+                payload = json.dumps(body).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.httpd.server_address[1]}/v1"
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        self.thread.start()
+
+    def close(self):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join()
+
+
+@pytest.fixture(autouse=True)
+def _clean_env(monkeypatch):
+    monkeypatch.delenv("EGOQA_BASE_URL", raising=False)
+    monkeypatch.delenv("EGOQA_API_KEY", raising=False)
+
+
+@pytest.fixture
+def server():
+    srv = ScriptedServer()
+    yield srv
+    srv.close()
+
+
+def _config(server, retries=2):
+    return EndpointConfig(base_url=server.url, max_retries=retries, request_timeout_s=5.0)
+
+
+@pytest.mark.parametrize("envelope", [
+    {"choices": []},
+    {"choices": [{"message": {"content": None}}]},
+    ["not", "an", "object"],
+])
+def test_chat_retries_malformed_envelope_then_succeeds(server, envelope):
+    server.replies = [(200, envelope), (200, CHAT_OK)]
+    assert HttpChatEndpoint(_config(server)).complete("hi") == "hello"
+    assert len(server.requests) == 2
+    assert server.requests[0]["path"] == "/v1/chat/completions"
+    assert server.requests[0]["body"]["messages"] == [{"role": "user", "content": "hi"}]
+
+
+def test_embedder_retries_malformed_envelope_then_succeeds(server):
+    server.replies = [(200, ["not", "an", "envelope"]), (200, EMBED_OK)]
+    vec = HttpEmbedder(_config(server)).embed("hi")
+    np.testing.assert_allclose(vec, [0.6, 0.8])
+    assert len(server.requests) == 2
+    assert server.requests[1]["path"] == "/v1/embeddings"
+    assert server.requests[1]["body"] == {"model": "mock", "input": "hi"}
+
+
+def test_chat_raises_unavailable_after_every_attempt_fails(server):
+    server.replies = [(500, {"error": "down"})]
+    with pytest.raises(EndpointUnavailable, match="3 attempts"):
+        HttpChatEndpoint(_config(server)).complete("hi")
+    assert len(server.requests) == 3
+
+
+def test_embedder_raises_unavailable_after_every_attempt_fails(server):
+    server.replies = [(200, {"data": [{"embedding": [0.0, 0.0]}]})]
+    with pytest.raises(EmbedderUnavailable, match="2 attempts"):
+        HttpEmbedder(_config(server, retries=1)).embed("hi")
+    assert len(server.requests) == 2
+
+
+def test_synthesize_exits_3_when_chat_endpoint_keeps_failing(server, tmp_path):
+    server.replies = [(503, {"error": "busy"})]
+    narrations = str(tmp_path / "narrations.jsonl")
+    export = os.path.join(DATA_DIR, "narration_export.json")
+    assert cli.main(["ingest", export, "--out", narrations]) == 0
+    out = str(tmp_path / "qa.jsonl")
+    code = cli.main([
+        "synthesize", narrations, "--out", out,
+        "--base-url", server.url, "--max-retries", "1",
+    ])
+    assert code == 3
+
+
+def test_openqa_eval_exits_3_when_embedder_keeps_failing(server, tmp_path):
+    server.replies = [(200, {"data": []})]
+    preds = tmp_path / "preds.jsonl"
+    per_clip: dict[str, int] = {}
+    with open(GT_VLG) as src, open(preds, "w") as dst:
+        for line in src:
+            row = json.loads(line)
+            k = per_clip.get(row["clip_uid"], 0)
+            per_clip[row["clip_uid"]] = k + 1
+            dst.write(json.dumps({
+                "clip_uid": row["clip_uid"], "query_id": f"{row['clip_uid']}::{k}",
+                "windows": [], "answer_text": row["answer"],
+            }) + "\n")
+    code = cli.main([
+        "eval", str(preds), "--gt", GT_VLG, "--task", "openqa",
+        "--out", str(tmp_path / "report.json"), "--embed-url", server.url,
+    ])
+    assert code == 3
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("client, reply", [
+    (HttpChatEndpoint, CHAT_OK),
+    (HttpEmbedder, EMBED_OK),
+])
+def test_bearer_header_sent_only_with_api_key(server, client, reply):
+    server.replies = [(200, reply)]
+    call = "complete" if client is HttpChatEndpoint else "embed"
+    getattr(client(_config(server)), call)("hi")
+    getattr(client(_config(server), api_key="sk-test"), call)("hi")
+    without, with_key = (r["headers"] for r in server.requests)
+    assert "Authorization" not in without
+    assert with_key["Authorization"] == "Bearer sk-test"

@@ -31,7 +31,9 @@ from egoqa.jsonl_io import (
     row_to_pred,
     row_to_qa,
     row_to_track,
+    staged_writer,
     track_to_row,
+    write_json,
     write_jsonl,
 )
 from egoqa.localization import HeadOutputs
@@ -108,6 +110,31 @@ class TestWriteRead:
         with pytest.raises(RuntimeError):
             write_jsonl(path, rows())
         assert not os.path.exists(path)
+        assert os.listdir(tmp_path) == []
+
+    def test_staged_files_get_open_mode_and_replace_target(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w") as f:
+            f.write("x")
+        path = str(tmp_path / "doc.json")
+        write_json(path, {"old": True})
+        write_json(path, {"b": 1, "a": "ü"})
+        with open(path, encoding="utf-8") as f:
+            assert f.read() == '{"a":"ü","b":1}\n'
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+        assert sorted(os.listdir(tmp_path)) == ["doc.json", "plain.txt"]
+
+    def test_staged_writer_keeps_old_target_on_error(self, tmp_path):
+        path = str(tmp_path / "x.tsv")
+        with staged_writer(path) as f:
+            f.write("old\n")
+        with pytest.raises(RuntimeError):
+            with staged_writer(path) as f:
+                f.write("new\n")
+                raise RuntimeError("mid-write failure")
+        with open(path) as f:
+            assert f.read() == "old\n"
+        assert os.listdir(tmp_path) == ["x.tsv"]
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(UnreadableInput):
