@@ -44,9 +44,9 @@ SCRIPTED = {
 }
 
 
-def build_mock_fixture(export_path: str) -> dict:
+def build_mock_fixture(export: dict) -> dict:
     """Key each scripted completion by the digest of its exact prompt."""
-    tracks = {t.clip_uid: t for t in _iter_export_tracks(export_path, "merge")}
+    tracks = {t.clip_uid: t for t in _iter_export_tracks(export, "merge")}
     stats = compute_stats(list(tracks.values()))
     openqa_t, closeqa_t = load_template("openqa_llama"), load_template("closeqa_llama")
     fixture = {}
@@ -79,7 +79,7 @@ with tempfile.TemporaryDirectory() as tmp:
         json.dump(EXPORT, f)
     mock = os.path.join(tmp, "mock.json")
     with open(mock, "w", encoding="utf-8") as f:
-        json.dump(build_mock_fixture(export), f)
+        json.dump(build_mock_fixture(EXPORT), f)
 
     narrations = os.path.join(tmp, "narrations.jsonl")
     qa = os.path.join(tmp, "qa.jsonl")

@@ -13,8 +13,12 @@ import argparse
 import logging
 import os
 import sys
+import time
 import traceback
 from collections import Counter
+from contextlib import closing
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Iterator, Mapping
 
 from .blindfilter import (
@@ -62,10 +66,10 @@ from .jsonl_io import (
 )
 from .localization import decode_windows
 from .metrics import MissingQuery, closeqa_accuracy, openqa_report, vlg_recall
-from .prompts import load_template
+from .prompts import PARSE_OK, load_template
 from .seeding import derive_seed
 from .stats import HISTOGRAMS, StatsBuilder, stats_tsv_lines
-from .synthesis import GenerationRecord, attach_distractors, generate_openqa
+from .synthesis import GenerationRecord, _run_jobs, distractor_unit, openqa_unit
 from .windows import NoIntervalData, compute_stats
 
 log = logging.getLogger(__name__)
@@ -146,14 +150,13 @@ def _log_reject(unit: str, clip_uid: str, code: str, detail: str = "") -> None:
 
 
 def _iter_export_tracks(
-    path: str, which_pass: str, reject=_log_reject
+    export: Mapping[str, Any], which_pass: str, reject=_log_reject
 ) -> Iterator[NarrationTrack]:
     """Parse a raw narration export: {clip_uid: {duration_sec, narration_pass_*}}.
 
     Narration-level problems reject the narration; clip-level problems
     reject the clip. Both are reported through reject with a reason code.
     """
-    export = read_json_object(path, "narration export")
     pass_keys = {
         "1": ("narration_pass_1",),
         "2": ("narration_pass_2",),
@@ -213,15 +216,19 @@ def cmd_ingest(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
         rejects[code] += 1
         _log_reject(unit, clip_uid, code, detail)
 
-    # Only the key set is kept: a one-line export parses whole here.
-    first_keys = set(read_first_row(args.input) or ())
-    if "_meta" in first_keys or {"clip_uid", "narrations"} <= first_keys:
+    first, sole = read_first_row(args.input)
+    keys = set(first or ())
+    if "_meta" in keys or {"clip_uid", "narrations"} <= keys:
         tracks = (
             row_to_track(row, f"{args.input}:{lineno}")
             for lineno, row in read_jsonl(args.input)
         )
     else:
-        tracks = _iter_export_tracks(args.input, which_pass, reject)
+        # A one-line export was parsed whole by the sniff; anything else
+        # (a pretty-printed export, say) is loaded as one document.
+        if first is None or not sole:
+            first = read_json_object(args.input, "narration export")
+        tracks = _iter_export_tracks(first, which_pass, reject)
 
     def valid_rows():
         written = 0
@@ -311,46 +318,69 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
     all_records: list[dict[str, Any]] = []
     failure: EndpointUnavailable | None = None
 
-    def iter_sample_rows():
-        nonlocal failure
-        for track in iter_tracks():
-            builder.add_narration_stats(len(track.narrations), track.duration_s)
-            chunks = chunk_track(track, stats, max_sentences, max_span_s)
-            try:
-                samples, records = generate_openqa(
-                    chunks,
-                    {track.clip_uid: track},
-                    config,
-                    openqa_template,
-                    endpoint,
-                    split=split,
-                )
-            except EndpointUnavailable as exc:
-                failure = exc
-                samples, records = exc.partial
-            all_records.extend(_record_to_row(r) for r in records)
-            if failure is None and with_distractors:
-                try:
-                    samples, records = attach_distractors(
-                        samples, config, closeqa_template, endpoint
-                    )
-                except EndpointUnavailable as exc:
-                    failure = exc
-                    samples, records = exc.partial
-                all_records.extend(_record_to_row(r) for r in records)
-            for sample in samples:
-                builder.add(sample)
-                yield qa_to_row(sample)
-            if failure is not None:
-                return
+    def clip_chunks():
+        for clip_no, track in enumerate(iter_tracks()):
+            for chunk in chunk_track(track, stats, max_sentences, max_span_s):
+                yield clip_no, track, chunk
 
+    def synthesize_chunk(job):
+        """A chunk's openqa request, then its sample's distractor request.
+
+        Returns (clip number, track, openqa record, closeqa record, sample,
+        failure): the steps finished before an EndpointUnavailable, and it.
+        """
+        clip_no, track, chunk = job
+        openqa = closeqa = sample = error = None
+        try:
+            sample, openqa = openqa_unit(chunk, track, config, openqa_template, endpoint, split)
+            if sample is not None and with_distractors:
+                sample, closeqa = distractor_unit(sample, config, closeqa_template, endpoint)
+        except EndpointUnavailable as exc:
+            error = exc
+        return clip_no, track, openqa, closeqa, sample, error
+
+    def iter_sample_rows():
+        # One pool for the whole run; each clip is emitted once its last
+        # chunk is in: its openqa records, its closeqa records, its samples.
+        nonlocal failure
+        results = _run_jobs(clip_chunks(), synthesize_chunk, config.parallelism)
+        with closing(results):
+            for _, clip in groupby(results, key=itemgetter(0)):
+                openqa_rows, closeqa_rows, samples = [], [], []
+                for _, track, openqa, closeqa, sample, error in clip:
+                    if openqa is not None:
+                        openqa_rows.append(_record_to_row(openqa))
+                    if closeqa is not None:
+                        closeqa_rows.append(_record_to_row(closeqa))
+                    if sample is not None:
+                        samples.append(sample)
+                    if error is not None:
+                        failure = error
+                        break
+                builder.add_narration_stats(len(track.narrations), track.duration_s)
+                all_records.extend(openqa_rows)
+                all_records.extend(closeqa_rows)
+                for sample in samples:
+                    builder.add(sample)
+                    yield qa_to_row(sample)
+                if failure is not None:
+                    return
+
+    start = time.monotonic()
     count = write_jsonl(args.out, iter_sample_rows(), meta)
+    elapsed = max(time.monotonic() - start, 1e-9)
     records_path = args.records or args.out + ".records.jsonl"
     write_jsonl(records_path, iter(all_records), meta)
     stats_path = args.stats_out or args.out + ".stats.json"
     if count:
         write_json(stats_path, {"_meta": meta["_meta"], **builder.finalize().to_json_dict()})
-    log.info("synthesize: wrote %d samples to %s", count, args.out)
+    parsed = Counter(r["kind"] for r in all_records if r["parse_status"] == PARSE_OK)
+    sent = Counter(r["kind"] for r in all_records)
+    log.info(
+        "synthesize: wrote %d samples to %s in %.2fs; parsed openqa %d/%d, closeqa %d/%d",
+        count, args.out, elapsed,
+        parsed["openqa"], sent["openqa"], parsed["closeqa"], sent["closeqa"],
+    )
     if failure is not None:
         log.error("synthesize aborted early, partial results persisted: %s", failure)
         raise failure

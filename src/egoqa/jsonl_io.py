@@ -138,18 +138,22 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (1-based line number, row) for each payload row, lazily.
 
     A leading {"_meta": ...} row is skipped; use read_meta to inspect it.
+    Lines are decoded one at a time, so bytes that are not UTF-8 are
+    reported with their line.
     """
     try:
-        f = open(path, encoding="utf-8")
+        f = open(path, "rb")
     except OSError as exc:
         raise UnreadableInput(f"cannot open {path}: {exc}") from exc
     with f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, raw in enumerate(f, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 row = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise UnreadableInput(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise UnreadableInput(f"{path}:{lineno}: not JSON: {exc}") from exc
             if not isinstance(row, dict):
@@ -159,23 +163,25 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, row
 
 
-def read_first_row(path: str) -> dict[str, Any] | None:
-    """The first line as a JSON object, or None when it is blank or not one."""
+def read_first_row(path: str) -> tuple[dict[str, Any] | None, bool]:
+    """The first line as a JSON object (None when it is blank or not one),
+    and whether it is the file's only non-blank line."""
     try:
         with open(path, encoding="utf-8") as f:
             first = f.readline()
+            sole = not any(line.strip() for line in f)
     except (OSError, ValueError) as exc:
         raise UnreadableInput(f"cannot read {path}: {exc}") from exc
     try:
         row = json.loads(first)
     except ValueError:
-        return None
-    return row if isinstance(row, dict) else None
+        return None, sole
+    return (row if isinstance(row, dict) else None), sole
 
 
 def read_meta(path: str) -> dict[str, Any] | None:
     """Return the header's _meta object, or None when the file has none."""
-    meta = (read_first_row(path) or {}).get("_meta")
+    meta = (read_first_row(path)[0] or {}).get("_meta")
     return meta if isinstance(meta, dict) else None
 
 

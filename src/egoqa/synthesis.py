@@ -1,17 +1,23 @@
 """QA pair and distractor generation against a chat endpoint.
 
-Requests run on a bounded worker pool; results are re-assembled in an order
-that is a pure function of the input order, never of completion order.
-Every request leaves an audit record, so the number of records always
-equals the number of chunks (or samples) submitted.
+openqa_unit makes one chunk's QA request and distractor_unit one sample's
+distractor request; each leaves an audit record, so the number of records
+always equals the number of chunks (or samples) submitted. _run_jobs is the
+one scheduler: a bounded worker pool fed lazily from a job iterable that
+yields results in input order, never completion order, and stops at the
+first job that fails. generate_openqa and attach_distractors run one batch
+of units through it; the synthesize command runs its whole input through a
+single call, each job a chunk's QA request chained with its distractor
+request.
 """
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,31 +80,120 @@ def _attempt_loop(
     return parsed, raw, attempts
 
 
-def _run_jobs(jobs, worker, parallelism: int):
-    """Run worker over jobs; return (finished results in input order, failure).
+# Jobs a pool may hold per worker, running or finished but not yet yielded.
+WINDOW_PER_WORKER = 4
 
-    failure is the first EndpointUnavailable a job raised, or None; the
-    finished results let callers persist a partial batch.
+
+def _run_jobs(jobs: Iterable, worker: Callable, parallelism: int) -> Iterator:
+    """Yield worker(job) for every job, in input order.
+
+    jobs is consumed lazily: at most WINDOW_PER_WORKER * parallelism jobs
+    are submitted ahead of the oldest result not yet yielded. An exception
+    a job raised is raised in that job's turn and ends the run: no job is
+    submitted after it, jobs already queued are cancelled, and the results
+    of jobs behind it are dropped. What is yielded before a failure is
+    therefore the same at every parallelism.
     """
-    results: list = [None] * len(jobs)
-    failure: EndpointUnavailable | None = None
     if parallelism == 1:
-        for i, job in enumerate(jobs):
-            try:
-                results[i] = worker(job)
-            except EndpointUnavailable as exc:
-                failure = exc
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(worker, job) for job in jobs]
-            for i, future in enumerate(futures):
-                try:
-                    results[i] = future.result()
-                except EndpointUnavailable as exc:
-                    failure = failure or exc
-    done = [r for r in results if r is not None]
-    return done, failure
+        for job in jobs:
+            yield worker(job)
+        return
+    window = WINDOW_PER_WORKER * parallelism
+    pending: deque[Future] = deque()
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        try:
+            for job in jobs:
+                pending.append(pool.submit(worker, job))
+                if len(pending) == window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+def openqa_unit(
+    chunk: NarrationChunk,
+    track: NarrationTrack,
+    config: EndpointConfig,
+    template: PromptTemplate,
+    endpoint: ChatEndpoint,
+    split: str,
+) -> tuple[QASample | None, GenerationRecord]:
+    """One chunk's QA request: (sample, or None if it did not parse; record)."""
+    prompt = render_openqa_prompt(chunk, track, template)
+    parsed, raw, attempts = _attempt_loop(
+        endpoint, prompt, parse_openqa_completion, config.max_retries
+    )
+    record = GenerationRecord(
+        kind="openqa",
+        clip_uid=chunk.clip_uid,
+        ref=str(chunk.chunk_index),
+        raw_completion=raw,
+        parse_status=parsed.status,
+        attempts=attempts,
+        question=parsed.question,
+        answer=parsed.answer,
+        reason=parsed.reason,
+    )
+    sample = None
+    if parsed.status == PARSE_OK:
+        sample = QASample(
+            clip_uid=chunk.clip_uid,
+            question=parsed.question,
+            answer=parsed.answer,
+            window=chunk.span,
+            split=split,
+            source="synthesized",
+        )
+    return sample, record
+
+
+def distractor_unit(
+    sample: QASample,
+    config: EndpointConfig,
+    template: PromptTemplate,
+    endpoint: ChatEndpoint,
+) -> tuple[QASample, GenerationRecord | None]:
+    """One sample's distractor request: (sample, with wrong_answers if they
+    parsed; record). A sample that already has distractors passes through
+    with no request and no record."""
+    if sample.wrong_answers is not None:
+        return sample, None
+    prompt = render_closeqa_prompt(sample.question, sample.answer, template)
+    parsed, raw, attempts = _attempt_loop(
+        endpoint,
+        prompt,
+        lambda r: parse_closeqa_completion(r, sample.answer),
+        config.max_retries,
+    )
+    record = GenerationRecord(
+        kind="closeqa",
+        clip_uid=sample.clip_uid,
+        ref=sample.question,
+        raw_completion=raw,
+        parse_status=parsed.status,
+        attempts=attempts,
+        question=sample.question,
+        answer=sample.answer,
+        wrong_answers=parsed.distractors,
+        reason=parsed.reason,
+    )
+    if parsed.status == PARSE_OK:
+        return replace(sample, wrong_answers=parsed.distractors), record
+    return sample, record
+
+
+def _run_batch(units: Iterable, worker: Callable, parallelism: int):
+    """Run one batch through _run_jobs: (finished results, first failure or None)."""
+    done: list = []
+    try:
+        for result in _run_jobs(units, worker, parallelism):
+            done.append(result)
+    except EndpointUnavailable as exc:
+        return done, exc
+    return done, None
 
 
 def generate_openqa(
@@ -113,45 +208,21 @@ def generate_openqa(
 
     Output is sorted by (clip_uid, chunk_index). Completions that stay
     malformed after retries, or violate the length constraints, are dropped
-    with a record. Raises EndpointUnavailable (with the finished results as
-    exc.partial) if the endpoint dies mid-batch.
+    with a record. Raises EndpointUnavailable (with the results finished
+    before the first failing chunk as exc.partial) if the endpoint dies
+    mid-batch.
     """
     for chunk in chunks:
         if chunk.clip_uid not in tracks:
             raise ValidationError(f"chunk references unknown clip {chunk.clip_uid!r}")
 
     ordered = sorted(chunks, key=lambda c: (c.clip_uid, c.chunk_index))
-
-    def worker(chunk: NarrationChunk):
-        prompt = render_openqa_prompt(chunk, tracks[chunk.clip_uid], template)
-        parsed, raw, attempts = _attempt_loop(
-            endpoint, prompt, parse_openqa_completion, config.max_retries
-        )
-        record = GenerationRecord(
-            kind="openqa",
-            clip_uid=chunk.clip_uid,
-            ref=str(chunk.chunk_index),
-            raw_completion=raw,
-            parse_status=parsed.status,
-            attempts=attempts,
-            question=parsed.question,
-            answer=parsed.answer,
-            reason=parsed.reason,
-        )
-        sample = None
-        if parsed.status == PARSE_OK:
-            sample = QASample(
-                clip_uid=chunk.clip_uid,
-                question=parsed.question,
-                answer=parsed.answer,
-                window=chunk.span,
-                split=split,
-                source="synthesized",
-            )
-        return sample, record
-
     start = time.monotonic()
-    done, failure = _run_jobs(ordered, worker, config.parallelism)
+    done, failure = _run_batch(
+        ordered,
+        lambda c: openqa_unit(c, tracks[c.clip_uid], config, template, endpoint, split),
+        config.parallelism,
+    )
     samples = tuple(s for s, _ in done if s is not None)
     records = tuple(r for _, r in done)
     elapsed = max(time.monotonic() - start, 1e-9)
@@ -181,35 +252,12 @@ def attach_distractors(
     wrong_answers and accounted for in the records. Samples that already
     carry distractors pass through untouched (no request, no record).
     """
-
-    def worker(sample: QASample):
-        if sample.wrong_answers is not None:
-            return sample, None
-        prompt = render_closeqa_prompt(sample.question, sample.answer, template)
-        parsed, raw, attempts = _attempt_loop(
-            endpoint,
-            prompt,
-            lambda r: parse_closeqa_completion(r, sample.answer),
-            config.max_retries,
-        )
-        record = GenerationRecord(
-            kind="closeqa",
-            clip_uid=sample.clip_uid,
-            ref=sample.question,
-            raw_completion=raw,
-            parse_status=parsed.status,
-            attempts=attempts,
-            question=sample.question,
-            answer=sample.answer,
-            wrong_answers=parsed.distractors,
-            reason=parsed.reason,
-        )
-        if parsed.status == PARSE_OK:
-            return replace(sample, wrong_answers=parsed.distractors), record
-        return sample, record
-
     start = time.monotonic()
-    done, failure = _run_jobs(list(samples), worker, config.parallelism)
+    done, failure = _run_batch(
+        samples,
+        lambda s: distractor_unit(s, config, template, endpoint),
+        config.parallelism,
+    )
     out = tuple(s for s, _ in done)
     records = tuple(r for _, r in done if r is not None)
     elapsed = max(time.monotonic() - start, 1e-9)

@@ -410,9 +410,9 @@ def test_end_to_end_determinism(tmp_path, monkeypatch):
     narrations = str(tmp_path / "narrations.jsonl")
     assert cli.main(["ingest", export, "--out", narrations]) == 0
 
-    payloads = set()
+    outputs = set()
     for run in range(3):
-        for par in (1, 4):
+        for par in (1, 2, 8):
             out = str(tmp_path / f"qa-{run}-{par}.jsonl")
             code = cli.main([
                 "synthesize", narrations, "--out", out,
@@ -420,9 +420,12 @@ def test_end_to_end_determinism(tmp_path, monkeypatch):
                 "--parallelism", str(par),
             ])
             assert code == 0
-            with open(out, "rb") as f:
-                payloads.add(f.read())
-    assert len(payloads) == 1
+            files = []
+            for path in (out, out + ".records.jsonl", out + ".stats.json"):
+                with open(path, "rb") as f:
+                    files.append(f.read())
+            outputs.add(tuple(files))
+    assert len(outputs) == 1
 
     stats_out = str(tmp_path / "stats.json")
     code = cli.main([

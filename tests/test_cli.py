@@ -52,6 +52,18 @@ class TestIngest:
         assert cli.main(["ingest", first, "--out", second]) == 0
         assert _read(first) == _read(second)
 
+    def test_one_line_export_is_decoded_once(self, tmp_path, monkeypatch):
+        one_line = tmp_path / "export.json"
+        one_line.write_text(json.dumps(json.loads(_read(EXPORT))))
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
+        out = str(tmp_path / "n.jsonl")
+        assert cli.main(["ingest", str(one_line), "--out", out]) == 0
+        monkeypatch.undo()
+        assert len([s for s in decoded if "narration_pass_1" in s]) == 1
+        assert _read(out) == _read(_ingest(tmp_path))
+
     def test_pass_selection(self, tmp_path):
         merged = _ingest(tmp_path)
         p1 = str(tmp_path / "p1.jsonl")
@@ -166,26 +178,46 @@ class TestSynthesize:
         code, _ = self._synthesize(tmp_path, str(empty))
         assert code == 2
 
-    def test_endpoint_death_exits_3_with_partial_output(self, tmp_path):
-        narrations = _ingest(tmp_path)
-        # fixture covering only clip-a chunk 0's openqa prompt
+    @staticmethod
+    def _dying_mock(tmp_path):
+        """A fixture covering only clip-a chunk 0's openqa prompt."""
         full = json.loads(_read(MOCK))
-        partial_fix = tmp_path / "partial.json"
         keep = next(
             k for k, v in full.items()
             if isinstance(v, str) and "Where did I put the bowl?" in v
         )
-        partial_fix.write_text(json.dumps({keep: full[keep]}))
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({keep: full[keep]}))
+        return str(path)
+
+    def test_endpoint_death_exits_3_with_partial_output(self, tmp_path):
+        narrations = _ingest(tmp_path)
         out = str(tmp_path / "qa.jsonl")
         code = cli.main([
             "synthesize", narrations, "--out", out,
-            "--mock", str(partial_fix), "--seed", "7", "--split", "test",
+            "--mock", self._dying_mock(tmp_path), "--seed", "7", "--split", "test",
         ])
         assert code == 3
         # payload persisted before the abort: records for the finished chunk
         recs = [json.loads(l)
                 for l in _read(out + ".records.jsonl").decode().splitlines()[1:]]
         assert any(r["parse_status"] == "ok" for r in recs)
+
+    def test_endpoint_death_partial_output_same_at_any_parallelism(self, tmp_path):
+        narrations = _ingest(tmp_path)
+        mock = self._dying_mock(tmp_path)
+        outputs = set()
+        for par in (1, 4):
+            out = str(tmp_path / f"qa-{par}.jsonl")
+            code = cli.main([
+                "synthesize", narrations, "--out", out, "--mock", mock,
+                "--seed", "7", "--split", "test", "--parallelism", str(par),
+            ])
+            assert code == 3
+            outputs.add(tuple(
+                _read(out + suffix) for suffix in ("", ".records.jsonl", ".stats.json")
+            ))
+        assert len(outputs) == 1
 
     def test_no_endpoint_configured_exits_2(self, tmp_path):
         narrations = _ingest(tmp_path)
@@ -471,6 +503,14 @@ def _text_file(tmp_path, name, text):
     return str(path)
 
 
+def _bytes_file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+QA_ROW = _read(FILTER_INPUT).splitlines()[0]
+
 # (argv builder, text the error must contain) for malformed inputs
 MALFORMED_INPUTS = {
     "ingest-pass-is-list": (
@@ -500,6 +540,11 @@ MALFORMED_INPUTS = {
         lambda tmp: ["filter-blind", FILTER_INPUT, "--out", str(tmp / "kept.jsonl"),
                      "--seeds", "1,x"],
         "--seeds",
+    ),
+    "stats-qa-not-utf8": (
+        lambda tmp: ["stats", _bytes_file(tmp, "qa.jsonl", QA_ROW + b"\n\xff\xfe\n"),
+                     "--out", str(tmp / "stats.json")],
+        "qa.jsonl:2: not UTF-8",
     ),
     "config-value-fails-cast": (
         lambda tmp: ["--config", _text_file(tmp, "config.json", '{"parallelism": "x"}'),

@@ -1,6 +1,10 @@
 """Generation orchestration against the mock endpoint."""
 from __future__ import annotations
 
+import random
+import sys
+import time
+
 import pytest
 
 from egoqa.chunking import chunk_track
@@ -12,7 +16,13 @@ from egoqa.endpoint import (
     prompt_digest,
 )
 from egoqa.prompts import load_template, render_closeqa_prompt, render_openqa_prompt
-from egoqa.synthesis import attach_distractors, generate_openqa, shuffled_choices
+from egoqa.synthesis import (
+    WINDOW_PER_WORKER,
+    _run_jobs,
+    attach_distractors,
+    generate_openqa,
+    shuffled_choices,
+)
 from egoqa.windows import compute_stats
 
 from .conftest import make_track
@@ -145,6 +155,42 @@ def test_output_identical_across_parallelism():
         )
         runs.append((samples, records))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("fail_at", [None, 70])
+def test_run_jobs_in_order_within_window_and_stops_at_first_failure(fail_at):
+    """More workers than cores, jittered jobs, frequent thread switches."""
+    parallelism, n = 16, 200
+    stop = n if fail_at is None else fail_at
+    pulled = 0
+
+    def jobs():
+        nonlocal pulled
+        for i in range(n):
+            pulled += 1
+            yield i
+
+    def worker(i):
+        time.sleep(random.random() / 2000)
+        if i >= stop:
+            raise EndpointUnavailable(f"job {i}")
+        return i
+
+    seen, ahead, failed = [], 0, False
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for result in _run_jobs(jobs(), worker, parallelism):
+            ahead = max(ahead, pulled - len(seen))
+            seen.append(result)
+    except EndpointUnavailable:
+        failed = True
+    finally:
+        sys.setswitchinterval(interval)
+    assert failed == (fail_at is not None)
+    assert seen == list(range(stop))
+    assert ahead <= WINDOW_PER_WORKER * parallelism
+    assert pulled <= stop + WINDOW_PER_WORKER * parallelism
 
 
 def _sample(question="What did I peel?", answer="a carrot", wrong=None):
