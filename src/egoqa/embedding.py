@@ -8,6 +8,7 @@ tests need. Reports produced with it are labeled "offline-sim".
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Protocol
 
@@ -30,6 +31,7 @@ class Embedder(Protocol):
         """Map text to a unit-norm vector; identical text, identical vector."""
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def _bucket(token: str) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % TRIGRAM_DIM
@@ -51,9 +53,8 @@ class TrigramEmbedder:
             grams = [lowered]
         else:
             grams = [lowered[i : i + 3] for i in range(len(lowered) - 2)]
-        vec = np.zeros(TRIGRAM_DIM, dtype=np.float64)
-        for gram in grams:
-            vec[_bucket(gram)] += 1.0
+        counts = np.bincount([_bucket(g) for g in grams], minlength=TRIGRAM_DIM)
+        vec = counts.astype(np.float64)
         return vec / np.linalg.norm(vec)
 
 

@@ -293,10 +293,7 @@ def row_to_head(
 ) -> tuple[str, str, float, HeadOutputs]:
     try:
         heads = HeadOutputs(
-            scores=tuple(float(s) for s in _need(row, "scores", where)),
-            offsets=tuple(
-                (float(o[0]), float(o[1])) for o in _need(row, "offsets", where)
-            ),
+            scores=_need(row, "scores", where), offsets=_need(row, "offsets", where)
         )
         return (
             str(_need(row, "clip_uid", where)),
@@ -304,7 +301,7 @@ def row_to_head(
             float(_need(row, "duration_s", where)),
             heads,
         )
-    except (TypeError, ValueError, IndexError, ValidationError) as exc:
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         if isinstance(exc, SchemaMismatch):
             raise
         raise SchemaMismatch(f"{where}: bad head outputs: {exc}") from exc

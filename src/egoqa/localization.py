@@ -5,16 +5,21 @@ gradients (checked against central finite differences in the tests), token
 cross-entropy, the 0.5/0.5 grounding/answering loss combination, label
 assignment for a per-timestep classification + regression head, greedy NMS
 decoding, temporal jittering, and uniform feature resampling.
+
+HeadOutputs validation and NMS decoding run as array operations that
+repeat the scalar definitions' arithmetic in the same order, so decoded
+windows equal the scalar greedy NMS bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .core import InvariantBreach, TemporalWindow, ValidationError
-from .metrics import iou_1d
 
 # Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-7
@@ -37,29 +42,40 @@ class HeadOutputs:
     """Per-timestep relevance scores and boundary-distance offsets.
 
     Offsets are (left, right) distances in feature-index units; scores are
-    strict probabilities.
+    strict probabilities. Any sequences of numbers are accepted and stored
+    as tuples of Python floats.
     """
 
     scores: tuple[float, ...]
     offsets: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
-        object.__setattr__(
-            self, "offsets", tuple((float(l), float(r)) for l, r in self.offsets)
-        )
-        if len(self.scores) != len(self.offsets):
-            raise LengthMismatch(
-                f"{len(self.scores)} scores vs {len(self.offsets)} offsets"
+        scores = np.asarray(self.scores, dtype=np.float64)
+        offsets = np.asarray(self.offsets, dtype=np.float64)
+        if offsets.shape == (0,):
+            offsets = offsets.reshape(0, 2)
+        if scores.ndim != 1 or offsets.ndim != 2 or offsets.shape[1] != 2:
+            raise ValidationError(
+                "scores must be a list of numbers and offsets a list of "
+                f"[left, right] pairs, got shapes {scores.shape} and {offsets.shape}"
             )
-        for s in self.scores:
-            if not np.isfinite(s) or not 0.0 < s < 1.0:
-                raise ValidationError(f"scores must lie strictly in (0, 1), got {s}")
-        for left, right in self.offsets:
-            if not (np.isfinite(left) and np.isfinite(right)):
-                raise ValidationError("offsets must be finite")
-            if left < 0 or right < 0:
-                raise ValidationError(f"offsets must be >= 0, got ({left}, {right})")
+        if len(scores) != len(offsets):
+            raise LengthMismatch(f"{len(scores)} scores vs {len(offsets)} offsets")
+        bad = ~((scores > 0.0) & (scores < 1.0))
+        if bad.any():
+            raise ValidationError(
+                f"scores must lie strictly in (0, 1), got {float(scores[bad][0])}"
+            )
+        bad = ~(np.isfinite(offsets) & (offsets >= 0.0)).all(axis=1)
+        if bad.any():
+            left, right = offsets[bad][0].tolist()
+            raise ValidationError(
+                f"offsets must be finite and >= 0, got ({left}, {right})"
+            )
+        object.__setattr__(self, "scores", tuple(scores.tolist()))
+        object.__setattr__(
+            self, "offsets", tuple(zip(offsets[:, 0].tolist(), offsets[:, 1].tolist()))
+        )
 
 
 @dataclass(frozen=True)
@@ -265,6 +281,15 @@ def assign_labels(
     return LabelAssignment(tuple(positives), tuple(targets))
 
 
+def _clamp(x: np.ndarray, hi: float) -> np.ndarray:
+    """min(max(0.0, x), hi) elementwise with Python's max/min semantics.
+
+    np.maximum(0.0, -0.0) returns -0.0, which Python's max does not, and
+    the sign of a zero endpoint shows in the written JSON.
+    """
+    return np.where(x > 0.0, np.where(hi < x, hi, x), 0.0)
+
+
 def decode_windows(
     heads: HeadOutputs,
     duration_s: float,
@@ -278,32 +303,35 @@ def decode_windows(
     clamped to the clip. Candidates under score_threshold are dropped;
     survivors are taken best-first, suppressing any candidate with IoU >=
     nms_iou against an already-taken window, until top_k are chosen. Ties
-    rank by earlier start, then lower timestep index.
+    rank by earlier start, then lower timestep index. IoU is computed as
+    metrics.iou_1d does.
     """
-    if duration_s <= 0:
-        raise ValidationError(f"duration_s must be > 0, got {duration_s}")
+    if not (duration_s > 0 and math.isfinite(duration_s)):
+        raise ValidationError(f"duration_s must be finite and > 0, got {duration_s}")
     n = len(heads.scores)
     if n == 0:
         return ()
     step = duration_s / n
-    candidates = []
-    for t, (score, (left, right)) in enumerate(zip(heads.scores, heads.offsets)):
-        if score < score_threshold:
-            continue
-        window = TemporalWindow(
-            min(max(0.0, (t - left) * step), duration_s),
-            min(max(0.0, (t + right) * step), duration_s),
-        )
-        candidates.append((window, score, t))
-    candidates.sort(key=lambda c: (-c[1], c[0].start_s, c[2]))
+    scores = np.fromiter(heads.scores, np.float64, n)
+    offsets = np.fromiter(chain.from_iterable(heads.offsets), np.float64, 2 * n)
+    offsets = offsets.reshape(n, 2)
+    t = np.flatnonzero(~(scores < score_threshold))
+    score = scores[t]
+    start = _clamp((t - offsets[t, 0]) * step, duration_s)
+    end = _clamp((t + offsets[t, 1]) * step, duration_s)
+    order = np.lexsort((t, start, -score))
+    score, start, end = score[order], start[order], end[order]
 
     taken: list[tuple[TemporalWindow, float]] = []
-    for window, score, _ in candidates:
-        if len(taken) >= top_k:
-            break
-        if any(iou_1d(window, w) >= nms_iou for w, _ in taken):
-            continue
-        taken.append((window, score))
+    while len(taken) < top_k and score.size:
+        s0, e0 = start[0], end[0]
+        taken.append((TemporalWindow(float(s0), float(e0)), float(score[0])))
+        score, start, end = score[1:], start[1:], end[1:]
+        inter = np.maximum(0.0, np.minimum(end, e0) - np.maximum(start, s0))
+        union = (end - start) + (e0 - s0) - inter
+        iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+        live = ~(iou >= nms_iou)
+        score, start, end = score[live], start[live], end[live]
     return tuple(taken)
 
 

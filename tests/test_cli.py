@@ -509,6 +509,12 @@ def _bytes_file(tmp_path, name, data):
     return str(path)
 
 
+def _head_file(tmp_path, **fields):
+    row = {"clip_uid": "c", "query_id": "c::0", "duration_s": 10.0,
+           "scores": [0.5, 0.6], "offsets": [[0.0, 1.0], [1.0, 0.0]], **fields}
+    return _text_file(tmp_path, "heads.jsonl", json.dumps(row) + "\n")
+
+
 QA_ROW = _read(FILTER_INPUT).splitlines()[0]
 
 # (argv builder, text the error must contain) for malformed inputs
@@ -545,6 +551,26 @@ MALFORMED_INPUTS = {
         lambda tmp: ["stats", _bytes_file(tmp, "qa.jsonl", QA_ROW + b"\n\xff\xfe\n"),
                      "--out", str(tmp / "stats.json")],
         "qa.jsonl:2: not UTF-8",
+    ),
+    "decode-offsets-are-strings": (
+        lambda tmp: ["decode", _head_file(tmp, offsets=["12", "34"]),
+                     "--out", str(tmp / "preds.jsonl")],
+        "heads.jsonl:1: bad head outputs",
+    ),
+    "decode-offsets-are-triples": (
+        lambda tmp: ["decode", _head_file(tmp, offsets=[[0, 1, 9], [1, 0, 9]]),
+                     "--out", str(tmp / "preds.jsonl")],
+        "heads.jsonl:1: bad head outputs",
+    ),
+    "decode-duration-is-nan": (
+        lambda tmp: ["decode", _head_file(tmp, duration_s=float("nan")),
+                     "--out", str(tmp / "preds.jsonl")],
+        "duration_s must be finite and > 0",
+    ),
+    "decode-duration-overflows-float": (
+        lambda tmp: ["decode", _head_file(tmp, duration_s=10**400),
+                     "--out", str(tmp / "preds.jsonl")],
+        "heads.jsonl:1: bad head outputs",
     ),
     "config-value-fails-cast": (
         lambda tmp: ["--config", _text_file(tmp, "config.json", '{"parallelism": "x"}'),

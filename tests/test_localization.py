@@ -1,6 +1,8 @@
 """Loss kernels checked against finite differences, plus decoding helpers."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,56 @@ class TestDecodeWindows:
 
     def test_empty_heads(self):
         assert decode_windows(self._heads([], []), 10.0) == ()
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            decode_windows(self._heads([0.9], [(0.0, 1.0)]), duration)
+
+    def test_underflowing_start_clamps_to_positive_zero(self):
+        # (0 - 1e-300) * 1e-30 underflows to -0.0; Python's max(0.0, -0.0)
+        # gives 0.0, and the written JSON shows the sign of a zero.
+        out = decode_windows(self._heads([0.9], [(1e-300, 1.0)]), 1e-30)
+        assert math.copysign(1.0, out[0][0].start_s) == 1.0
+
+
+class TestHeadOutputs:
+    def test_fields_are_tuples_of_python_floats(self):
+        heads = HeadOutputs([0.5, 1e-3], [[0, 2], [1.5, 0]])
+        assert heads == HeadOutputs((0.5, 0.001), ((0.0, 2.0), (1.5, 0.0)))
+        assert all(type(v) is float for v in heads.scores)
+        assert all(type(v) is float for pair in heads.offsets for v in pair)
+
+    @pytest.mark.parametrize(
+        "offsets", [["12", "34"], [[0, 1, 9], [1, 0, 9]], [0, 1], [[]]]
+    )
+    def test_offsets_must_be_pairs(self, offsets):
+        with pytest.raises(ValidationError):
+            HeadOutputs([0.5, 0.6], offsets)
+
+    def test_unconvertible_values_are_rejected(self):
+        with pytest.raises(ValueError):
+            HeadOutputs([0.5, 0.6], [[0, 1], [1]])
+        with pytest.raises(ValueError):
+            HeadOutputs([0.5, "x"], [[0, 1], [1, 0]])
+        # numpy converts None to NaN, which the range check rejects
+        with pytest.raises(ValidationError):
+            HeadOutputs([0.5, None], [[0, 1], [1, 0]])
+
+    def test_scores_must_be_flat(self):
+        with pytest.raises(ValidationError):
+            HeadOutputs([[0.5], [0.6]], [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize(
+        ("offsets", "message"),
+        [
+            ([[0, 1], [float("inf"), 0]], r"\(inf, 0.0\)"),
+            ([[0, 1], [2, -0.5]], r"\(2.0, -0.5\)"),
+        ],
+    )
+    def test_first_bad_offset_pair_is_named(self, offsets, message):
+        with pytest.raises(ValidationError, match=message):
+            HeadOutputs([0.5, 0.6], offsets)
 
 
 class TestJitterWindow:

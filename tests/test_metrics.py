@@ -1,11 +1,13 @@
 """Grounding recall, text metrics, and seeded accuracy."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from egoqa.core import InvariantBreach, PredictionSet, TemporalWindow
-from egoqa.embedding import TrigramEmbedder
+from egoqa.embedding import TRIGRAM_DIM, TrigramEmbedder
 from egoqa.metrics import (
     EmptyEvaluation,
     MissingQuery,
@@ -185,6 +187,19 @@ class TestSentenceSimilarity:
     def test_case_insensitive(self):
         e = TrigramEmbedder()
         assert sentence_similarity("The Cup", "the cup", e) == pytest.approx(1.0)
+
+    def test_embedding_counts_every_trigram_occurrence(self):
+        def reference(text):
+            grams = [text[i : i + 3] for i in range(len(text) - 2)] or [text]
+            vec = np.zeros(TRIGRAM_DIM)
+            for gram in grams:
+                digest = hashlib.blake2b(gram.encode(), digest_size=8).digest()
+                vec[int.from_bytes(digest, "big") % TRIGRAM_DIM] += 1.0
+            return vec / np.linalg.norm(vec)
+
+        e = TrigramEmbedder()
+        for text in ("aaaaaaa", "the cup and the cup", "ab", "", "x"):
+            assert e.embed(text).tobytes() == reference(text).tobytes()
 
 
 class TestCloseqaAccuracy:

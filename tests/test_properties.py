@@ -1,0 +1,125 @@
+"""Property tests for the decode path: greedy NMS against the scalar oracle,
+the HeadOutputs acceptance rule, and row_to_head's error contract."""
+from __future__ import annotations
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from egoqa.core import ValidationError
+from egoqa.jsonl_io import SchemaMismatch, row_to_head
+from egoqa.localization import HeadOutputs, LengthMismatch, decode_windows
+
+from .oracles import oracle_nms
+
+PROPERTY = settings(max_examples=300, deadline=None)
+
+# Scores on a 0.1 grid and offsets on a 0.5 grid force ties in score and in
+# start, scores exactly at the threshold, and IoUs exactly equal to nms_iou,
+# which continuous draws almost never hit.
+GRID_SCORE = st.integers(1, 9).map(lambda k: k / 10)
+GRID_OFFSET = st.integers(0, 24).map(lambda k: k / 2)
+
+
+@st.composite
+def quantized_heads(draw):
+    n = draw(st.integers(0, 64))
+    scores = draw(st.lists(GRID_SCORE, min_size=n, max_size=n))
+    offsets = draw(st.lists(st.tuples(GRID_OFFSET, GRID_OFFSET), min_size=n, max_size=n))
+    return scores, offsets
+
+
+@PROPERTY
+@given(
+    heads=quantized_heads(),
+    duration=st.integers(1, 480).map(lambda k: k / 4),
+    threshold=st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9]),
+    nms_iou=st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0]),
+    top_k=st.integers(0, 8),
+)
+def test_decode_matches_oracle_on_quantized_inputs(heads, duration, threshold, nms_iou, top_k):
+    scores, offsets = heads
+    got = decode_windows(HeadOutputs(scores, offsets), duration, threshold, nms_iou, top_k)
+    want = oracle_nms(scores, offsets, duration, threshold, nms_iou, top_k)
+    # JSON text also tells 0.0 from -0.0, as the written predictions would
+    assert json.dumps([(w.start_s, w.end_s, s) for w, s in got]) == json.dumps(want)
+
+
+EDGE_NUMBERS = st.sampled_from(
+    [0.0, -0.0, 1.0, 0.5, 5e-324, 1.0 - 2**-53, -1e-300, math.inf, -math.inf, math.nan]
+)
+NUMBER = st.floats() | EDGE_NUMBERS | st.integers(-2, 2)
+
+
+def _valid_score(s) -> bool:
+    return math.isfinite(s) and 0.0 < s < 1.0
+
+
+def _valid_offset(v) -> bool:
+    return math.isfinite(v) and v >= 0.0
+
+
+@PROPERTY
+@given(st.lists(st.tuples(NUMBER, st.tuples(NUMBER, NUMBER)), max_size=8))
+def test_head_outputs_accepts_exactly_the_valid_inputs(rows):
+    scores = [s for s, _ in rows]
+    offsets = [pair for _, pair in rows]
+    valid = all(map(_valid_score, scores)) and all(
+        _valid_offset(v) for pair in offsets for v in pair
+    )
+    if not valid:
+        with pytest.raises(ValidationError):
+            HeadOutputs(scores, offsets)
+        return
+    heads = HeadOutputs(scores, offsets)
+    assert heads.scores == tuple(float(s) for s in scores)
+    assert heads.offsets == tuple((float(l), float(r)) for l, r in offsets)
+
+
+@PROPERTY
+@given(st.lists(GRID_SCORE, max_size=4), st.lists(st.tuples(GRID_OFFSET, GRID_OFFSET), max_size=4))
+def test_head_outputs_rejects_unequal_lengths(scores, offsets):
+    if len(scores) == len(offsets):
+        HeadOutputs(scores, offsets)
+    else:
+        with pytest.raises(LengthMismatch):
+            HeadOutputs(scores, offsets)
+
+
+JSON_SCALAR = (
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | NUMBER | st.text(max_size=4)
+)
+JSON_VALUE = st.recursive(
+    JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+# near misses of the valid shapes: flat lists, and lists of short lists
+NEAR_SCORES = st.lists(NUMBER | st.text(max_size=3), max_size=4)
+NEAR_OFFSETS = st.lists(
+    st.lists(NUMBER | st.text(max_size=3), max_size=3) | JSON_SCALAR, max_size=4
+)
+
+
+@PROPERTY
+@given(
+    scores=JSON_VALUE | NEAR_SCORES,
+    offsets=JSON_VALUE | NEAR_OFFSETS,
+    duration=JSON_VALUE | NUMBER,
+)
+def test_row_to_head_raises_only_schema_mismatch(scores, offsets, duration):
+    row = {"clip_uid": "c", "query_id": "c::0", "duration_s": duration,
+           "scores": scores, "offsets": offsets}
+    try:
+        _, _, duration_s, heads = row_to_head(row)
+    except SchemaMismatch:
+        return
+    # what row_to_head accepts, decode either decodes or rejects as input
+    try:
+        decode_windows(heads, duration_s)
+    except ValidationError:
+        pass
