@@ -26,7 +26,7 @@ from .core import (
     TemporalWindow,
     ValidationError,
 )
-from .localization import HeadOutputs
+from .localization import HeadOutputs, check_duration
 
 TOOL_NAME = "egoqa"
 
@@ -295,12 +295,11 @@ def row_to_head(
         heads = HeadOutputs(
             scores=_need(row, "scores", where), offsets=_need(row, "offsets", where)
         )
-        return (
-            str(_need(row, "clip_uid", where)),
-            str(_need(row, "query_id", where)),
-            float(_need(row, "duration_s", where)),
-            heads,
-        )
+        clip_uid = str(_need(row, "clip_uid", where))
+        query_id = str(_need(row, "query_id", where))
+        duration_s = float(_need(row, "duration_s", where))
+        check_duration(duration_s)
+        return clip_uid, query_id, duration_s, heads
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         if isinstance(exc, SchemaMismatch):
             raise

@@ -251,6 +251,12 @@ def combine_losses(focal: float, diou: float, qa: float) -> LossBreakdown:
     )
 
 
+def check_duration(duration_s: float) -> None:
+    """Reject a clip duration that is not finite and > 0 (NaN included)."""
+    if not (duration_s > 0 and math.isfinite(duration_s)):
+        raise ValidationError(f"duration_s must be finite and > 0, got {duration_s}")
+
+
 def assign_labels(
     n_steps: int, gt: TemporalWindow, duration_s: float
 ) -> LabelAssignment:
@@ -262,8 +268,7 @@ def assign_labels(
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    if duration_s <= 0:
-        raise ValidationError(f"duration_s must be > 0, got {duration_s}")
+    check_duration(duration_s)
     scale = n_steps / duration_s
     positives = []
     targets: list[tuple[float, float] | None] = []
@@ -306,8 +311,7 @@ def decode_windows(
     rank by earlier start, then lower timestep index. IoU is computed as
     metrics.iou_1d does.
     """
-    if not (duration_s > 0 and math.isfinite(duration_s)):
-        raise ValidationError(f"duration_s must be finite and > 0, got {duration_s}")
+    check_duration(duration_s)
     n = len(heads.scores)
     if n == 0:
         return ()
@@ -348,8 +352,7 @@ def jitter_window(
     scaled by U[scale_range] and the center moves by U[shift_frac_range]
     window lengths. A zero-length window is a fixed point.
     """
-    if duration_s <= 0:
-        raise ValidationError(f"duration_s must be > 0, got {duration_s}")
+    check_duration(duration_s)
     rng = np.random.default_rng(rng_seed)
     sigma = rng.uniform(*scale_range)
     delta = rng.uniform(*shift_frac_range)

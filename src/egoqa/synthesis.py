@@ -19,8 +19,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .chunking import NarrationChunk
 from .core import NarrationTrack, QASample, ValidationError
 from .endpoint import ChatEndpoint, EndpointConfig, EndpointUnavailable
@@ -34,7 +32,7 @@ from .prompts import (
     render_closeqa_prompt,
     render_openqa_prompt,
 )
-from .seeding import derive_seed
+from .seeding import choice_order, derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -287,9 +285,11 @@ def shuffled_choices(sample: QASample, seed: int) -> tuple[tuple[str, str, str, 
             f"sample {sample.clip_uid!r}/{sample.question!r} has no distractors"
         )
     pool = (sample.answer, *sample.wrong_answers)
-    rng = np.random.default_rng(
-        derive_seed("choices", seed, sample.clip_uid, sample.question, sample.answer)
-    )
-    perm = [int(p) for p in rng.permutation(4)]
+    perm = choice_order(choice_seed(sample, seed))
     choices = tuple(pool[p] for p in perm)
     return choices, perm.index(0)
+
+
+def choice_seed(sample: QASample, seed: int) -> int:
+    """The RNG seed of a sample's choice order under a trial or run seed."""
+    return derive_seed("choices", seed, sample.clip_uid, sample.question, sample.answer)

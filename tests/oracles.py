@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from egoqa.core import normalize_answer
 
 
@@ -107,6 +109,29 @@ def oracle_nms(
         if all(interval_iou((s, e), (s2, e2)) < nms_iou for s2, e2, _ in taken):
             taken.append((s, e, score))
     return taken
+
+
+def oracle_shuffle(seed: int) -> tuple[list[int], int]:
+    """(order, uint32 draws used) of numpy's Generator.shuffle of range(4).
+
+    Reads the raw 64-bit PCG64 outputs for the seed, splits each into its
+    low then high 32 bits (next_uint32), and runs the Fisher-Yates swaps
+    for i = 3, 2, 1 with a draw masked to the smallest all-ones mask >= i,
+    redrawn while it exceeds i.
+    """
+    draws = []
+    for raw in np.random.PCG64(seed).random_raw(16).tolist():
+        draws += [raw & 0xFFFFFFFF, raw >> 32]
+    order, used = [0, 1, 2, 3], 0
+    for i in (3, 2, 1):
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            j = draws[used] & mask
+            used += 1
+            if j <= i:
+                break
+        order[i], order[j] = order[j], order[i]
+    return order, used
 
 
 class ScriptedAnswerer:

@@ -1,21 +1,25 @@
 """Blind-filter trials, answerers, and removal rule."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from egoqa.blindfilter import (
+    BLOCK,
     TRIALS,
     FilterReport,
     FilterRow,
     FrequencyPriorAnswerer,
     MissingDistractors,
     UniformRandomAnswerer,
+    filter_rows,
     filter_test_set,
     trial_outcomes,
 )
 from egoqa.core import QASample, TemporalWindow, ValidationError
+from egoqa.seeding import choice_orders
 
-from .oracles import ScriptedAnswerer
+from .oracles import ScriptedAnswerer, oracle_shuffle
 
 SEEDS = list(range(100, 100 + TRIALS))
 
@@ -133,3 +137,70 @@ def test_report_consistency_enforced():
             kept=0,
             rows=(FilterRow("c1", "Q?", (True, False), True),),
         )
+
+
+# ------------------------------------------------ choice-order kernel
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+# Seeds whose shuffle needs 9, 11, 13 and 15 uint32 draws (5 to 8 PCG64
+# outputs), found by search; a shuffle needs 3 draws or more, and most
+# rows are done after the first 2 outputs.
+DEEP_SEEDS = [57, 188235, 1180610, 11032431]
+RANDOM_SEEDS = np.random.default_rng(20261018).integers(
+    0, 2**64, size=50_000, dtype=np.uint64
+).tolist()
+
+
+def test_choice_orders_match_numpy_on_a_fixed_sweep():
+    seeds = [*range(50_000), *RANDOM_SEEDS, *EDGE_SEEDS, *DEEP_SEEDS]
+    got = choice_orders(seeds)
+    want = np.array([np.random.default_rng(s).permutation(4) for s in seeds])
+    assert got.dtype == want.dtype and got.shape == (len(seeds), 4)
+    assert np.array_equal(got, want)
+
+
+def test_sweep_reaches_rows_that_need_extra_draws():
+    assert [oracle_shuffle(s) for s in DEEP_SEEDS] == [
+        (np.random.default_rng(s).permutation(4).tolist(), n)
+        for s, n in zip(DEEP_SEEDS, (9, 11, 13, 15))
+    ]
+    draws = [oracle_shuffle(s)[1] for s in RANDOM_SEEDS[:2000]]
+    assert {3, 4, 5, 6, 7} <= set(draws)
+
+
+class ChoiceRecorder:
+    """Blind answerer that logs every choice tuple it is shown."""
+
+    def __init__(self):
+        self.seen = []
+
+    def answer(self, question, choices, seed):
+        self.seen.append((question, tuple(choices), seed))
+        return choices[seed % 4]
+
+
+def _corpus(n):
+    return [
+        _sample(f"Q{i}?", f"a{i % 7}", (f"n{i}", f"m{i % 5}", "other"), uid=f"c{i % 13}")
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("reshuffle", [True, False])
+def test_filter_rows_equal_per_sample_trials_across_blocks(reshuffle):
+    samples = _corpus(2 * BLOCK + 37)
+    blocked, single = ChoiceRecorder(), ChoiceRecorder()
+    rows = [row for _, row in filter_rows(samples, blocked, SEEDS, reshuffle)]
+    want = [trial_outcomes(s, single, SEEDS, reshuffle) for s in samples]
+    assert [row.outcomes for row in rows] == want
+    assert blocked.seen == single.seen
+
+
+def test_missing_distractors_mid_block_raises_after_earlier_rows():
+    samples = _corpus(BLOCK + 20)
+    samples[BLOCK + 5] = QASample("bad", "Q?", "yes", TemporalWindow(0, 1), split="test")
+    seen = []
+    with pytest.raises(MissingDistractors):
+        for sample, _ in filter_rows(samples, ChoiceRecorder(), SEEDS):
+            seen.append(sample)
+    assert seen == samples[:BLOCK + 5]

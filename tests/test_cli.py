@@ -565,7 +565,7 @@ MALFORMED_INPUTS = {
     "decode-duration-is-nan": (
         lambda tmp: ["decode", _head_file(tmp, duration_s=float("nan")),
                      "--out", str(tmp / "preds.jsonl")],
-        "duration_s must be finite and > 0",
+        "heads.jsonl:1: bad head outputs: duration_s must be finite and > 0",
     ),
     "decode-duration-overflows-float": (
         lambda tmp: ["decode", _head_file(tmp, duration_s=10**400),

@@ -213,6 +213,12 @@ class TestAssignLabels:
         with pytest.raises(InvariantBreach):
             LabelAssignment((True,), (None,))
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        # a NaN passed `duration_s <= 0` and gave all-negative labels
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            assign_labels(3, TemporalWindow(0.0, 1.0), duration)
+
 
 class TestDecodeWindows:
     def _heads(self, scores, offsets):
@@ -335,6 +341,12 @@ class TestJitterWindow:
     def test_zero_length_fixed_point(self):
         w = TemporalWindow(5.0, 5.0)
         assert jitter_window(w, 10.0, 99) == w
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        # a NaN passed `duration_s <= 0` and returned the window unclamped
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            jitter_window(TemporalWindow(10.0, 20.0), duration, 1)
 
 
 class TestResampleIndices:

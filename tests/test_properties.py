@@ -1,10 +1,12 @@
-"""Property tests for the decode path: greedy NMS against the scalar oracle,
-the HeadOutputs acceptance rule, and row_to_head's error contract."""
+"""Property tests for the decode path (greedy NMS against the scalar oracle,
+the HeadOutputs acceptance rule, row_to_head's error contract) and for the
+choice-order kernel against numpy."""
 from __future__ import annotations
 
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from egoqa.core import ValidationError
 from egoqa.jsonl_io import SchemaMismatch, row_to_head
 from egoqa.localization import HeadOutputs, LengthMismatch, decode_windows
+from egoqa.seeding import choice_orders
 
 from .oracles import oracle_nms
 
@@ -123,3 +126,13 @@ def test_row_to_head_raises_only_schema_mismatch(scores, offsets, duration):
         decode_windows(heads, duration_s)
     except ValidationError:
         pass
+
+
+# The fixed sweep in test_blindfilter.py covers 100k seeds; this adds
+# arbitrary seeds and list lengths, the empty list included.
+@settings(max_examples=50, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1)))
+def test_choice_orders_equal_numpy_permutations(seeds):
+    got = choice_orders(seeds)
+    assert got.shape == (len(seeds), 4)
+    assert got.tolist() == [np.random.default_rng(s).permutation(4).tolist() for s in seeds]
