@@ -16,9 +16,6 @@ import sys
 import time
 import traceback
 from collections import Counter
-from contextlib import closing
-from itertools import groupby
-from operator import itemgetter
 from typing import Any, Iterator, Mapping
 
 from .blindfilter import (
@@ -29,7 +26,6 @@ from .blindfilter import (
     UniformRandomAnswerer,
     filter_rows,
 )
-from .chunking import chunk_track
 from .core import (
     EgoqaError,
     EvalReport,
@@ -44,10 +40,11 @@ from .core import (
     validate_track,
 )
 from .embedding import HttpEmbedder, TrigramEmbedder
-from .endpoint import EndpointConfig, EndpointUnavailable, HttpChatEndpoint, MockChatEndpoint
+from .endpoint import EndpointConfig, HttpChatEndpoint, MockChatEndpoint
 from .jsonl_io import (
     EmptyCorpus,
     SchemaMismatch,
+    jsonl_writer,
     make_meta,
     pred_to_row,
     qa_to_row,
@@ -69,7 +66,7 @@ from .metrics import MissingQuery, closeqa_accuracy, openqa_report, vlg_recall
 from .prompts import PARSE_OK, load_template
 from .seeding import derive_seed
 from .stats import HISTOGRAMS, StatsBuilder, stats_tsv_lines
-from .synthesis import GenerationRecord, _run_jobs, distractor_unit, openqa_unit
+from .synthesis import GenerationRecord, synthesize
 from .windows import NoIntervalData, compute_stats
 
 log = logging.getLogger(__name__)
@@ -143,6 +140,14 @@ def _pass_items(entry: Mapping[str, Any], pass_keys: tuple[str, ...]) -> list | 
     return items
 
 
+def _float(value: Any) -> float | None:
+    """A JSON number as a float; None if it is not one or overflows a float."""
+    try:
+        return float(value) if isinstance(value, (int, float)) else None
+    except OverflowError:
+        return None
+
+
 def _log_reject(unit: str, clip_uid: str, code: str, detail: str = "") -> None:
     log.warning(
         "ingest reject %s %s: %s%s", unit, clip_uid, code, f" ({detail})" if detail else ""
@@ -168,11 +173,10 @@ def _iter_export_tracks(
         if not isinstance(entry, dict):
             reject("clip", clip_uid, "not_an_object")
             continue
-        duration = entry.get("duration_sec")
-        if not isinstance(duration, (int, float)) or duration <= 0:
-            reject("clip", clip_uid, "bad_duration", repr(duration))
+        duration = _float(entry.get("duration_sec"))
+        if duration is None or duration <= 0:
+            reject("clip", clip_uid, "bad_duration", repr(entry.get("duration_sec")))
             continue
-        duration = float(duration)
         items = _pass_items(entry, pass_keys)
         if items is None:
             reject("clip", clip_uid, "bad_narration_pass")
@@ -183,14 +187,13 @@ def _iter_export_tracks(
                 reject("narration in", clip_uid, "not_an_object")
                 continue
             text = item.get("narration_text")
-            t_s = item.get("timestamp_sec")
+            t_s = _float(item.get("timestamp_sec"))
             if not isinstance(text, str) or not text.strip():
                 reject("narration in", clip_uid, "empty_text")
                 continue
-            if not isinstance(t_s, (int, float)):
+            if t_s is None:
                 reject("narration in", clip_uid, "bad_timestamp")
                 continue
-            t_s = float(t_s)
             if t_s < 0:
                 reject("narration in", clip_uid, "negative_timestamp", str(t_s))
                 continue
@@ -267,8 +270,8 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
     openqa_template = load_template(
         _resolve(args, file_config, "openqa_template", "openqa_llama", None, str)
     )
-    closeqa_template = load_template("closeqa_llama")
     with_distractors = not getattr(args, "no_distractors", False)
+    closeqa_template = load_template("closeqa_llama") if with_distractors else None
 
     def iter_tracks() -> Iterator[NarrationTrack]:
         for lineno, row in read_jsonl(args.narrations):
@@ -315,67 +318,34 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
     meta = make_meta(hashed_config, seed)
 
     builder = StatsBuilder()
-    all_records: list[dict[str, Any]] = []
-    failure: EndpointUnavailable | None = None
+    sent: Counter[str] = Counter()
+    parsed: Counter[str] = Counter()
+    failure = None
 
-    def clip_chunks():
-        for clip_no, track in enumerate(iter_tracks()):
-            for chunk in chunk_track(track, stats, max_sentences, max_span_s):
-                yield clip_no, track, chunk
-
-    def synthesize_chunk(job):
-        """A chunk's openqa request, then its sample's distractor request.
-
-        Returns (clip number, track, openqa record, closeqa record, sample,
-        failure): the steps finished before an EndpointUnavailable, and it.
-        """
-        clip_no, track, chunk = job
-        openqa = closeqa = sample = error = None
-        try:
-            sample, openqa = openqa_unit(chunk, track, config, openqa_template, endpoint, split)
-            if sample is not None and with_distractors:
-                sample, closeqa = distractor_unit(sample, config, closeqa_template, endpoint)
-        except EndpointUnavailable as exc:
-            error = exc
-        return clip_no, track, openqa, closeqa, sample, error
-
-    def iter_sample_rows():
-        # One pool for the whole run; each clip is emitted once its last
-        # chunk is in: its openqa records, its closeqa records, its samples.
+    def iter_sample_rows(write_record):
         nonlocal failure
-        results = _run_jobs(clip_chunks(), synthesize_chunk, config.parallelism)
-        with closing(results):
-            for _, clip in groupby(results, key=itemgetter(0)):
-                openqa_rows, closeqa_rows, samples = [], [], []
-                for _, track, openqa, closeqa, sample, error in clip:
-                    if openqa is not None:
-                        openqa_rows.append(_record_to_row(openqa))
-                    if closeqa is not None:
-                        closeqa_rows.append(_record_to_row(closeqa))
-                    if sample is not None:
-                        samples.append(sample)
-                    if error is not None:
-                        failure = error
-                        break
-                builder.add_narration_stats(len(track.narrations), track.duration_s)
-                all_records.extend(openqa_rows)
-                all_records.extend(closeqa_rows)
-                for sample in samples:
-                    builder.add(sample)
-                    yield qa_to_row(sample)
-                if failure is not None:
-                    return
+        clips = synthesize(
+            iter_tracks(), stats, config, openqa_template, closeqa_template,
+            endpoint, split, max_sentences, max_span_s,
+        )
+        for track, records, samples, failure in clips:
+            builder.add_narration_stats(len(track.narrations), track.duration_s)
+            for record in records:
+                sent[record.kind] += 1
+                parsed[record.kind] += record.parse_status == PARSE_OK
+                write_record(_record_to_row(record))
+            for sample in samples:
+                builder.add(sample)
+                yield qa_to_row(sample)
 
     start = time.monotonic()
-    count = write_jsonl(args.out, iter_sample_rows(), meta)
-    elapsed = max(time.monotonic() - start, 1e-9)
     records_path = args.records or args.out + ".records.jsonl"
-    write_jsonl(records_path, iter(all_records), meta)
+    with jsonl_writer(records_path, meta) as write_record:
+        count = write_jsonl(args.out, iter_sample_rows(write_record), meta)
+    elapsed = max(time.monotonic() - start, 1e-9)
     stats_path = args.stats_out or args.out + ".stats.json"
     if count:
         write_json(stats_path, {"_meta": meta["_meta"], **builder.finalize().to_json_dict()})
-    parsed = Counter(r["kind"] for r in all_records if r["parse_status"] == PARSE_OK)
-    sent = Counter(r["kind"] for r in all_records)
     log.info(
         "synthesize: wrote %d samples to %s in %.2fs; parsed openqa %d/%d, closeqa %d/%d",
         count, args.out, elapsed,

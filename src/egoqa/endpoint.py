@@ -29,15 +29,7 @@ log = logging.getLogger(__name__)
 
 
 class EndpointUnavailable(ServiceError):
-    """Endpoint could not produce a completion after transport retries.
-
-    partial holds the (samples, records) a generation batch finished before
-    the endpoint died, so callers can persist them; it is empty otherwise.
-    """
-
-    def __init__(self, message: str, partial: tuple[tuple, tuple] = ((), ())):
-        super().__init__(message)
-        self.partial: tuple[tuple, tuple] = partial
+    """Endpoint could not produce a completion after transport retries."""
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager, suppress
-from typing import Any, Iterable, Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 from .core import (
     Narration,
@@ -102,17 +102,27 @@ def staged_writer(path: str) -> Iterator[TextIO]:
         raise
 
 
+@contextmanager
+def jsonl_writer(
+    path: str, meta: Mapping[str, Any] | None = None
+) -> Iterator[Callable[[Mapping[str, Any]], None]]:
+    """Yield a function that appends one row to path, after a header if meta
+    is given. Like staged_writer, path is replaced only if the block
+    completes."""
+    with staged_writer(path) as f:
+        if meta is not None:
+            f.write(dumps_canonical(meta) + "\n")
+        yield lambda row: f.write(dumps_canonical(row) + "\n")
+
+
 def write_jsonl(
     path: str, rows: Iterable[Mapping[str, Any]], meta: Mapping[str, Any] | None = None
 ) -> int:
     """Write a header (if given) plus rows; returns the payload row count."""
     count = 0
-    with staged_writer(path) as f:
-        if meta is not None:
-            f.write(dumps_canonical(meta) + "\n")
-        for row in rows:
-            f.write(dumps_canonical(row) + "\n")
-            count += 1
+    with jsonl_writer(path, meta) as write:
+        for count, row in enumerate(rows, 1):
+            write(row)
     return count
 
 
@@ -122,13 +132,24 @@ def write_json(path: str, doc: Mapping[str, Any]) -> None:
         f.write(dumps_canonical(doc) + "\n")
 
 
+def _decode(text: str, where: str) -> Any:
+    """json.loads, raising UnreadableInput for any text the decoder rejects:
+    syntax errors, integers over the interpreter's digit limit (a plain
+    ValueError) and nesting deeper than the recursion limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise UnreadableInput(f"{where}: not JSON: {exc}") from exc
+
+
 def read_json_object(path: str, what: str) -> dict[str, Any]:
     """Load a whole-file JSON object (config, export, mock fixture)."""
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            text = f.read()
     except (OSError, ValueError) as exc:
         raise UnreadableInput(f"cannot read {what} {path}: {exc}") from exc
+    doc = _decode(text, f"{what} {path}")
     if not isinstance(doc, dict):
         raise UnreadableInput(f"{what} {path} must hold a JSON object")
     return doc
@@ -149,13 +170,11 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
         for lineno, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                row = json.loads(line)
             except UnicodeDecodeError as exc:
                 raise UnreadableInput(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise UnreadableInput(f"{path}:{lineno}: not JSON: {exc}") from exc
+            if not line:
+                continue
+            row = _decode(line, f"{path}:{lineno}")
             if not isinstance(row, dict):
                 raise SchemaMismatch(f"{path}:{lineno}: row is not an object")
             if lineno == 1 and "_meta" in row:
@@ -173,8 +192,8 @@ def read_first_row(path: str) -> tuple[dict[str, Any] | None, bool]:
     except (OSError, ValueError) as exc:
         raise UnreadableInput(f"cannot read {path}: {exc}") from exc
     try:
-        row = json.loads(first)
-    except ValueError:
+        row = _decode(first, f"{path}:1")
+    except UnreadableInput:
         return None, sole
     return (row if isinstance(row, dict) else None), sole
 
@@ -210,7 +229,7 @@ def row_to_track(row: Mapping[str, Any], where: str = "row") -> NarrationTrack:
             duration_s=float(_need(row, "duration_s", where)),
             narrations=narrations,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"{where}: bad narration track: {exc}") from exc
 
 
@@ -241,7 +260,7 @@ def row_to_qa(row: Mapping[str, Any], where: str = "row") -> QASample:
             split=str(_need(row, "split", where)),
             source=str(_need(row, "source", where)),
         )
-    except (TypeError, ValueError, IndexError, ValidationError) as exc:
+    except (TypeError, ValueError, OverflowError, LookupError, ValidationError) as exc:
         if isinstance(exc, SchemaMismatch):
             raise
         raise SchemaMismatch(f"{where}: bad qa sample: {exc}") from exc
@@ -270,7 +289,7 @@ def row_to_pred(row: Mapping[str, Any], where: str = "row") -> PredictionSet:
             windows=tuple(triples),
             answer_text=str(row.get("answer_text", "")),
         )
-    except (TypeError, ValueError, IndexError, ValidationError) as exc:
+    except (TypeError, ValueError, OverflowError, LookupError, ValidationError) as exc:
         if isinstance(exc, SchemaMismatch):
             raise
         raise SchemaMismatch(f"{where}: bad prediction set: {exc}") from exc

@@ -111,12 +111,16 @@ class ParsedCompletion:
 
 
 def _scan_json_values(raw: str, opener: str):
-    """Yield every JSON value parseable starting at an opener character."""
+    """Yield every JSON value parseable starting at an opener character, up
+    to the first nest deeper than the decoder can follow (retrying each
+    opener inside it would take time quadratic in its depth)."""
     decoder = json.JSONDecoder()
     idx = raw.find(opener)
     while idx != -1:
         try:
             value, _ = decoder.raw_decode(raw, idx)
+        except RecursionError:
+            return
         except ValueError:
             pass
         else:

@@ -5,21 +5,22 @@ distractor request; each leaves an audit record, so the number of records
 always equals the number of chunks (or samples) submitted. _run_jobs is the
 one scheduler: a bounded worker pool fed lazily from a job iterable that
 yields results in input order, never completion order, and stops at the
-first job that fails. generate_openqa and attach_distractors run one batch
-of units through it; the synthesize command runs its whole input through a
-single call, each job a chunk's QA request chained with its distractor
-request.
+first job that fails. synthesize, the library entry point of the
+synthesize command, runs a whole corpus through one _run_jobs call and
+yields each clip's records and samples as its last chunk completes.
+generate_openqa and attach_distractors run one batch of units each.
 """
 from __future__ import annotations
 
-import logging
-import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .chunking import NarrationChunk
+from .chunking import NarrationChunk, chunk_track
 from .core import NarrationTrack, QASample, ValidationError
 from .endpoint import ChatEndpoint, EndpointConfig, EndpointUnavailable
 from .prompts import (
@@ -33,8 +34,7 @@ from .prompts import (
     render_openqa_prompt,
 )
 from .seeding import choice_order, derive_seed
-
-log = logging.getLogger(__name__)
+from .windows import CorpusTimingStats
 
 
 @dataclass(frozen=True)
@@ -183,17 +183,6 @@ def distractor_unit(
     return sample, record
 
 
-def _run_batch(units: Iterable, worker: Callable, parallelism: int):
-    """Run one batch through _run_jobs: (finished results, first failure or None)."""
-    done: list = []
-    try:
-        for result in _run_jobs(units, worker, parallelism):
-            done.append(result)
-    except EndpointUnavailable as exc:
-        return done, exc
-    return done, None
-
-
 def generate_openqa(
     chunks: Sequence[NarrationChunk],
     tracks: Mapping[str, NarrationTrack],
@@ -206,36 +195,17 @@ def generate_openqa(
 
     Output is sorted by (clip_uid, chunk_index). Completions that stay
     malformed after retries, or violate the length constraints, are dropped
-    with a record. Raises EndpointUnavailable (with the results finished
-    before the first failing chunk as exc.partial) if the endpoint dies
-    mid-batch.
+    with a record. Raises EndpointUnavailable if the endpoint dies mid-batch.
     """
     for chunk in chunks:
         if chunk.clip_uid not in tracks:
             raise ValidationError(f"chunk references unknown clip {chunk.clip_uid!r}")
-
-    ordered = sorted(chunks, key=lambda c: (c.clip_uid, c.chunk_index))
-    start = time.monotonic()
-    done, failure = _run_batch(
-        ordered,
+    done = tuple(_run_jobs(
+        sorted(chunks, key=lambda c: (c.clip_uid, c.chunk_index)),
         lambda c: openqa_unit(c, tracks[c.clip_uid], config, template, endpoint, split),
         config.parallelism,
-    )
-    samples = tuple(s for s, _ in done if s is not None)
-    records = tuple(r for _, r in done)
-    elapsed = max(time.monotonic() - start, 1e-9)
-    errors = sum(1 for r in records if r.parse_status != PARSE_OK)
-    log.info(
-        "openqa: %d/%d pairs in %.2fs (%.0f pairs/hour, %.1f%% generation errors)",
-        len(samples),
-        len(records),
-        elapsed,
-        len(samples) / elapsed * 3600.0,
-        100.0 * errors / max(len(records), 1),
-    )
-    if failure is not None:
-        raise EndpointUnavailable(f"openqa batch aborted: {failure}", (samples, records))
-    return samples, records
+    ))
+    return tuple(s for s, _ in done if s is not None), tuple(r for _, r in done)
 
 
 def attach_distractors(
@@ -249,28 +219,68 @@ def attach_distractors(
     Samples whose distractors cannot be generated are kept without
     wrong_answers and accounted for in the records. Samples that already
     carry distractors pass through untouched (no request, no record).
+    Raises EndpointUnavailable if the endpoint dies mid-batch.
     """
-    start = time.monotonic()
-    done, failure = _run_batch(
-        samples,
-        lambda s: distractor_unit(s, config, template, endpoint),
-        config.parallelism,
-    )
-    out = tuple(s for s, _ in done)
-    records = tuple(r for _, r in done if r is not None)
-    elapsed = max(time.monotonic() - start, 1e-9)
-    ok = sum(1 for r in records if r.parse_status == PARSE_OK)
-    if records:
-        log.info(
-            "closeqa: %d/%d distractor sets in %.2fs (%.0f samples/hour)",
-            ok,
-            len(records),
-            elapsed,
-            ok / elapsed * 3600.0,
-        )
-    if failure is not None:
-        raise EndpointUnavailable(f"distractor batch aborted: {failure}", (out, records))
-    return out, records
+    done = tuple(_run_jobs(
+        samples, lambda s: distractor_unit(s, config, template, endpoint), config.parallelism
+    ))
+    return tuple(s for s, _ in done), tuple(r for _, r in done if r is not None)
+
+
+def synthesize(
+    tracks: Iterable[NarrationTrack],
+    stats: CorpusTimingStats,
+    config: EndpointConfig,
+    openqa_template: PromptTemplate,
+    closeqa_template: PromptTemplate | None,
+    endpoint: ChatEndpoint,
+    split: str,
+    max_sentences: int,
+    max_span_s: float,
+) -> Iterator[
+    tuple[NarrationTrack, list[GenerationRecord], list[QASample], EndpointUnavailable | None]
+]:
+    """Yield (track, openqa then closeqa records, samples, failure) per clip.
+
+    tracks is read lazily. Each chunk is one job: its QA request, then its
+    distractor request if the QA parsed and closeqa_template is given.
+    failure is set only on the last clip yielded, which holds the first job
+    whose endpoint failed for good and what that job finished before it.
+    The stream is the same at every parallelism.
+    """
+
+    def jobs():
+        for clip_no, track in enumerate(tracks):
+            for chunk in chunk_track(track, stats, max_sentences, max_span_s):
+                yield clip_no, track, chunk
+
+    def run(job):
+        clip_no, track, chunk = job
+        openqa = closeqa = sample = error = None
+        try:
+            sample, openqa = openqa_unit(chunk, track, config, openqa_template, endpoint, split)
+            if sample is not None and closeqa_template is not None:
+                sample, closeqa = distractor_unit(sample, config, closeqa_template, endpoint)
+        except EndpointUnavailable as exc:
+            error = exc
+        return clip_no, track, openqa, closeqa, sample, error
+
+    results = _run_jobs(jobs(), run, config.parallelism)
+    with closing(results):
+        for _, clip in groupby(results, key=itemgetter(0)):
+            openqa_records, closeqa_records, samples = [], [], []
+            for _, track, openqa, closeqa, sample, failure in clip:
+                if openqa is not None:
+                    openqa_records.append(openqa)
+                if closeqa is not None:
+                    closeqa_records.append(closeqa)
+                if sample is not None:
+                    samples.append(sample)
+                if failure is not None:
+                    break
+            yield track, openqa_records + closeqa_records, samples, failure
+            if failure is not None:
+                return
 
 
 def shuffled_choices(sample: QASample, seed: int) -> tuple[tuple[str, str, str, str], int]:

@@ -516,6 +516,24 @@ def _head_file(tmp_path, **fields):
 
 
 QA_ROW = _read(FILTER_INPUT).splitlines()[0]
+TOO_BIG = 10**400  # a JSON integer no float can hold
+DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the decoder's recursion limit
+
+
+def _qa_file(tmp_path, **fields):
+    return _text_file(tmp_path, "qa.jsonl", json.dumps({**json.loads(QA_ROW), **fields}) + "\n")
+
+
+def _track_file(tmp_path, **fields):
+    row = {"clip_uid": "c", "duration_s": 10.0,
+           "narrations": [{"text": "C waits.", "t_s": 1.0}], **fields}
+    return _text_file(tmp_path, "narrations.jsonl", json.dumps(row) + "\n")
+
+
+def _pred_file(tmp_path, windows):
+    row = {"clip_uid": "clip-d", "query_id": "clip-d::0", "windows": windows}
+    return _text_file(tmp_path, "preds.jsonl", json.dumps(row) + "\n")
+
 
 # (argv builder, text the error must contain) for malformed inputs
 MALFORMED_INPUTS = {
@@ -571,6 +589,84 @@ MALFORMED_INPUTS = {
         lambda tmp: ["decode", _head_file(tmp, duration_s=10**400),
                      "--out", str(tmp / "preds.jsonl")],
         "heads.jsonl:1: bad head outputs",
+    ),
+    "ingest-duration-overflows-float": (
+        lambda tmp: ["ingest", _export_file(tmp, {
+            "duration_sec": TOO_BIG,
+            "narration_pass_1": {"narrations": [
+                {"narration_text": "C waits.", "timestamp_sec": 1}]},
+        }), "--out", str(tmp / "n.jsonl")],
+        "bad_duration=1",
+    ),
+    "ingest-timestamp-overflows-float": (
+        lambda tmp: ["ingest", _export_file(tmp, {
+            "duration_sec": 10,
+            "narration_pass_1": {"narrations": [
+                {"narration_text": "C waits.", "timestamp_sec": TOO_BIG}]},
+        }), "--out", str(tmp / "n.jsonl")],
+        "bad_timestamp=1",
+    ),
+    "ingest-export-nested-too-deep": (
+        lambda tmp: ["ingest", _text_file(tmp, "export.json", '{"clip-x": ' + DEEP + "}"),
+                     "--out", str(tmp / "n.jsonl")],
+        "export.json: not JSON: maximum recursion depth exceeded",
+    ),
+    "synthesize-duration-overflows-float": (
+        lambda tmp: ["synthesize", _track_file(tmp, duration_s=TOO_BIG),
+                     "--out", str(tmp / "qa.jsonl"), "--mock", MOCK],
+        "narrations.jsonl:1: bad narration track",
+    ),
+    "filter-blind-window-overflows-float": (
+        lambda tmp: ["filter-blind", _qa_file(tmp, window=[0, TOO_BIG]),
+                     "--out", str(tmp / "kept.jsonl")],
+        "qa.jsonl:1: bad qa sample",
+    ),
+    "stats-window-overflows-float": (
+        lambda tmp: ["stats", _qa_file(tmp, window=[TOO_BIG, 1]),
+                     "--out", str(tmp / "stats.json")],
+        "qa.jsonl:1: bad qa sample",
+    ),
+    "stats-window-is-object": (
+        lambda tmp: ["stats", _qa_file(tmp, window={"start": 0, "end": 1}),
+                     "--out", str(tmp / "stats.json")],
+        "qa.jsonl:1: bad qa sample",
+    ),
+    "stats-narration-time-overflows-float": (
+        lambda tmp: ["stats", FILTER_INPUT, "--out", str(tmp / "stats.json"),
+                     "--narrations", _track_file(tmp, narrations=[
+                         {"text": "C waits.", "t_s": TOO_BIG}])],
+        "narrations.jsonl:1: bad narration track",
+    ),
+    "stats-integer-over-digit-limit": (
+        lambda tmp: ["stats", _text_file(tmp, "qa.jsonl", '{"clip_uid": ' + "1" * 5000 + "}\n"),
+                     "--out", str(tmp / "stats.json")],
+        "qa.jsonl:1: not JSON",
+    ),
+    "stats-row-nested-too-deep": (
+        lambda tmp: ["stats", _text_file(tmp, "qa.jsonl", DEEP + "\n"),
+                     "--out", str(tmp / "stats.json")],
+        "qa.jsonl:1: not JSON: maximum recursion depth exceeded",
+    ),
+    "eval-vlg-window-end-overflows-float": (
+        lambda tmp: ["eval", _pred_file(tmp, [[4.0, 10.0, 0.9]]),
+                     "--gt", _qa_file(tmp, window=[0, TOO_BIG]), "--task", "vlg",
+                     "--out", str(tmp / "report.json")],
+        "qa.jsonl:1: bad qa sample",
+    ),
+    "eval-vlg-score-overflows-float": (
+        lambda tmp: ["eval", _pred_file(tmp, [[4.0, 10.0, TOO_BIG]]),
+                     "--gt", GT_VLG, "--task", "vlg", "--out", str(tmp / "report.json")],
+        "preds.jsonl:1: bad prediction set",
+    ),
+    "eval-vlg-window-is-object": (
+        lambda tmp: ["eval", _pred_file(tmp, [{"start": 4.0, "end": 10.0}]),
+                     "--gt", GT_VLG, "--task", "vlg", "--out", str(tmp / "report.json")],
+        "preds.jsonl:1: bad prediction set",
+    ),
+    "config-nested-too-deep": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", DEEP),
+                     "stats", FILTER_INPUT, "--out", str(tmp / "stats.json")],
+        "config.json: not JSON: maximum recursion depth exceeded",
     ),
     "config-value-fails-cast": (
         lambda tmp: ["--config", _text_file(tmp, "config.json", '{"parallelism": "x"}'),

@@ -162,6 +162,10 @@ class TestParseOpenqa:
         p = parse_openqa_completion('{"Q": 5, "A": "x"}')
         assert p.status == PARSE_MALFORMED
 
+    def test_nesting_deeper_than_the_decoder_is_malformed(self):
+        raw = '{"Q": ' + "[" * 100_000 + "]" * 100_000 + ', "A": "x"}'
+        assert parse_openqa_completion(raw).status == PARSE_MALFORMED
+
 
 class TestParseCloseqa:
     def test_clean_list(self):
@@ -190,3 +194,9 @@ class TestParseCloseqa:
     def test_no_list_is_malformed(self):
         p = parse_closeqa_completion("Sorry, no.", "a cup")
         assert p.status == PARSE_MALFORMED
+
+    def test_nesting_deeper_than_the_decoder_is_malformed(self):
+        assert parse_closeqa_completion("[" * 100_000, "a").status == PARSE_MALFORMED
+        # a list before the nest is still found
+        p = parse_closeqa_completion('["x", "y", "z"] ' + "[" * 100_000, "a")
+        assert p.distractors == ("x", "y", "z")

@@ -1,6 +1,6 @@
 """Property tests for the decode path (greedy NMS against the scalar oracle,
-the HeadOutputs acceptance rule, row_to_head's error contract) and for the
-choice-order kernel against numpy."""
+the HeadOutputs acceptance rule), the row decoders' and completion parsers'
+error contracts, and the choice-order kernel against numpy."""
 from __future__ import annotations
 
 import json
@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egoqa.core import ValidationError
-from egoqa.jsonl_io import SchemaMismatch, row_to_head
+from egoqa.jsonl_io import SchemaMismatch, row_to_head, row_to_pred, row_to_qa, row_to_track
 from egoqa.localization import HeadOutputs, LengthMismatch, decode_windows
+from egoqa.prompts import ParsedCompletion, parse_closeqa_completion, parse_openqa_completion
 from egoqa.seeding import choice_orders
 
 from .oracles import oracle_nms
@@ -126,6 +127,66 @@ def test_row_to_head_raises_only_schema_mismatch(scores, offsets, duration):
         decode_windows(heads, duration_s)
     except ValidationError:
         pass
+
+
+def _rows(fields):
+    """Rows holding any subset of fields, each an arbitrary JSON value or a
+    near miss of its valid shape."""
+    return st.fixed_dictionaries(
+        {}, optional={name: JSON_VALUE | near for name, near in fields.items()}
+    )
+
+
+PAIR = st.lists(NUMBER | JSON_VALUE, max_size=3)
+TRACK_ROWS = _rows({
+    "clip_uid": st.text(max_size=3),
+    "duration_s": NUMBER,
+    "narrations": st.lists(_rows({"text": st.text(max_size=3), "t_s": NUMBER}), max_size=3),
+})
+QA_ROWS = _rows({
+    "clip_uid": st.text(max_size=3),
+    "question": st.text(max_size=3),
+    "answer": st.text(max_size=3),
+    "window": PAIR,
+    "wrong_answers": st.lists(st.text(max_size=3), max_size=4),
+    "split": st.sampled_from(["train", "val", "test"]),
+    "source": st.text(max_size=3),
+})
+PRED_ROWS = _rows({
+    "clip_uid": st.text(max_size=3),
+    "query_id": st.text(max_size=3),
+    "windows": st.lists(PAIR, max_size=3),
+    "answer_text": st.text(max_size=3),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(track=TRACK_ROWS, qa=QA_ROWS, pred=PRED_ROWS)
+def test_row_decoders_raise_only_schema_mismatch(track, qa, pred):
+    for decode, row in ((row_to_track, track), (row_to_qa, qa), (row_to_pred, pred)):
+        try:
+            decode(row)
+        except SchemaMismatch:
+            pass
+
+
+# Shallow nesting, and nesting deeper than the decoder's recursion limit
+# (1000 frames by default), optionally inside a Q/A object or a list, with
+# arbitrary text around it.
+DEEP_TEXT = st.builds(
+    lambda head, unit, depth, tail: head + unit * depth + tail,
+    st.sampled_from(["", "Sure: ", '{"Q": ', '["a", "b", ']),
+    st.sampled_from(["[", '{"Q": ', '[{"A": ']),
+    st.integers(0, 50) | st.integers(1_500, 100_000),
+    st.text(max_size=8) | st.sampled_from([', "A": "x"}', '"c"]', "]" * 100_000]),
+)
+
+
+@PROPERTY
+@given(raw=st.text() | DEEP_TEXT)
+def test_completion_parsers_never_raise(raw):
+    assert isinstance(parse_openqa_completion(raw), ParsedCompletion)
+    assert isinstance(parse_closeqa_completion(raw, "a carrot"), ParsedCompletion)
 
 
 # The fixed sweep in test_blindfilter.py covers 100k seeds; this adds

@@ -22,6 +22,7 @@ from egoqa.synthesis import (
     attach_distractors,
     generate_openqa,
     shuffled_choices,
+    synthesize,
 )
 from egoqa.windows import compute_stats
 
@@ -124,11 +125,31 @@ def test_endpoint_death_raises_with_partial_results():
     tracks, chunks = _fixture_corpus()
     # only the first chunk's prompt is known; no "*" fallback
     fixture = {_digest_for(chunks[0], tracks): '{"Q": "What did I peel?", "A": "a carrot"}'}
-    with pytest.raises(EndpointUnavailable) as excinfo:
+    with pytest.raises(EndpointUnavailable):
         generate_openqa(chunks, tracks, EndpointConfig(), OPENQA_T, MockChatEndpoint(fixture))
-    partial_samples, partial_records = excinfo.value.partial
-    assert len(partial_samples) == 1
-    assert partial_samples[0].clip_uid == "c1"
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_synthesize_stream_ends_at_the_clip_that_failed(parallelism):
+    tracks, chunks = _fixture_corpus()
+    # c1's QA prompt and its distractor prompt are known; c2's QA prompt is not
+    fixture = {
+        _digest_for(chunks[0], tracks): '{"Q": "What did I peel?", "A": "a carrot"}',
+        prompt_digest(render_closeqa_prompt("What did I peel?", "a carrot", CLOSEQA_T)):
+            '["a potato", "an onion", "a beet"]',
+    }
+    clips = list(synthesize(
+        tracks.values(), compute_stats(tracks.values()),
+        EndpointConfig(parallelism=parallelism), OPENQA_T, CLOSEQA_T,
+        MockChatEndpoint(fixture), "test", 5, 30.0,
+    ))
+    assert [track.clip_uid for track, _, _, _ in clips] == ["c1", "c2"]
+    (_, records, samples, failure), (_, more_records, more_samples, last_failure) = clips
+    assert [r.kind for r in records] == ["openqa", "closeqa"]
+    assert [s.wrong_answers for s in samples] == [("a potato", "an onion", "a beet")]
+    assert failure is None
+    assert (more_records, more_samples) == ([], [])
+    assert isinstance(last_failure, EndpointUnavailable)
 
 
 def test_unknown_clip_rejected():
