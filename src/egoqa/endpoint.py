@@ -138,7 +138,8 @@ class HttpClient:
         """POST body to {base_url}/{route}; return decode(parsed JSON reply).
 
         decode raises KeyError, IndexError, TypeError or ValueError on an
-        envelope it cannot use, which counts as a failed attempt.
+        envelope it cannot use, which counts as a failed attempt, as does a
+        reply nested deeper than the JSON decoder can follow.
         """
         target = self._prefix + route
         payload = json.dumps(body).encode("utf-8")
@@ -158,7 +159,8 @@ class HttpClient:
                     )
                 return decode(json.loads(data))
             except (
-                OSError, http.client.HTTPException, KeyError, IndexError, TypeError, ValueError
+                OSError, http.client.HTTPException, KeyError, IndexError, TypeError, ValueError,
+                RecursionError,
             ) as exc:
                 conn.close()
                 last_error = str(exc)

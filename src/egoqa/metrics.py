@@ -4,13 +4,22 @@ ROUGE-L and METEOR share one tokenization rule (lowercase, ASCII
 alphanumeric runs) so goldens stay bit-exact. METEOR is the exact-match
 stage only: no stemming or synonymy, which keeps the metric self-contained
 and regression-stable; scores are therefore not comparable with
-implementations that stem.
+implementations that stem. The fragmentation penalty is that of Banerjee
+& Lavie (2005).
+
+The chunk count is exact: the fewest chunks of any maximal one-to-one
+matching, an NP-hard problem (Minimum Common String Partition). The search
+visits at most `_state_bound` states, a bound computed from the token
+counts alone. A pair whose bound exceeds that of two 20-token strings, and
+only such a pair, takes the greedy alignment instead.
 """
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,12 +38,6 @@ K_VALUES = (1, 5)
 M_VALUES = (0.3, 0.5)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-# Exact chunk-minimizing alignment is searched only while the state space
-# stays below these caps; longer inputs fall back to a deterministic greedy
-# alignment (still a maximal matching, chunks possibly suboptimal).
-_ALIGN_MAX_REF = 20
-_ALIGN_MAX_STATES = 200_000
 
 
 class MissingQuery(ValidationError):
@@ -152,86 +155,151 @@ def rouge_l_f(hypothesis: str, reference: str) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _counts(tokens: Iterable) -> dict:
+    out: dict = {}
+    for t in tokens:
+        out[t] = out.get(t, 0) + 1
+    return out
+
+
+def _state_bound(hyp_count: dict, ref_count: dict, n: int, r: int) -> int:
+    """Most `_max_links` states: (n + 1) * min(B(r), product of S_w).
+
+    B(r) counts the subsets of r positions whose runs are all at least 2
+    long. A word w found h_w times in the hypothesis and r_w times in the
+    reference has S_w = sum of C(r_w, k) over k <= min(h_w - 1, r_w).
+    Past `_ALIGN_BUDGET` the product stops growing, so a value above the
+    budget says only that the bound exceeds it.
+    """
+    per_layer = 1
+    for w, h in hyp_count.items():
+        rw, term, s_w = ref_count.get(w, 0), 1, 1
+        for k in range(1, min(h - 1, rw) + 1):
+            term = term * (rw - k + 1) // k  # C(rw, k)
+            s_w += term
+            if per_layer * s_w > _ALIGN_BUDGET:
+                break
+        per_layer *= s_w
+    blocks = [1, 1, 2]  # B(0), B(1), B(2): subsets with every run >= 2 long
+    while len(blocks) <= r:
+        blocks.append(2 * blocks[-1] - blocks[-2] + blocks[-3])
+    return (n + 1) * min(per_layer, blocks[r])
+
+
+# The state bound of two 20-token strings, 21 * B(20).
+_ALIGN_BUDGET = 1_163_505
+
+
 def _align(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     """Maximal one-to-one exact alignment; returns (matches, min chunks).
 
-    The match count is fixed by per-token multiset overlap; among alignments
-    achieving it, chunks (runs of pairs adjacent in both sequences) are
-    minimized, i.e. adjacency links are maximized. Per-token skip budgets
-    keep every explored branch maximal: a hypothesis token may go unmatched
-    only as often as its surplus over the reference allows.
+    m is the per-token multiset overlap. Adding a match never removes a
+    link (a pair adjacent in both sequences), so the fewest chunks are m
+    minus the most links of any one-to-one matching. The greedy links stand
+    when they reach min(m - 1, bigram overlap) or the budget is exceeded.
     """
-    ref_count: dict[str, int] = {}
-    for w in ref:
-        ref_count[w] = ref_count.get(w, 0) + 1
-    hyp_count: dict[str, int] = {}
-    for w in hyp:
-        hyp_count[w] = hyp_count.get(w, 0) + 1
+    hyp_count, ref_count = _counts(hyp), _counts(ref)
     m = sum(min(c, ref_count.get(w, 0)) for w, c in hyp_count.items())
     if m == 0:
         return 0, 0
-    skip_budget = {w: c - min(c, ref_count.get(w, 0)) for w, c in hyp_count.items()}
-
-    # Prefix occurrence counts let the skip budget be derived from (i, mask).
-    occ_before = []
-    seen: dict[str, int] = {}
-    for w in hyp:
-        occ_before.append(seen.get(w, 0))
-        seen[w] = seen.get(w, 0) + 1
-    ref_positions: dict[str, list[int]] = {}
-    for j, w in enumerate(ref):
-        ref_positions.setdefault(w, []).append(j)
-
-    if len(ref) <= _ALIGN_MAX_REF:
-        links = _align_exact(hyp, ref_positions, occ_before, skip_budget)
-        if links is not None:
-            return m, m - links
-    return m, m - _align_greedy(hyp, ref)
+    links = _align_greedy(hyp, ref)
+    if links < m - 1:
+        ref_bigrams = _counts(zip(ref, ref[1:]))
+        upper = sum(min(c, ref_bigrams.get(t, 0)) for t, c in _counts(zip(hyp, hyp[1:])).items())
+        if links < upper and _state_bound(
+                hyp_count, ref_count, len(hyp), len(ref)) <= _ALIGN_BUDGET:
+            links = _max_links(hyp, ref)
+    return m, m - links
 
 
-def _align_exact(
-    hyp: list[str],
-    ref_positions: dict[str, list[int]],
-    occ_before: list[int],
-    skip_budget: dict[str, int],
-) -> int | None:
-    """Depth-first max-links search memoized on (i, used mask, prev ref pos).
+def _max_links(hyp: list[str], ref: list[str]) -> int:
+    """Most links of any one-to-one matching, by A* over blocks.
 
-    Returns None when the state cap trips, signaling the greedy fallback.
+    A block is an equal run hyp[i:i+L] == ref[j:j+L], L >= 2, worth L - 1
+    links; blocks are disjoint in both strings. A state is (i, used): the
+    reference positions taken by blocks in hyp[:i], kept only where a later
+    block could go. The rest can add at most min(T_2, (U + T_3) / 2,
+    (2U + T_4) / 3) links, with T_k the free reference k-grams shared with
+    hyp[i:] and U the shared tokens: a block of T tokens has T - 1 links
+    and T - k + 1 k-grams.
     """
-    memo: dict[tuple[int, int, int], int] = {}
-    n = len(hyp)
+    n, r = len(hyp), len(ref)
+    ref_grams: dict[tuple[str, ...], int] = {}  # k-gram -> bits of its starts
+    for j in range(r):
+        for k in range(j + 1, min(j + 4, r) + 1):
+            gram = tuple(ref[j:k])
+            ref_grams[gram] = ref_grams.get(gram, 0) | 1 << j
+    hyp_grams: dict[tuple[str, ...], int] = {}  # the same, for those in ref
+    starts, spans = [], []  # per i: each j a block can start at; bits of j, j + 1
+    for i in range(n):
+        for k in range(i + 1, min(i + 4, n) + 1):
+            gram = tuple(hyp[i:k])
+            if gram not in ref_grams:
+                break
+            hyp_grams[gram] = hyp_grams.get(gram, 0) | 1 << i
+        bits = ref_grams.get(tuple(hyp[i:i + 2]), 0) if i < n - 1 else 0
+        starts.append([j for j in range(bits.bit_length()) if bits >> j & 1])
+        spans.append(bits | bits << 1)
+    useful, ahead, linkable = [0] * (n + 1), list(range(n + 1)), 0
+    for i in range(n - 1, -1, -1):
+        useful[i] = useful[i + 1] | spans[i]
+        ahead[i] = i if starts[i] else ahead[i + 1]  # next i a block can start at
+        linkable |= 3 << i if starts[i] else 0
+    # Per k: (hyp bits, ref bits) of shared k-grams found more than once on
+    # a side; k-grams found once on each side are summed as one mask per i,
+    # the ref bits of those whose hyp start is at i or later.
+    shared = [[], [], [], []]
+    once = [[0] * (n + 1) for _ in range(4)]
+    for gram, bits in hyp_grams.items():
+        hyp_bits, ref_bits = bits & linkable, ref_grams[gram] & useful[0]
+        if not hyp_bits or not ref_bits:
+            continue
+        if hyp_bits & hyp_bits - 1 or ref_bits & ref_bits - 1:
+            shared[len(gram) - 1].append((hyp_bits, ref_bits))
+        else:
+            once[len(gram) - 1][hyp_bits.bit_length() - 1] |= ref_bits
+    for masks in once:
+        for i in range(n - 1, -1, -1):
+            masks[i] |= masks[i + 1]
 
-    def matched_of(word: str, mask: int) -> int:
-        return sum(1 for j in ref_positions.get(word, ()) if mask >> j & 1)
+    def bound(used: int, i: int) -> int:
+        free, counts = ~used, []
+        for k, table in enumerate(shared):
+            total = (once[k][i] & free).bit_count()
+            for hyp_bits, ref_bits in table:
+                h, x = (hyp_bits >> i).bit_count(), (ref_bits & free).bit_count()
+                total += h if h < x else x
+            counts.append(total)
+            free &= ~(used >> k + 1)
+        u, t2, t3, t4 = counts
+        return min(t2, (u + t3) // 2, (2 * u + t4) // 3)
 
-    def best(i: int, mask: int, prev_j: int) -> int | None:
+    # (-(links + bound), -i, -links, used); a state with nothing left to gain
+    # files as finished (i = n).
+    heap = [(-bound(0, ahead[0]), -ahead[0], 0, 0)]
+    best: dict[tuple[int, int], int] = {}
+    while True:
+        _, neg_i, neg_links, used = heapq.heappop(heap)
+        i, links = -neg_i, -neg_links
         if i == n:
-            return 0
-        key = (i, mask, prev_j)
-        if key in memo:
-            return memo[key]
-        if len(memo) > _ALIGN_MAX_STATES:
-            return None
-        word = hyp[i]
-        out = -1
-        skipped = occ_before[i] - matched_of(word, mask)
-        if skipped < skip_budget.get(word, 0):
-            sub = best(i + 1, mask, -1)
-            if sub is None:
-                return None
-            out = max(out, sub)
-        for j in ref_positions.get(word, ()):
-            if mask >> j & 1:
-                continue
-            sub = best(i + 1, mask | (1 << j), j)
-            if sub is None:
-                return None
-            out = max(out, sub + (1 if j == prev_j + 1 and prev_j >= 0 else 0))
-        memo[key] = out
-        return out
-
-    return best(0, 0, -1)
+            return links
+        if best.get((i, used), -1) > links:
+            continue
+        children = [(i + 1, used, links)]
+        for j in starts[i]:
+            taken, k, jj = used | 3 << j, i + 2, j + 2
+            while not used >> j & 3:  # extend the block one token at a time
+                children.append((k, taken, links + k - i - 1))
+                if k == n or jj == r or hyp[k] != ref[jj] or used >> jj & 1:
+                    break
+                taken, k, jj = taken | 1 << jj, k + 1, jj + 1
+        for k, key, v in children:
+            k = ahead[k]
+            key &= useful[k]
+            if best.get((k, key), -1) < v:
+                best[(k, key)] = v
+                gain = bound(key, k)
+                heapq.heappush(heap, (-v - gain, -k if gain else -n, -v, key))
 
 
 def _align_greedy(hyp: list[str], ref: list[str]) -> int:
@@ -240,16 +308,22 @@ def _align_greedy(hyp: list[str], ref: list[str]) -> int:
     Never skips a matchable token, so the matching stays maximal; only the
     link count may fall short of the optimum.
     """
+    positions: dict[str, list[int]] = {}  # per word, descending: pop() is the first
+    for j in range(len(ref) - 1, -1, -1):
+        positions.setdefault(ref[j], []).append(j)
     used = [False] * len(ref)
     prev_j = -2
     links = 0
     for word in hyp:
         nxt = prev_j + 1
+        free = positions.get(word, [])
+        while free and used[free[-1]]:  # taken earlier by a run
+            free.pop()
         if 0 <= nxt < len(ref) and ref[nxt] == word and not used[nxt]:
             j = nxt
+        elif free:
+            j = free.pop()
         else:
-            j = next((k for k, w in enumerate(ref) if w == word and not used[k]), -1)
-        if j == -1:
             prev_j = -2
             continue
         used[j] = True
@@ -294,6 +368,7 @@ def closeqa_accuracy(
 
     Each run is a sequence of (predicted, correct) pairs over the same
     question set; a prediction counts when the normalized strings match.
+    Each distinct correct answer is normalized once, not once per run.
     """
     if len(runs) != 5:
         raise RunLengthMismatch(f"exactly 5 runs required, got {len(runs)}")
@@ -302,12 +377,9 @@ def closeqa_accuracy(
         raise RunLengthMismatch(f"runs disagree in length: {sorted(lengths)}")
     if lengths == {0}:
         raise EmptyEvaluation("runs contain no question pairs")
+    gold = lru_cache(maxsize=None)(normalize_answer)
     accuracies = [
-        sum(
-            1
-            for predicted, correct in run
-            if normalize_answer(predicted) == normalize_answer(correct)
-        )
+        sum(1 for predicted, correct in run if normalize_answer(predicted) == gold(correct))
         / len(run)
         for run in runs
     ]

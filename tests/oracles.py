@@ -50,6 +50,70 @@ def oracle_align(hyp: tuple[str, ...], ref: tuple[str, ...]) -> tuple[int, int]:
     return (m, m - links) if m else (0, 0)
 
 
+def capped_search_align(
+    hyp: list[str], ref: list[str], max_states: int = 200_000
+) -> tuple[int, int] | None:
+    """(matches, chunks) by the memoised depth-first search METEOR used to run.
+
+    The search walks the hypothesis, memoised on (i, used-reference
+    bitmask, previous match), with per-token skip budgets that keep every
+    branch a maximal matching. It gives up (None) on references over 20
+    tokens and once the memo holds more than max_states entries; the
+    package then used a greedy alignment instead.
+    """
+    ref_count: dict[str, int] = {}
+    for w in ref:
+        ref_count[w] = ref_count.get(w, 0) + 1
+    hyp_count: dict[str, int] = {}
+    for w in hyp:
+        hyp_count[w] = hyp_count.get(w, 0) + 1
+    m = sum(min(c, ref_count.get(w, 0)) for w, c in hyp_count.items())
+    if m == 0:
+        return 0, 0
+    if len(ref) > 20:
+        return None
+    skip_budget = {w: c - min(c, ref_count.get(w, 0)) for w, c in hyp_count.items()}
+    occ_before = []
+    seen: dict[str, int] = {}
+    for w in hyp:
+        occ_before.append(seen.get(w, 0))
+        seen[w] = seen.get(w, 0) + 1
+    ref_positions: dict[str, list[int]] = {}
+    for j, w in enumerate(ref):
+        ref_positions.setdefault(w, []).append(j)
+    memo: dict[tuple[int, int, int], int] = {}
+    n = len(hyp)
+
+    def best(i: int, mask: int, prev_j: int) -> int | None:
+        if i == n:
+            return 0
+        key = (i, mask, prev_j)
+        if key in memo:
+            return memo[key]
+        if len(memo) > max_states:
+            return None
+        word = hyp[i]
+        out = -1
+        matched = sum(1 for j in ref_positions.get(word, ()) if mask >> j & 1)
+        if occ_before[i] - matched < skip_budget.get(word, 0):
+            sub = best(i + 1, mask, -1)
+            if sub is None:
+                return None
+            out = max(out, sub)
+        for j in ref_positions.get(word, ()):
+            if mask >> j & 1:
+                continue
+            sub = best(i + 1, mask | (1 << j), j)
+            if sub is None:
+                return None
+            out = max(out, sub + (1 if j == prev_j + 1 and prev_j >= 0 else 0))
+        memo[key] = out
+        return out
+
+    links = best(0, 0, -1)
+    return None if links is None else (m, m - links)
+
+
 def oracle_meteor(hyp: list[str], ref: list[str]) -> float:
     if not hyp or not ref:
         return 0.0

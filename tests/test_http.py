@@ -28,12 +28,13 @@ EMBED_OK = {"data": [{"embedding": [3.0, 4.0]}]}
 class ScriptedServer:
     """Replies to each POST with the next (status, JSON body) of a script.
 
-    The last reply repeats once the script runs out. Every request's path,
-    headers and JSON body are recorded. Connections are HTTP/1.1 keep-alive
-    and counted as accepted; with hang_up set, the server closes each one
-    after its first reply without announcing it, and `closed` is released
-    once per connection closed. With tls it serves HTTPS as localhost and
-    127.0.0.1 with the self-signed certificate in KEYCERT.
+    A body given as bytes is sent as it is. The last reply repeats once the
+    script runs out. Every request's path, headers and JSON body are
+    recorded. Connections are HTTP/1.1 keep-alive and counted as accepted;
+    with hang_up set, the server closes each one after its first reply
+    without announcing it, and `closed` is released once per connection
+    closed. With tls it serves HTTPS as localhost and 127.0.0.1 with the
+    self-signed certificate in KEYCERT.
     """
 
     def __init__(self, tls=False):
@@ -60,7 +61,7 @@ class ScriptedServer:
                 })
                 i = min(len(owner.requests), len(owner.replies)) - 1
                 status, body = owner.replies[i]
-                payload = json.dumps(body).encode()
+                payload = body if isinstance(body, bytes) else json.dumps(body).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
@@ -159,6 +160,21 @@ def test_synthesize_exits_3_when_chat_endpoint_keeps_failing(server, tmp_path):
     code = cli.main([
         "synthesize", narrations, "--out", out,
         "--base-url", server.url, "--max-retries", "1",
+    ])
+    assert code == 3
+
+
+def test_reply_nested_deeper_than_the_decoder_is_a_failed_attempt(server, tmp_path):
+    server.replies = [(200, b"[" * 100_000 + b"]" * 100_000)]
+    with pytest.raises(EndpointUnavailable, match="2 attempts"):
+        HttpChatEndpoint(_config(server, retries=1)).complete("hi")
+    assert len(server.requests) == 2
+    narrations = str(tmp_path / "narrations.jsonl")
+    export = os.path.join(DATA_DIR, "narration_export.json")
+    assert cli.main(["ingest", export, "--out", narrations]) == 0
+    code = cli.main([
+        "synthesize", narrations, "--out", str(tmp_path / "qa.jsonl"),
+        "--base-url", server.url, "--max-retries", "0",
     ])
     assert code == 3
 

@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import hashlib
+import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from egoqa import metrics
 from egoqa.core import InvariantBreach, PredictionSet, TemporalWindow
 from egoqa.embedding import TRIGRAM_DIM, TrigramEmbedder
 from egoqa.metrics import (
@@ -23,7 +28,7 @@ from egoqa.metrics import (
     vlg_recall,
 )
 
-from .oracles import oracle_meteor
+from .oracles import capped_search_align, oracle_align, oracle_meteor
 
 
 class TestIou:
@@ -167,11 +172,69 @@ class TestMeteorExact:
             assert got == pytest.approx(want, abs=1e-12), (hyp, ref)
 
     def test_long_inputs_stay_finite_and_bounded(self):
-        # beyond the exact-search cap the greedy fallback takes over
+        # beyond the search budget the greedy fallback takes over
         hyp = "a b " * 40
         ref = "b a " * 40
         v = meteor_exact(hyp, ref)
         assert 0.0 <= v <= 1.0
+
+
+def _best_of_three_s(hyp: str, ref: str) -> float:
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        meteor_exact(hyp, ref)
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+TOKENS = st.integers(2, 4).flatmap(
+    lambda k: st.tuples(*[st.lists(st.sampled_from("abcd"[:k]), max_size=12)] * 2)
+)
+
+
+class TestAlignment:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=TOKENS)
+    def test_equals_the_capped_search_wherever_it_finishes(self, pair):
+        hyp, ref = pair
+        want = capped_search_align(hyp, ref)
+        if want is not None:
+            assert metrics._align(hyp, ref) == want
+        if len(hyp) <= 7 and len(ref) <= 7:
+            assert metrics._align(hyp, ref) == oracle_align(tuple(hyp), tuple(ref))
+
+    def test_pair_that_tripped_the_old_cap_is_exact_and_fast(self):
+        hyp = "b a b b b b a b b a b b b b a a b a a"
+        ref = "a b a a a b a b a a a b b a b a a b a"
+        # the capped search gives up on this pair; greedy found 9 chunks
+        assert capped_search_align(hyp.split(), ref.split()) is None
+        assert metrics._align(hyp.split(), ref.split()) == (14, 4)
+        assert _best_of_three_s(hyp, ref) <= 0.1
+
+    @pytest.mark.parametrize("alphabet", ["ab", "abc"])
+    def test_random_pairs_up_to_20_tokens_score_within_100ms(self, alphabet):
+        rng = random.Random(f"worst-case:{alphabet}")
+        for _ in range(100):
+            hyp = " ".join(rng.choice(alphabet) for _ in range(rng.randint(1, 20)))
+            ref = " ".join(rng.choice(alphabet) for _ in range(rng.randint(1, 20)))
+            assert _best_of_three_s(hyp, ref) <= 0.1, (hyp, ref)
+
+    def test_exact_or_greedy_depends_on_token_counts_only(self, monkeypatch):
+        rng = random.Random(5)
+        searched = []
+        search = metrics._max_links
+        monkeypatch.setattr(metrics, "_max_links", lambda h, r: searched.append(1) or search(h, r))
+        # 20 tokens a side is within the budget; 24 of two symbols is not
+        for tokens, exact in ((list("ab" * 10), True), (list("ab" * 12), False)):
+            searched.clear()
+            for _ in range(2):
+                hyp = rng.sample(tokens, len(tokens))
+                ref = rng.sample(tokens, len(tokens))
+                m, chunks = metrics._align(hyp, ref)
+                links = search(hyp, ref) if exact else metrics._align_greedy(hyp, ref)
+                assert (m, chunks) == (len(tokens), len(tokens) - links)
+            assert bool(searched) == exact
 
 
 class TestSentenceSimilarity:
@@ -235,6 +298,18 @@ class TestCloseqaAccuracy:
     def test_empty_runs_rejected(self):
         with pytest.raises(EmptyEvaluation):
             closeqa_accuracy([[], [], [], [], []])
+
+    def test_each_correct_answer_normalized_once(self, monkeypatch):
+        calls = []
+        normalize = metrics.normalize_answer
+        monkeypatch.setattr(metrics, "normalize_answer", lambda s: calls.append(s) or normalize(s))
+        golds = [f"answer {q}" for q in range(30)]
+        runs = [[(f"Answer {q}." if (q + r) % 3 else "no", g) for q, g in enumerate(golds)]
+                for r in range(5)]
+        mean, std = closeqa_accuracy(runs)
+        assert len(calls) == 5 * 30 + 30
+        want = [sum(1 for q in range(30) if (q + r) % 3) / 30 for r in range(5)]
+        assert (mean, std) == (float(np.mean(want)), float(np.std(want, ddof=1)))
 
 
 class TestOpenqaReport:
