@@ -10,8 +10,10 @@ implementations that stem. The fragmentation penalty is that of Banerjee
 The chunk count is exact: the fewest chunks of any maximal one-to-one
 matching, an NP-hard problem (Minimum Common String Partition). The search
 visits at most `_state_bound` states, a bound computed from the token
-counts alone. A pair whose bound exceeds that of two 20-token strings, and
-only such a pair, takes the greedy alignment instead.
+counts alone. A pair is searched when the reference has at most 20 tokens
+and the bound is at most that of two 20-token strings; any other pair
+takes the greedy alignment instead. So the choice never depends on token
+order.
 """
 from __future__ import annotations
 
@@ -186,7 +188,10 @@ def _state_bound(hyp_count: dict, ref_count: dict, n: int, r: int) -> int:
     return (n + 1) * min(per_layer, blocks[r])
 
 
-# The state bound of two 20-token strings, 21 * B(20).
+# A reference of at most 20 tokens keeps the work per state small: the
+# bound counts at most 74 shared k-grams. The state budget is the bound of
+# two 20-token strings, 21 * B(20).
+_ALIGN_MAX_REF = 20
 _ALIGN_BUDGET = 1_163_505
 
 
@@ -196,7 +201,8 @@ def _align(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     m is the per-token multiset overlap. Adding a match never removes a
     link (a pair adjacent in both sequences), so the fewest chunks are m
     minus the most links of any one-to-one matching. The greedy links stand
-    when they reach min(m - 1, bigram overlap) or the budget is exceeded.
+    when they reach min(m - 1, bigram overlap), when the reference is longer
+    than `_ALIGN_MAX_REF` or when the state bound exceeds the budget.
     """
     hyp_count, ref_count = _counts(hyp), _counts(ref)
     m = sum(min(c, ref_count.get(w, 0)) for w, c in hyp_count.items())
@@ -206,8 +212,9 @@ def _align(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     if links < m - 1:
         ref_bigrams = _counts(zip(ref, ref[1:]))
         upper = sum(min(c, ref_bigrams.get(t, 0)) for t, c in _counts(zip(hyp, hyp[1:])).items())
-        if links < upper and _state_bound(
-                hyp_count, ref_count, len(hyp), len(ref)) <= _ALIGN_BUDGET:
+        n, r = len(hyp), len(ref)
+        if (links < upper and r <= _ALIGN_MAX_REF
+                and _state_bound(hyp_count, ref_count, n, r) <= _ALIGN_BUDGET):
             links = _max_links(hyp, ref)
     return m, m - links
 
@@ -245,27 +252,16 @@ def _max_links(hyp: list[str], ref: list[str]) -> int:
         useful[i] = useful[i + 1] | spans[i]
         ahead[i] = i if starts[i] else ahead[i + 1]  # next i a block can start at
         linkable |= 3 << i if starts[i] else 0
-    # Per k: (hyp bits, ref bits) of shared k-grams found more than once on
-    # a side; k-grams found once on each side are summed as one mask per i,
-    # the ref bits of those whose hyp start is at i or later.
-    shared = [[], [], [], []]
-    once = [[0] * (n + 1) for _ in range(4)]
+    shared = [[], [], [], []]  # per k: (hyp bits, ref bits) of each shared k-gram
     for gram, bits in hyp_grams.items():
         hyp_bits, ref_bits = bits & linkable, ref_grams[gram] & useful[0]
-        if not hyp_bits or not ref_bits:
-            continue
-        if hyp_bits & hyp_bits - 1 or ref_bits & ref_bits - 1:
+        if hyp_bits and ref_bits:
             shared[len(gram) - 1].append((hyp_bits, ref_bits))
-        else:
-            once[len(gram) - 1][hyp_bits.bit_length() - 1] |= ref_bits
-    for masks in once:
-        for i in range(n - 1, -1, -1):
-            masks[i] |= masks[i + 1]
 
     def bound(used: int, i: int) -> int:
         free, counts = ~used, []
         for k, table in enumerate(shared):
-            total = (once[k][i] & free).bit_count()
+            total = 0
             for hyp_bits, ref_bits in table:
                 h, x = (hyp_bits >> i).bit_count(), (ref_bits & free).bit_count()
                 total += h if h < x else x
@@ -287,12 +283,13 @@ def _max_links(hyp: list[str], ref: list[str]) -> int:
             continue
         children = [(i + 1, used, links)]
         for j in starts[i]:
+            if used >> j & 3:
+                continue
             taken, k, jj = used | 3 << j, i + 2, j + 2
-            while not used >> j & 3:  # extend the block one token at a time
+            children.append((k, taken, links + 1))
+            while k < n and jj < r and hyp[k] == ref[jj] and not used >> jj & 1:
+                taken, k, jj = taken | 1 << jj, k + 1, jj + 1  # extend the block
                 children.append((k, taken, links + k - i - 1))
-                if k == n or jj == r or hyp[k] != ref[jj] or used >> jj & 1:
-                    break
-                taken, k, jj = taken | 1 << jj, k + 1, jj + 1
         for k, key, v in children:
             k = ahead[k]
             key &= useful[k]
@@ -308,22 +305,16 @@ def _align_greedy(hyp: list[str], ref: list[str]) -> int:
     Never skips a matchable token, so the matching stays maximal; only the
     link count may fall short of the optimum.
     """
-    positions: dict[str, list[int]] = {}  # per word, descending: pop() is the first
-    for j in range(len(ref) - 1, -1, -1):
-        positions.setdefault(ref[j], []).append(j)
     used = [False] * len(ref)
     prev_j = -2
     links = 0
     for word in hyp:
         nxt = prev_j + 1
-        free = positions.get(word, [])
-        while free and used[free[-1]]:  # taken earlier by a run
-            free.pop()
         if 0 <= nxt < len(ref) and ref[nxt] == word and not used[nxt]:
             j = nxt
-        elif free:
-            j = free.pop()
         else:
+            j = next((k for k, w in enumerate(ref) if w == word and not used[k]), -1)
+        if j == -1:
             prev_j = -2
             continue
         used[j] = True

@@ -193,6 +193,22 @@ TOKENS = st.integers(2, 4).flatmap(
 )
 
 
+# Plain answer-like prose: function words repeat as they do in model answers.
+ANSWER_TEXT = """
+The person first walks into the kitchen and opens the fridge to take out a
+carton of milk. They pour some of the milk into a glass on the counter, put
+the carton back on the top shelf of the fridge and close the door. Next they
+pick up a knife from the drawer next to the sink, cut two slices of bread on
+the wooden board and spread butter on each of the slices. The plate with the
+bread is carried to the table by the window, where the glass of milk is
+already waiting. After eating, the person rinses the plate and the glass in
+the sink, dries them with a towel and puts them in the cupboard above the
+stove. Finally they wipe the counter with a cloth, switch off the light over
+the table and leave the kitchen through the door to the hallway, carrying
+the keys that were lying on the shelf by the door.
+"""
+
+
 class TestAlignment:
     @settings(max_examples=300, deadline=None)
     @given(pair=TOKENS)
@@ -220,20 +236,37 @@ class TestAlignment:
             ref = " ".join(rng.choice(alphabet) for _ in range(rng.randint(1, 20)))
             assert _best_of_three_s(hyp, ref) <= 0.1, (hyp, ref)
 
+    def test_long_answers_the_budget_admits_score_within_100ms(self, monkeypatch):
+        # a long answer against a reference of at most 20 tokens
+        words = tokenize(ANSWER_TEXT)
+        rng = random.Random("long-answers")
+        searched = []
+        search = metrics._max_links
+        monkeypatch.setattr(metrics, "_max_links", lambda h, r: searched.append(1) or search(h, r))
+        for _ in range(100):
+            size, short = rng.randint(21, 150), rng.randint(3, 20)
+            start = rng.randrange(len(words) - size)
+            answer = words[start : start + size]
+            at = rng.randrange(start, start + size - short)
+            reference = [rng.choice(words) if rng.random() < 0.1 else w for w in words[at : at + short]]
+            assert _best_of_three_s(" ".join(answer), " ".join(reference)) <= 0.1
+        assert len(searched) >= 3 * 30  # at least 30 pairs searched, 3 calls each
+
     def test_exact_or_greedy_depends_on_token_counts_only(self, monkeypatch):
         rng = random.Random(5)
         searched = []
         search = metrics._max_links
         monkeypatch.setattr(metrics, "_max_links", lambda h, r: searched.append(1) or search(h, r))
-        # 20 tokens a side is within the budget; 24 of two symbols is not
-        for tokens, exact in ((list("ab" * 10), True), (list("ab" * 12), False)):
+        # 20 tokens a side is within the budget; a 24-token reference is too
+        # long, and a 60-token hypothesis against 20 exceeds the state budget
+        for hyp_size, ref_size, exact in ((20, 20, True), (24, 24, False), (60, 20, False)):
             searched.clear()
             for _ in range(2):
-                hyp = rng.sample(tokens, len(tokens))
-                ref = rng.sample(tokens, len(tokens))
+                hyp = rng.sample(list("ab" * (hyp_size // 2)), hyp_size)
+                ref = rng.sample(list("ab" * (ref_size // 2)), ref_size)
                 m, chunks = metrics._align(hyp, ref)
                 links = search(hyp, ref) if exact else metrics._align_greedy(hyp, ref)
-                assert (m, chunks) == (len(tokens), len(tokens) - links)
+                assert (m, chunks) == (ref_size, ref_size - links)
             assert bool(searched) == exact
 
 
