@@ -13,8 +13,7 @@ from typing import Any, Iterable, Iterator, Protocol, Sequence
 import numpy as np
 
 from .core import QASample, ValidationError, normalize_answer
-from .seeding import choice_order, choice_orders, derive_seed
-from .synthesis import choice_seed
+from .seeding import choice_order, choice_orders, choice_seed, derive_seed
 
 TRIALS = 10
 # Samples per choice_orders call. At 2,560 trial seeds the kernel's fixed

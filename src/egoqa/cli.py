@@ -260,6 +260,19 @@ def _record_to_row(record: GenerationRecord) -> dict[str, Any]:
     return {k: v for k, v in vars(record).items() if v is not None}
 
 
+def _read_tracks(path: str) -> Iterator[NarrationTrack]:
+    """The tracks of a narrations file; an invalid track is a ValidationError."""
+    for lineno, row in read_jsonl(path):
+        track = row_to_track(row, f"{path}:{lineno}")
+        violations = validate_track(track)
+        if violations:
+            raise ValidationError(
+                f"{path}:{lineno}: invalid track "
+                f"{track.clip_uid!r}: {','.join(v.code for v in violations)}"
+            )
+        yield track
+
+
 def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
     config = _endpoint_config(args, file_config)
     endpoint = _make_endpoint(args, config)
@@ -273,24 +286,13 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
     with_distractors = not getattr(args, "no_distractors", False)
     closeqa_template = load_template("closeqa_llama") if with_distractors else None
 
-    def iter_tracks() -> Iterator[NarrationTrack]:
-        for lineno, row in read_jsonl(args.narrations):
-            track = row_to_track(row, f"{args.narrations}:{lineno}")
-            violations = validate_track(track)
-            if violations:
-                raise ValidationError(
-                    f"{args.narrations}:{lineno}: invalid track "
-                    f"{track.clip_uid!r}: {','.join(v.code for v in violations)}"
-                )
-            yield track
-
     # Pass 1: corpus timing statistics. compute_stats streams the tracks
     # and keeps one number per clip.
     seen = 0
 
     def counted() -> Iterator[NarrationTrack]:
         nonlocal seen
-        for track in iter_tracks():
+        for track in _read_tracks(args.narrations):
             seen += 1
             yield track
 
@@ -325,8 +327,8 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
     def iter_sample_rows(write_record):
         nonlocal failure
         clips = synthesize(
-            iter_tracks(), stats, config, openqa_template, closeqa_template,
-            endpoint, split, max_sentences, max_span_s,
+            _read_tracks(args.narrations), stats, config, openqa_template,
+            closeqa_template, endpoint, split, max_sentences, max_span_s,
         )
         for track, records, samples, failure in clips:
             builder.add_narration_stats(len(track.narrations), track.duration_s)
@@ -444,6 +446,15 @@ def _load_preds(path: str) -> dict[str, PredictionSet]:
     return preds
 
 
+def _answers(gts: Mapping[str, QASample], path: str) -> list[tuple[str, str]]:
+    """(predicted, ground-truth) answers in query-id order; every query must be answered."""
+    preds = _load_preds(path)
+    missing = sorted(set(gts) - set(preds))
+    if missing:
+        raise MissingQuery(f"{path}: no predictions for queries: {missing}")
+    return [(preds[qid].answer_text, gts[qid].answer) for qid in sorted(gts)]
+
+
 def _report_doc(report: EvalReport, meta: Mapping[str, Any], task: str) -> dict[str, Any]:
     return {
         "_meta": dict(meta["_meta"]),
@@ -485,11 +496,7 @@ def cmd_eval(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
             },
         )
     elif task == "openqa":
-        preds = _load_preds(args.predictions[0])
-        missing = sorted(set(gts) - set(preds))
-        if missing:
-            raise MissingQuery(f"no predictions for queries: {missing}")
-        pairs = [(preds[qid].answer_text, gts[qid].answer) for qid in sorted(gts)]
+        pairs = _answers(gts, args.predictions[0])
         embed_url = _resolve(args, file_config, "embed_url", "", None, str)
         if embed_url:
             embedder = HttpEmbedder(
@@ -500,16 +507,7 @@ def cmd_eval(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
             embedder = TrigramEmbedder()
         report = openqa_report(pairs, embedder)
     else:
-        runs = []
-        for path in args.predictions:
-            preds = _load_preds(path)
-            missing = sorted(set(gts) - set(preds))
-            if missing:
-                raise MissingQuery(f"{path}: no predictions for queries: {missing}")
-            runs.append(
-                [(preds[qid].answer_text, gts[qid].answer) for qid in sorted(gts)]
-            )
-        mean, std = closeqa_accuracy(runs)
+        mean, std = closeqa_accuracy([_answers(gts, path) for path in args.predictions])
         report = EvalReport(
             metadata={"queries": len(gts), "runs": 5},
             metrics={"accuracy": MetricValue(mean, std)},
@@ -531,8 +529,7 @@ def cmd_stats(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
     if builder.sample_count == 0:
         raise EmptyCorpus(f"{args.qa} has no samples")
     if args.narrations:
-        for lineno, row in read_jsonl(args.narrations):
-            track = row_to_track(row, f"{args.narrations}:{lineno}")
+        for track in _read_tracks(args.narrations):
             builder.add_narration_stats(len(track.narrations), track.duration_s)
     stats = builder.finalize()
 

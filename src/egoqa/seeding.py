@@ -37,6 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import QASample
+
 
 def derive_seed(*parts: object) -> int:
     """Collapse arbitrary labels into a 64-bit RNG seed.
@@ -50,6 +52,11 @@ def derive_seed(*parts: object) -> int:
         h.update(len(raw).to_bytes(4, "big"))
         h.update(raw)
     return int.from_bytes(h.digest(), "big")
+
+
+def choice_seed(sample: QASample, seed: int) -> int:
+    """The RNG seed of a sample's choice order under a trial or run seed."""
+    return derive_seed("choices", seed, sample.clip_uid, sample.question, sample.answer)
 
 
 def choice_order(seed: int) -> list[int]:

@@ -33,7 +33,7 @@ from .prompts import (
     render_closeqa_prompt,
     render_openqa_prompt,
 )
-from .seeding import choice_order, derive_seed
+from .seeding import choice_order, choice_seed
 from .windows import CorpusTimingStats
 
 
@@ -298,8 +298,3 @@ def shuffled_choices(sample: QASample, seed: int) -> tuple[tuple[str, str, str, 
     perm = choice_order(choice_seed(sample, seed))
     choices = tuple(pool[p] for p in perm)
     return choices, perm.index(0)
-
-
-def choice_seed(sample: QASample, seed: int) -> int:
-    """The RNG seed of a sample's choice order under a trial or run seed."""
-    return derive_seed("choices", seed, sample.clip_uid, sample.question, sample.answer)

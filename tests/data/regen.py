@@ -31,10 +31,15 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
 
-from egoqa import load_template, prompt_digest  # noqa: E402
 from egoqa.chunking import chunk_track  # noqa: E402
 from egoqa.cli import _iter_export_tracks  # noqa: E402
-from egoqa.prompts import render_closeqa_prompt, render_openqa_prompt  # noqa: E402
+from egoqa.endpoint import prompt_digest  # noqa: E402
+from egoqa.jsonl_io import read_json_object  # noqa: E402
+from egoqa.prompts import (  # noqa: E402
+    load_template,
+    render_closeqa_prompt,
+    render_openqa_prompt,
+)
 from egoqa.windows import compute_stats  # noqa: E402
 
 # One QA pair per chunk of the 3-clip fixture, in (clip_uid, chunk_index)
@@ -65,10 +70,8 @@ SINK_NARRATIONS = (
 
 
 def write_mock_completions() -> str:
-    tracks = {
-        t.clip_uid: t
-        for t in _iter_export_tracks(os.path.join(HERE, "narration_export.json"), "merge")
-    }
+    export = read_json_object(os.path.join(HERE, "narration_export.json"), "narration export")
+    tracks = {t.clip_uid: t for t in _iter_export_tracks(export, "merge")}
     stats = compute_stats(list(tracks.values()))
     openqa_template = load_template("openqa_llama")
     closeqa_template = load_template("closeqa_llama")

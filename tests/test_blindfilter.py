@@ -1,9 +1,14 @@
 """Blind-filter trials, answerers, and removal rule."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import egoqa
 from egoqa.blindfilter import (
     BLOCK,
     TRIALS,
@@ -204,3 +209,20 @@ def test_missing_distractors_mid_block_raises_after_earlier_rows():
         for sample, _ in filter_rows(samples, ChoiceRecorder(), SEEDS):
             seen.append(sample)
     assert seen == samples[:BLOCK + 5]
+
+
+def test_import_leaves_out_synthesis_and_transport():
+    # The filter needs only core and seeding; a fresh interpreter shows
+    # which modules `import egoqa.blindfilter` really pulls in.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(egoqa.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, egoqa.blindfilter; "
+        "print(sorted({'egoqa.synthesis', 'egoqa.endpoint', 'http.client'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

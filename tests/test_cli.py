@@ -637,6 +637,17 @@ MALFORMED_INPUTS = {
                          {"text": "C waits.", "t_s": TOO_BIG}])],
         "narrations.jsonl:1: bad narration track",
     ),
+    "stats-track-duration-negative": (
+        lambda tmp: ["stats", FILTER_INPUT, "--out", str(tmp / "stats.json"),
+                     "--narrations", _track_file(tmp, duration_s=-59.999, narrations=[
+                         {"text": "C waits.", "t_s": 1.0}, {"text": " ", "t_s": 2.0}])],
+        "narrations.jsonl:1: invalid track 'c': nonpositive_duration",
+    ),
+    "stats-track-duration-infinite": (
+        lambda tmp: ["stats", FILTER_INPUT, "--out", str(tmp / "stats.json"),
+                     "--narrations", _track_file(tmp, duration_s=float("inf"))],
+        "narrations.jsonl:1: invalid track 'c': nonfinite_duration",
+    ),
     "stats-integer-over-digit-limit": (
         lambda tmp: ["stats", _text_file(tmp, "qa.jsonl", '{"clip_uid": ' + "1" * 5000 + "}\n"),
                      "--out", str(tmp / "stats.json")],
@@ -662,6 +673,11 @@ MALFORMED_INPUTS = {
         lambda tmp: ["eval", _pred_file(tmp, [{"start": 4.0, "end": 10.0}]),
                      "--gt", GT_VLG, "--task", "vlg", "--out", str(tmp / "report.json")],
         "preds.jsonl:1: bad prediction set",
+    ),
+    "eval-openqa-query-missing": (
+        lambda tmp: ["eval", _pred_file(tmp, []), "--gt", GT_VLG, "--task", "openqa",
+                     "--out", str(tmp / "report.json")],
+        "preds.jsonl: no predictions for queries: ['clip-e::0']",
     ),
     "config-nested-too-deep": (
         lambda tmp: ["--config", _text_file(tmp, "config.json", DEEP),
