@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -44,6 +45,7 @@ from .endpoint import EndpointConfig, HttpChatEndpoint, MockChatEndpoint
 from .jsonl_io import (
     EmptyCorpus,
     SchemaMismatch,
+    UnwritableOutput,
     jsonl_writer,
     make_meta,
     pred_to_row,
@@ -65,7 +67,7 @@ from .localization import decode_windows
 from .metrics import MissingQuery, closeqa_accuracy, openqa_report, vlg_recall
 from .prompts import PARSE_OK, load_template
 from .seeding import derive_seed
-from .stats import HISTOGRAMS, StatsBuilder, stats_tsv_lines
+from .stats import HISTOGRAMS, StatsBuilder
 from .synthesis import GenerationRecord, synthesize
 from .windows import NoIntervalData, compute_stats
 
@@ -347,7 +349,7 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
     elapsed = max(time.monotonic() - start, 1e-9)
     stats_path = args.stats_out or args.out + ".stats.json"
     if count:
-        write_json(stats_path, {"_meta": meta["_meta"], **builder.finalize().to_json_dict()})
+        write_json(stats_path, {"_meta": meta["_meta"], **builder.finalize()})
     log.info(
         "synthesize: wrote %d samples to %s in %.2fs; parsed openqa %d/%d, closeqa %d/%d",
         count, args.out, elapsed,
@@ -531,20 +533,23 @@ def cmd_stats(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
     if args.narrations:
         for track in _read_tracks(args.narrations):
             builder.add_narration_stats(len(track.narrations), track.duration_s)
-    stats = builder.finalize()
+    doc = builder.finalize()
 
     meta = make_meta({"command": "stats"})
-    write_json(args.out or "stats.json", {"_meta": meta["_meta"], **stats.to_json_dict()})
+    write_json(args.out or "stats.json", {"_meta": meta["_meta"], **doc})
     if args.tsv_dir:
-        os.makedirs(args.tsv_dir, exist_ok=True)
+        try:
+            os.makedirs(args.tsv_dir, exist_ok=True)
+        except OSError as exc:
+            raise UnwritableOutput(
+                f"{args.tsv_dir}: cannot create directory: {exc.strerror}"
+            ) from None
         for name in HISTOGRAMS:
             with staged_writer(os.path.join(args.tsv_dir, f"{name}.tsv")) as f:
-                f.write("\n".join(stats_tsv_lines(stats, name)) + "\n")
+                f.write("\n".join(builder.tsv_lines(name)) + "\n")
     log.info(
         "stats: %d samples over %d clips (questions avg %.2f words)",
-        stats.sample_count,
-        stats.clip_count,
-        stats.question_words_mean,
+        doc["sample_count"], doc["clip_count"], doc["question_words_mean"],
     )
     return EXIT_OK
 
@@ -556,6 +561,11 @@ def cmd_decode(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
     score_threshold = _resolve(args, file_config, "score_threshold", 0.05, None, float)
     nms_iou = _resolve(args, file_config, "nms_iou", 0.5, None, float)
     top_k = _resolve(args, file_config, "top_k", 5, None, int)
+    if top_k < 0:
+        raise ValidationError(f"top_k must be >= 0, got {top_k}")
+    for name, value in (("score_threshold", score_threshold), ("nms_iou", nms_iou)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
     hashed_config = {
         "command": "decode",

@@ -50,6 +50,10 @@ class EmptyCorpus(ValidationError):
     """An input dataset contains no payload rows."""
 
 
+class UnwritableOutput(ValidationError):
+    """An output path that cannot be created or replaced."""
+
+
 def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
@@ -89,13 +93,21 @@ def staged_writer(path: str) -> Iterator[TextIO]:
     with open()'s usual mode (0666 & ~umask). On success it is renamed onto
     path; on any exception it is removed, so neither a partial target nor a
     stray temp file is left behind, and concurrent writers never collide.
+    UnwritableOutput names path when the temp file cannot be created or
+    renamed onto it; errors raised in the caller's block propagate unchanged.
     """
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    f = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        f = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise UnwritableOutput(f"{path}: cannot create output: {exc.strerror}") from None
     try:
         with f:
             yield f
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise UnwritableOutput(f"{path}: cannot replace output: {exc.strerror}") from None
     except BaseException:
         with suppress(OSError):
             os.remove(tmp)

@@ -447,6 +447,61 @@ class TestStats:
         assert sum(int(c) for _, c in lines) == 4
         assert os.path.exists(os.path.join(tsv_dir, "window_duration_s.tsv"))
 
+    def _stats(self, tmp_path, rows, *extra):
+        """Run stats over qa rows (no distractors unless given); return the
+        document and the TSV directory."""
+        base = {"clip_uid": "c", "question": "What did I open?", "answer": "the door",
+                "window": [0.0, 1.0], "split": "test", "source": "synthesized"}
+        qa = _text_file(tmp_path, "qa.jsonl",
+                        "".join(json.dumps({**base, **row}) + "\n" for row in rows))
+        out, tsv_dir = str(tmp_path / "stats.json"), str(tmp_path / "tsv")
+        assert cli.main(["stats", qa, "--out", out, "--tsv-dir", tsv_dir, *extra]) == 0
+        return json.loads(_read(out)), tsv_dir
+
+    def test_tsv_bins_sort_numerically_json_keys_canonically(self, tmp_path):
+        rows = [{"window": [0.0, 10.5]}, {"window": [0.0, 2.5]}, {"window": [0.0, 1.5]}]
+        _, tsv_dir = self._stats(tmp_path, rows)
+        tsv = _read(os.path.join(tsv_dir, "window_duration_s.tsv")).decode()
+        assert tsv == "1\t1\n2\t1\n10\t1\n"
+        assert b'"window_duration_s":{"1":1,"10":1,"2":1}' in _read(tmp_path / "stats.json")
+
+    def test_no_distractors_leaves_distractor_stats_empty(self, tmp_path):
+        doc, tsv_dir = self._stats(tmp_path, [{}, {"answer": "the fridge"}])
+        assert "distractor_words_mean" not in doc
+        assert doc["histograms"]["distractor_words"] == {}
+        assert _read(os.path.join(tsv_dir, "distractor_words.tsv")) == b"\n"
+
+    def test_distractor_mean_from_histogram(self, tmp_path):
+        doc, _ = self._stats(tmp_path, [{"wrong_answers": ["a cup", "the red pan", "no"]}])
+        assert doc["distractor_words_mean"] == 2.0
+        assert doc["histograms"]["distractor_words"] == {"1": 1, "2": 1, "3": 1}
+
+    def test_answers_merge_after_normalization(self, tmp_path):
+        doc, _ = self._stats(tmp_path, [{"answer": "the fridge"}, {"answer": "The  Fridge."}])
+        assert doc["top_answers"] == [["the fridge", 2]]
+        assert doc["histograms"]["answer_words"] == {"2": 2}
+
+    def test_top_answers_rank_by_count_then_text_capped_at_30(self, tmp_path):
+        answers = [f"answer {i:02d}" for i in range(30, -1, -1)] + ["answer 17"]
+        doc, _ = self._stats(tmp_path, [{"answer": a} for a in answers])
+        expected = [["answer 17", 2]] + [
+            [f"answer {i:02d}", 1] for i in range(31) if i != 17
+        ][:29]
+        assert doc["top_answers"] == expected
+        assert doc["sample_count"] == 32
+
+    def test_clip_count_counts_distinct_clips(self, tmp_path):
+        doc, _ = self._stats(tmp_path, [{"clip_uid": u} for u in ("a", "b", "a")])
+        assert (doc["clip_count"], doc["sample_count"]) == (2, 3)
+
+    def test_narration_density_only_with_narrations(self, tmp_path):
+        doc, _ = self._stats(tmp_path, [{}])
+        assert "narration_per_minute" not in doc
+        track = _track_file(tmp_path, duration_s=120.0, narrations=[
+            {"text": f"C waits {i}.", "t_s": float(i)} for i in range(3)])
+        doc, _ = self._stats(tmp_path, [{}], "--narrations", track)
+        assert doc["narration_per_minute"] == 1.5
+
     def test_empty_input_exits_2(self, tmp_path):
         empty = tmp_path / "qa.jsonl"
         empty.write_text("")
@@ -506,6 +561,12 @@ def _text_file(tmp_path, name, text):
 def _bytes_file(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
+    return str(path)
+
+
+def _dir(tmp_path, name):
+    path = tmp_path / name
+    path.mkdir()
     return str(path)
 
 
@@ -683,6 +744,41 @@ MALFORMED_INPUTS = {
         lambda tmp: ["--config", _text_file(tmp, "config.json", DEEP),
                      "stats", FILTER_INPUT, "--out", str(tmp / "stats.json")],
         "config.json: not JSON: maximum recursion depth exceeded",
+    ),
+    "stats-out-dir-missing": (
+        lambda tmp: ["stats", FILTER_INPUT, "--out", str(tmp / "absent" / "stats.json")],
+        "absent/stats.json: cannot create output",
+    ),
+    "decode-out-dir-missing": (
+        lambda tmp: ["decode", HEADS, "--out", str(tmp / "absent" / "preds.jsonl")],
+        "absent/preds.jsonl: cannot create output",
+    ),
+    "synthesize-out-dir-missing": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "absent" / "qa.jsonl"),
+                     "--mock", MOCK],
+        "absent/qa.jsonl.records.jsonl: cannot create output",
+    ),
+    "stats-out-is-directory": (
+        lambda tmp: ["stats", FILTER_INPUT, "--out", _dir(tmp, "stats.json")],
+        "stats.json: cannot replace output",
+    ),
+    "stats-tsv-dir-is-file": (
+        lambda tmp: ["stats", FILTER_INPUT, "--out", str(tmp / "stats.json"),
+                     "--tsv-dir", _text_file(tmp, "plots", "")],
+        "plots: cannot create directory",
+    ),
+    "decode-top-k-negative": (
+        lambda tmp: ["decode", HEADS, "--out", str(tmp / "preds.jsonl"), "--top-k", "-3"],
+        "top_k must be >= 0",
+    ),
+    "decode-score-threshold-nan": (
+        lambda tmp: ["decode", HEADS, "--out", str(tmp / "preds.jsonl"),
+                     "--score-threshold", "nan"],
+        "score_threshold must be finite",
+    ),
+    "decode-nms-iou-nan": (
+        lambda tmp: ["decode", HEADS, "--out", str(tmp / "preds.jsonl"), "--nms-iou", "nan"],
+        "nms_iou must be finite",
     ),
     "config-value-fails-cast": (
         lambda tmp: ["--config", _text_file(tmp, "config.json", '{"parallelism": "x"}'),

@@ -18,6 +18,7 @@ from egoqa.jsonl_io import (
     EmptyCorpus,
     SchemaMismatch,
     UnreadableInput,
+    UnwritableOutput,
     config_hash,
     dumps_canonical,
     head_to_row,
@@ -135,6 +136,22 @@ class TestWriteRead:
         with open(path) as f:
             assert f.read() == "old\n"
         assert os.listdir(tmp_path) == ["x.tsv"]
+
+    def test_staged_writer_names_target_it_cannot_write(self, tmp_path):
+        missing = str(tmp_path / "absent" / "x.tsv")
+        with pytest.raises(UnwritableOutput, match="absent/x.tsv: cannot create output"):
+            with staged_writer(missing):
+                pass
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(UnwritableOutput, match="dir: cannot replace output"):
+            with staged_writer(str(tmp_path / "dir")) as f:
+                f.write("x\n")
+        # an error inside the block is the caller's, not the writer's
+        with pytest.raises(OSError) as info:
+            with staged_writer(str(tmp_path / "x.tsv")):
+                raise OSError("disk full")
+        assert type(info.value) is OSError
+        assert sorted(os.listdir(tmp_path)) == ["dir"]
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(UnreadableInput):
