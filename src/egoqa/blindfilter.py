@@ -7,18 +7,22 @@ whole procedure is a pure function of the seed list.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .core import QASample, ValidationError, normalize_answer
-from .seeding import choice_order, choice_orders, choice_seed, derive_seed
+from .seeding import choice_order, choice_orders, choice_seeds, derive_seed
 
 TRIALS = 10
 # Samples per choice_orders call. At 2,560 trial seeds the kernel's fixed
 # cost (about 0.4 ms a call) is about 1% of the block's trials.
 BLOCK = 256
+# Distinct choice strings whose training count FrequencyPriorAnswerer keeps.
+COUNT_MEMO = 4096
 
 
 class MissingDistractors(ValidationError):
@@ -38,17 +42,17 @@ class FrequencyPriorAnswerer:
     """Picks the choice most frequent among training answers.
 
     A strong no-video baseline: rare distractors lose to common answers.
-    Ties (including all-unseen choices) break by a seeded draw.
+    Ties (including all-unseen choices) break by a seeded draw. Counts are
+    memoized by raw choice text (at most COUNT_MEMO), so the same choices
+    shown in a sample's ten trials are normalized once.
     """
 
-    def __init__(self, training_answers: Sequence[str]):
-        self._counts: dict[str, int] = {}
-        for answer in training_answers:
-            key = normalize_answer(answer)
-            self._counts[key] = self._counts.get(key, 0) + 1
+    def __init__(self, training_answers: Iterable[str]):
+        counts = Counter(map(normalize_answer, training_answers))
+        self._count = lru_cache(COUNT_MEMO)(lambda choice: counts[normalize_answer(choice)])
 
     def answer(self, question: str, choices: Sequence[str], seed: int) -> str:
-        scores = [self._counts.get(normalize_answer(c), 0) for c in choices]
+        scores = [self._count(c) for c in choices]
         best = max(scores)
         tied = [i for i, s in enumerate(scores) if s == best]
         if len(tied) == 1:
@@ -140,7 +144,9 @@ def _choice_seeds(
     sample: QASample, seeds: Sequence[int], reshuffle_per_trial: bool
 ) -> list[int]:
     """Each trial's choice-order seed: from its own seed, or from the first trial's."""
-    return [choice_seed(sample, s if reshuffle_per_trial else seeds[0]) for s in seeds]
+    if reshuffle_per_trial:
+        return choice_seeds(sample, seeds)
+    return choice_seeds(sample, seeds[:1]) * len(seeds)
 
 
 def _trials(
@@ -149,14 +155,20 @@ def _trials(
     seeds: Sequence[int],
     orders: Sequence[Sequence[int]],
 ) -> tuple[bool, ...]:
-    """The answerer's trials for one sample, trial t showing the choices in orders[t]."""
+    """The answerer's trials for one sample, trial t showing the choices in orders[t].
+
+    Each choice is normalized once; only a pick outside the choices is
+    normalized on its own.
+    """
     pool = (sample.answer, *sample.wrong_answers)
     target = normalize_answer(sample.answer)
-    return tuple(
-        normalize_answer(answerer.answer(sample.question, tuple(pool[p] for p in order), seed))
-        == target
-        for seed, order in zip(seeds, orders)
-    )
+    correct = {choice: normalize_answer(choice) == target for choice in pool}
+    outcomes = []
+    for seed, order in zip(seeds, orders):
+        pick = answerer.answer(sample.question, tuple(pool[p] for p in order), seed)
+        hit = correct.get(pick)
+        outcomes.append(normalize_answer(pick) == target if hit is None else hit)
+    return tuple(outcomes)
 
 
 def filter_rows(

@@ -49,7 +49,7 @@ def chunk_track(
     """Partition a validated track into greedy left-to-right chunks."""
     if max_sentences < 1:
         raise ValidationError(f"max_sentences must be >= 1, got {max_sentences}")
-    if max_span_s <= 0:
+    if not max_span_s > 0:
         raise ValidationError(f"max_span_s must be > 0, got {max_span_s}")
     if not track.narrations:
         raise EmptyTrack(f"clip {track.clip_uid!r} has no narrations")

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 import traceback
-from collections import Counter
+from collections import Counter, deque
 from typing import Any, Iterator, Mapping
 
 from .blindfilter import (
@@ -46,6 +46,7 @@ from .jsonl_io import (
     EmptyCorpus,
     SchemaMismatch,
     UnwritableOutput,
+    check_outputs,
     jsonl_writer,
     make_meta,
     pred_to_row,
@@ -287,6 +288,9 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
     )
     with_distractors = not getattr(args, "no_distractors", False)
     closeqa_template = load_template("closeqa_llama") if with_distractors else None
+    records_path = args.records or args.out + ".records.jsonl"
+    stats_path = args.stats_out or args.out + ".stats.json"
+    check_outputs(records_path, args.out, stats_path)
 
     # Pass 1: corpus timing statistics. compute_stats streams the tracks
     # and keeps one number per clip.
@@ -343,11 +347,9 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
                 yield qa_to_row(sample)
 
     start = time.monotonic()
-    records_path = args.records or args.out + ".records.jsonl"
     with jsonl_writer(records_path, meta) as write_record:
         count = write_jsonl(args.out, iter_sample_rows(write_record), meta)
     elapsed = max(time.monotonic() - start, 1e-9)
-    stats_path = args.stats_out or args.out + ".stats.json"
     if count:
         write_json(stats_path, {"_meta": meta["_meta"], **builder.finalize()})
     log.info(
@@ -378,16 +380,25 @@ def cmd_filter_blind(args: argparse.Namespace, file_config: Mapping[str, Any]) -
     reshuffle = not getattr(args, "no_reshuffle", False)
 
     kind = _resolve(args, file_config, "answerer", "frequency", None, str)
-    if kind == "frequency":
-        train_path = args.train or args.qa
-        answers = (row_to_qa(row, f"{train_path}:{n}").answer
-                   for n, row in read_jsonl(train_path))
-        answerer = FrequencyPriorAnswerer(answers)
-    elif kind == "uniform":
-        answerer = UniformRandomAnswerer()
-    else:
+    if kind not in ("frequency", "uniform"):
         raise ValidationError(f"--answerer must be frequency or uniform, got {kind!r}")
-    samples = (row_to_qa(row, f"{args.qa}:{n}") for n, row in read_jsonl(args.qa))
+    report_path = args.report or args.out + ".report.json"
+    check_outputs(args.out, report_path)
+
+    def read_qa(path: str) -> Iterator[QASample]:
+        return (row_to_qa(row, f"{path}:{n}") for n, row in read_jsonl(path))
+
+    samples = read_qa(args.qa)
+    if kind == "uniform":
+        answerer = UniformRandomAnswerer()
+    elif args.train in (None, args.qa):
+        # The training answers are the test set's own: read the file once,
+        # and let each sample go once the filter has passed it.
+        held = deque(samples)
+        answerer = FrequencyPriorAnswerer(s.answer for s in held)
+        samples = (held.popleft() for _ in range(len(held)))
+    else:
+        answerer = FrequencyPriorAnswerer(s.answer for s in read_qa(args.train))
     pairs = filter_rows(samples, answerer, seeds, reshuffle)
 
     hashed_config = {
@@ -408,10 +419,7 @@ def cmd_filter_blind(args: argparse.Namespace, file_config: Mapping[str, Any]) -
 
     write_jsonl(args.out, iter_kept(), meta)
     report = FilterReport.from_rows(rows)
-    write_json(
-        args.report or args.out + ".report.json",
-        {"_meta": meta["_meta"], **report.to_json_dict()},
-    )
+    write_json(report_path, {"_meta": meta["_meta"], **report.to_json_dict()})
     log.info(
         "filter-blind: kept %d/%d samples (%d removed)",
         report.kept,
@@ -535,8 +543,8 @@ def cmd_stats(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
             builder.add_narration_stats(len(track.narrations), track.duration_s)
     doc = builder.finalize()
 
-    meta = make_meta({"command": "stats"})
-    write_json(args.out or "stats.json", {"_meta": meta["_meta"], **doc})
+    out = args.out or "stats.json"
+    check_outputs(out)
     if args.tsv_dir:
         try:
             os.makedirs(args.tsv_dir, exist_ok=True)
@@ -544,6 +552,9 @@ def cmd_stats(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
             raise UnwritableOutput(
                 f"{args.tsv_dir}: cannot create directory: {exc.strerror}"
             ) from None
+    meta = make_meta({"command": "stats"})
+    write_json(out, {"_meta": meta["_meta"], **doc})
+    if args.tsv_dir:
         for name in HISTOGRAMS:
             with staged_writer(os.path.join(args.tsv_dir, f"{name}.tsv")) as f:
                 f.write("\n".join(builder.tsv_lines(name)) + "\n")

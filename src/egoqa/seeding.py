@@ -40,23 +40,40 @@ import numpy as np
 from .core import QASample
 
 
+def _part(part: object) -> bytes:
+    raw = str(part).encode("utf-8")
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def _seed(encoded_parts: bytes) -> int:
+    return int.from_bytes(hashlib.blake2b(encoded_parts, digest_size=8).digest(), "big")
+
+
 def derive_seed(*parts: object) -> int:
     """Collapse arbitrary labels into a 64-bit RNG seed.
 
     Parts are length-prefixed before hashing so ("ab", "c") and ("a", "bc")
     derive different seeds.
     """
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        raw = str(part).encode("utf-8")
-        h.update(len(raw).to_bytes(4, "big"))
-        h.update(raw)
-    return int.from_bytes(h.digest(), "big")
+    return _seed(b"".join(map(_part, parts)))
+
+
+_CHOICES = _part("choices")
+
+
+def choice_seeds(sample: QASample, seeds: Sequence[int]) -> list[int]:
+    """The RNG seed of a sample's choice order under each trial or run seed.
+
+    Each equals `derive_seed("choices", seed, clip_uid, question, answer)`;
+    the sample's parts are encoded once, not once per seed.
+    """
+    tail = _part(sample.clip_uid) + _part(sample.question) + _part(sample.answer)
+    return [_seed(_CHOICES + _part(s) + tail) for s in seeds]
 
 
 def choice_seed(sample: QASample, seed: int) -> int:
     """The RNG seed of a sample's choice order under a trial or run seed."""
-    return derive_seed("choices", seed, sample.clip_uid, sample.question, sample.answer)
+    return choice_seeds(sample, (seed,))[0]
 
 
 def choice_order(seed: int) -> list[int]:

@@ -9,6 +9,12 @@ first job that fails. synthesize, the library entry point of the
 synthesize command, runs a whole corpus through one _run_jobs call and
 yields each clip's records and samples as its last chunk completes.
 generate_openqa and attach_distractors run one batch of units each.
+
+Only an endpoint that waits on a socket (an HttpClient) gets the pool: an
+in-process endpoint such as MockChatEndpoint runs its jobs inline, one at
+a time, whatever config.parallelism says. Under the GIL, worker threads
+would only add hand-offs to CPU-bound jobs, and the output is the same
+either way.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .chunking import NarrationChunk, chunk_track
 from .core import NarrationTrack, QASample, ValidationError
-from .endpoint import ChatEndpoint, EndpointConfig, EndpointUnavailable
+from .endpoint import ChatEndpoint, EndpointConfig, EndpointUnavailable, HttpClient
 from .prompts import (
     PARSE_MALFORMED,
     PARSE_OK,
@@ -109,6 +115,11 @@ def _run_jobs(jobs: Iterable, worker: Callable, parallelism: int) -> Iterator:
         finally:
             for future in pending:
                 future.cancel()
+
+
+def _parallelism(config: EndpointConfig, endpoint: ChatEndpoint) -> int:
+    """Jobs to run at once: config.parallelism for an HttpClient, else 1."""
+    return config.parallelism if isinstance(endpoint, HttpClient) else 1
 
 
 def openqa_unit(
@@ -203,7 +214,7 @@ def generate_openqa(
     done = tuple(_run_jobs(
         sorted(chunks, key=lambda c: (c.clip_uid, c.chunk_index)),
         lambda c: openqa_unit(c, tracks[c.clip_uid], config, template, endpoint, split),
-        config.parallelism,
+        _parallelism(config, endpoint),
     ))
     return tuple(s for s, _ in done if s is not None), tuple(r for _, r in done)
 
@@ -222,7 +233,9 @@ def attach_distractors(
     Raises EndpointUnavailable if the endpoint dies mid-batch.
     """
     done = tuple(_run_jobs(
-        samples, lambda s: distractor_unit(s, config, template, endpoint), config.parallelism
+        samples,
+        lambda s: distractor_unit(s, config, template, endpoint),
+        _parallelism(config, endpoint),
     ))
     return tuple(s for s, _ in done), tuple(r for _, r in done if r is not None)
 
@@ -265,7 +278,7 @@ def synthesize(
             error = exc
         return clip_no, track, openqa, closeqa, sample, error
 
-    results = _run_jobs(jobs(), run, config.parallelism)
+    results = _run_jobs(jobs(), run, _parallelism(config, endpoint))
     with closing(results):
         for _, clip in groupby(results, key=itemgetter(0)):
             openqa_records, closeqa_records, samples = [], [], []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import egoqa
+import egoqa.blindfilter as blindfilter
 from egoqa.blindfilter import (
     BLOCK,
     TRIALS,
@@ -21,8 +22,8 @@ from egoqa.blindfilter import (
     filter_test_set,
     trial_outcomes,
 )
-from egoqa.core import QASample, TemporalWindow, ValidationError
-from egoqa.seeding import choice_orders
+from egoqa.core import QASample, TemporalWindow, ValidationError, normalize_answer
+from egoqa.seeding import choice_orders, derive_seed
 
 from .oracles import ScriptedAnswerer, oracle_shuffle
 
@@ -57,6 +58,18 @@ def test_frequency_prior_tie_breaks_deterministically():
     choices = ["a", "b", "c", "d"]
     first = answerer.answer("Q?", choices, seed=7)
     assert all(answerer.answer("Q?", choices, seed=7) == first for _ in range(5))
+
+
+def test_frequency_prior_memo_is_bounded_and_changes_no_pick(monkeypatch):
+    monkeypatch.setattr(blindfilter, "COUNT_MEMO", 3)
+    training = ["yes"] * 3 + ["Red."] * 2 + ["blue"]
+    answerer = FrequencyPriorAnswerer(training)
+    counts = {"yes": 3, "red": 2, "blue": 1}
+    for choices in (["yes", "RED", "x", "y"], ["red!", "Blue", "z", "w"],
+                    ["blue", "x", "YES.", "red"], ["q", "r", "blue ", "s"]) * 3:
+        best = max(choices, key=lambda c: counts.get(normalize_answer(c), 0))
+        assert answerer.answer("Q?", choices, seed=1) == best
+        assert answerer._count.cache_info().currsize <= 3
 
 
 def test_uniform_answerer_deterministic_per_seed():
@@ -199,6 +212,52 @@ def test_filter_rows_equal_per_sample_trials_across_blocks(reshuffle):
     want = [trial_outcomes(s, single, SEEDS, reshuffle) for s in samples]
     assert [row.outcomes for row in rows] == want
     assert blocked.seen == single.seen
+
+
+class OffPoolAnswerer:
+    """Returns a spelling of a choice that is not in the pool, or no choice."""
+
+    def answer(self, question, choices, seed):
+        if seed % 3 == 0:
+            return "none of these"
+        return " " + choices[seed % 4].upper() + " ?!"
+
+
+def _naive_outcomes(sample, answerer, seeds, reshuffle):
+    """The protocol as written: each trial's order from numpy, each pick
+    normalized and compared with the normalized answer."""
+    pool = (sample.answer, *sample.wrong_answers)
+    outcomes = []
+    for seed in seeds:
+        order_seed = derive_seed("choices", seed if reshuffle else seeds[0],
+                                 sample.clip_uid, sample.question, sample.answer)
+        order = np.random.default_rng(order_seed).permutation(4)
+        pick = answerer.answer(sample.question, tuple(pool[p] for p in order), seed)
+        outcomes.append(normalize_answer(pick) == normalize_answer(sample.answer))
+    return tuple(outcomes)
+
+
+@pytest.mark.parametrize("reshuffle", [True, False])
+@pytest.mark.parametrize("make_answerer", [
+    lambda samples: FrequencyPriorAnswerer([s.answer for s in samples]),
+    lambda samples: UniformRandomAnswerer(),
+    lambda samples: OffPoolAnswerer(),
+], ids=["frequency", "uniform", "off-pool"])
+def test_filter_rows_equal_trial_outcomes_and_the_naive_protocol(make_answerer, reshuffle):
+    # A distractor that is another sample's answer ties or beats the answer
+    # under the frequency prior, so that answerer does not win every trial.
+    samples = [
+        _sample(f"Q{i}?", f"a{i % 7}", (f"a{(i + 1 + i // 7 % 6) % 7}", f"m{i % 5}", f"n{i}"),
+                uid=f"c{i % 13}")
+        for i in range(BLOCK + 44)
+    ]
+    seeds = list(range(-5, 5))
+    rows = [row.outcomes for _, row in filter_rows(
+        samples, make_answerer(samples), seeds, reshuffle)]
+    single = [trial_outcomes(s, make_answerer(samples), seeds, reshuffle) for s in samples]
+    naive = [_naive_outcomes(s, make_answerer(samples), seeds, reshuffle) for s in samples]
+    assert rows == single == naive
+    assert any(any(r) for r in rows) and not all(all(r) for r in rows)
 
 
 def test_missing_distractors_mid_block_raises_after_earlier_rows():

@@ -71,6 +71,10 @@ def test_parameter_validation():
         chunk_track(track, stats, max_sentences=0)
     with pytest.raises(ValidationError):
         chunk_track(track, stats, max_span_s=0.0)
+    # NaN fails every comparison, so a `<= 0` guard let it through and
+    # every narration became its own chunk.
+    with pytest.raises(ValidationError, match="max_span_s must be > 0"):
+        chunk_track(track, stats, max_span_s=float("nan"))
 
 
 def test_noncontiguous_members_rejected():

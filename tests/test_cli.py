@@ -753,6 +753,11 @@ MALFORMED_INPUTS = {
         lambda tmp: ["decode", HEADS, "--out", str(tmp / "absent" / "preds.jsonl")],
         "absent/preds.jsonl: cannot create output",
     ),
+    "synthesize-max-span-nan": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", MOCK, "--max-span-s", "nan"],
+        "max_span_s must be > 0, got nan",
+    ),
     "synthesize-out-dir-missing": (
         lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "absent" / "qa.jsonl"),
                      "--mock", MOCK],
@@ -800,6 +805,43 @@ class TestExitCodes:
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert any(reason in e for e in errors), errors
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+    @pytest.mark.parametrize("argv, reason", [
+        pytest.param(["filter-blind", FILTER_INPUT, "--out", "kept.jsonl",
+                      "--report", os.path.join("absent", "r.json")],
+                     "absent/r.json: cannot create output",
+                     id="filter-blind-report-dir-missing"),
+        pytest.param(["filter-blind", FILTER_INPUT, "--out", "kept.jsonl", "--report", "taken"],
+                     "taken: cannot replace output",
+                     id="filter-blind-report-is-directory"),
+        pytest.param(["stats", FILTER_INPUT, "--out", "stats.json", "--tsv-dir", "taken.txt"],
+                     "taken.txt: cannot create directory",
+                     id="stats-tsv-dir-is-file"),
+        pytest.param(["synthesize", "narrations.jsonl", "--out", "qa.jsonl", "--mock", MOCK,
+                      "--stats-out", os.path.join("absent", "s.json")],
+                     "absent/s.json: cannot create output",
+                     id="synthesize-stats-dir-missing"),
+        pytest.param(["synthesize", "narrations.jsonl", "--out", "qa.jsonl", "--mock", MOCK,
+                      "--records", os.path.join(".", "qa.jsonl")],
+                     "qa.jsonl: named as more than one output",
+                     id="synthesize-records-is-out"),
+        pytest.param(["filter-blind", FILTER_INPUT, "--out", "kept.jsonl",
+                      "--report", "kept.jsonl"],
+                     "kept.jsonl: named as more than one output",
+                     id="filter-blind-report-is-out"),
+    ])
+    def test_bad_later_output_leaves_no_earlier_output(
+        self, argv, reason, tmp_path, monkeypatch, caplog
+    ):
+        _ingest(tmp_path)
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "taken.txt").write_text("")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        with caplog.at_level(logging.ERROR):
+            assert cli.main(argv) == 2
+        assert any(reason in r.getMessage() for r in caplog.records)
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_invariant_breach_maps_to_4(self, tmp_path, monkeypatch):
         def boom(args, file_config):

@@ -14,11 +14,18 @@ import pytest
 
 import egoqa.cli as cli
 from egoqa.embedding import EmbedderUnavailable, HttpEmbedder
-from egoqa.endpoint import EndpointConfig, EndpointUnavailable, HttpChatEndpoint
+from egoqa.endpoint import (
+    EndpointConfig,
+    EndpointUnavailable,
+    HttpChatEndpoint,
+    MockChatEndpoint,
+)
 
 from .conftest import DATA_DIR
 
 GT_VLG = os.path.join(DATA_DIR, "gt_vlg.jsonl")
+EXPORT = os.path.join(DATA_DIR, "narration_export.json")
+MOCK = os.path.join(DATA_DIR, "mock_completions.json")
 KEYCERT = os.path.join(DATA_DIR, "localhost_keycert.pem")
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CHAT_OK = {"choices": [{"message": {"content": "hello"}}]}
@@ -34,11 +41,14 @@ class ScriptedServer:
     with hang_up set, the server closes each one after its first reply
     without announcing it, and `closed` is released once per connection
     closed. With tls it serves HTTPS as localhost and 127.0.0.1 with the
-    self-signed certificate in KEYCERT.
+    self-signed certificate in KEYCERT. With `mock` set to a
+    MockChatEndpoint, each chat request is answered from it by prompt
+    instead, and a prompt it has no completion for gets a 500.
     """
 
     def __init__(self, tls=False):
         self.replies: list[tuple[int, object]] = [(200, {})]
+        self.mock: MockChatEndpoint | None = None
         self.requests: list[dict] = []
         self.connections = 0
         self.hang_up = False
@@ -61,6 +71,8 @@ class ScriptedServer:
                 })
                 i = min(len(owner.requests), len(owner.replies)) - 1
                 status, body = owner.replies[i]
+                if owner.mock is not None:
+                    status, body = owner.mock_reply(owner.requests[-1]["body"])
                 payload = body if isinstance(body, bytes) else json.dumps(body).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
@@ -88,6 +100,13 @@ class ScriptedServer:
             target=self.httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
         )
         self.thread.start()
+
+    def mock_reply(self, body):
+        try:
+            content = self.mock.complete(body["messages"][0]["content"])
+        except EndpointUnavailable as exc:
+            return 500, {"error": str(exc)}
+        return 200, {"choices": [{"message": {"content": content}}]}
 
     def close(self):
         self.httpd.shutdown()
@@ -177,6 +196,54 @@ def test_reply_nested_deeper_than_the_decoder_is_a_failed_attempt(server, tmp_pa
         "--base-url", server.url, "--max-retries", "0",
     ])
     assert code == 3
+
+
+def _synthesize_at(server, tmp_path, fixture, parallelisms, want_code):
+    """Run synthesize against the server at each parallelism, each run from
+    a fresh mock. Returns the set of (qa, records, stats) file contents and
+    the connections each run opened."""
+    narrations = str(tmp_path / "narrations.jsonl")
+    assert cli.main(["ingest", EXPORT, "--out", narrations]) == 0
+    outputs, connections = set(), []
+    for par in parallelisms:
+        server.mock = MockChatEndpoint(fixture)
+        server.connections = 0
+        out = str(tmp_path / f"qa-{par}.jsonl")
+        code = cli.main([
+            "synthesize", narrations, "--out", out, "--base-url", server.url,
+            "--max-retries", "0", "--seed", "7", "--split", "test",
+            "--parallelism", str(par),
+        ])
+        assert code == want_code
+        files = []
+        for path in (out, out + ".records.jsonl", out + ".stats.json"):
+            if os.path.exists(path):
+                with open(path, "rb") as f:
+                    files.append(f.read())
+        outputs.add(tuple(files))
+        connections.append(server.connections)
+    return outputs, connections
+
+
+def test_loopback_synthesis_byte_identical_across_parallelism(server, tmp_path):
+    """Criterion 9's check on the worker pool: an HTTP endpoint runs on it."""
+    with open(MOCK, encoding="utf-8") as f:
+        fixture = json.load(f)
+    outputs, connections = _synthesize_at(server, tmp_path, fixture, (1, 2, 8), want_code=0)
+    assert len(outputs) == 1
+    assert len(next(iter(outputs))) == 3
+    # One keep-alive connection inline; the pool's workers each open their own.
+    assert connections[0] == 1 and connections[2] > 1
+
+
+def test_loopback_endpoint_death_partial_output_same_at_any_parallelism(server, tmp_path):
+    with open(MOCK, encoding="utf-8") as f:
+        full = json.load(f)
+    keep = next(k for k, v in full.items() if "Where did I put the bowl?" in v)
+    outputs, _ = _synthesize_at(server, tmp_path, {keep: full[keep]}, (1, 4), want_code=3)
+    assert len(outputs) == 1
+    (_, records, *_), = outputs
+    assert b'"parse_status":"ok"' in records
 
 
 def test_openqa_eval_exits_3_when_embedder_keeps_failing(server, tmp_path):

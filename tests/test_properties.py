@@ -3,8 +3,10 @@ the HeadOutputs acceptance rule), the row decoders' and completion parsers'
 error contracts, and the choice-order kernel against numpy."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from egoqa.core import ValidationError
 from egoqa.jsonl_io import SchemaMismatch, row_to_head, row_to_pred, row_to_qa, row_to_track
 from egoqa.localization import HeadOutputs, LengthMismatch, decode_windows
 from egoqa.prompts import ParsedCompletion, parse_closeqa_completion, parse_openqa_completion
-from egoqa.seeding import choice_orders
+from egoqa.seeding import choice_orders, choice_seeds, derive_seed
 
 from .oracles import oracle_nms
 
@@ -197,3 +199,28 @@ def test_choice_orders_equal_numpy_permutations(seeds):
     got = choice_orders(seeds)
     assert got.shape == (len(seeds), 4)
     assert got.tolist() == [np.random.default_rng(s).permutation(4).tolist() for s in seeds]
+
+
+def reference_derive_seed(*parts):
+    """derive_seed as first written: one blake2b update per length prefix and part."""
+    h = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        raw = str(part).encode("utf-8")
+        h.update(len(raw).to_bytes(4, "big"))
+        h.update(raw)
+    return int.from_bytes(h.digest(), "big")
+
+
+# choice_seeds encodes a sample's parts once for all its seeds; each seed
+# must still be the derive_seed of the full part list. Only the three text
+# fields are read, so any text is drawn, not just what QASample accepts.
+@settings(max_examples=200, deadline=None)
+@given(
+    clip_uid=st.text(), question=st.text(), answer=st.text(),
+    seeds=st.lists(st.integers() | st.integers(-(2**200), 2**200), max_size=12),
+)
+def test_choice_seeds_equal_derive_seed(clip_uid, question, answer, seeds):
+    sample = SimpleNamespace(clip_uid=clip_uid, question=question, answer=answer)
+    want = [reference_derive_seed("choices", s, clip_uid, question, answer) for s in seeds]
+    assert choice_seeds(sample, seeds) == want
+    assert [derive_seed("choices", s, clip_uid, question, answer) for s in seeds] == want

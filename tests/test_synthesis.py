@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import sys
+import threading
 import time
 
 import pytest
@@ -176,6 +177,27 @@ def test_output_identical_across_parallelism():
         )
         runs.append((samples, records))
     assert runs[0] == runs[1]
+
+
+def test_in_process_endpoint_runs_inline_at_any_parallelism():
+    tracks, _ = _fixture_corpus()
+    before = set(threading.enumerate())
+    seen = []
+
+    class Recording(MockChatEndpoint):
+        def complete(self, prompt):
+            seen.append((threading.current_thread(), set(threading.enumerate()) - before))
+            return super().complete(prompt)
+
+    fixture = {"*": '{"Q": "What did I hold?", "A": "a thing"}'}
+    clips = list(synthesize(
+        tracks.values(), compute_stats(tracks.values()), EndpointConfig(parallelism=8),
+        OPENQA_T, None, Recording(fixture), "test", 5, 30.0,
+    ))
+    assert [len(samples) for _, _, samples, _ in clips] == [1, 1]
+    assert seen and all(
+        thread is threading.current_thread() and not started for thread, started in seen
+    )
 
 
 @pytest.mark.parametrize("fail_at", [None, 70])
