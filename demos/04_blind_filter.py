@@ -5,7 +5,7 @@ answerer; a sample is removed only when all ten picks are correct. The
 frequency-prior answerer exploits answer popularity, the way a text-only
 model exploits dataset bias.
 """
-from egoqa.blindfilter import FrequencyPriorAnswerer, TRIALS, filter_test_set
+from egoqa.blindfilter import FrequencyPriorAnswerer, TRIALS, filter_rows
 from egoqa.core import QASample, TemporalWindow
 from egoqa.seeding import derive_seed
 
@@ -37,10 +37,11 @@ train_answers = (
 )
 answerer = FrequencyPriorAnswerer(train_answers)
 seeds = [derive_seed("blind-trial", 11, t) for t in range(TRIALS)]
-kept, report = filter_test_set(samples, answerer, seeds)
+rows = list(filter_rows(samples, answerer, seeds))
+removed = sum(all(outcomes) for _, outcomes in rows)
 
-print(f"total {report.total}, removed {report.removed}, kept {report.kept}")
-for row in report.rows:
-    wins = sum(row.outcomes)
-    flag = "REMOVED" if row.removed else "kept"
-    print(f"  {flag:8s} {wins:2d}/10 correct  {row.question}")
+print(f"total {len(rows)}, removed {removed}, kept {len(rows) - removed}")
+for sample, outcomes in rows:
+    wins = sum(outcomes)
+    flag = "REMOVED" if all(outcomes) else "kept"
+    print(f"  {flag:8s} {wins:2d}/10 correct  {sample.question}")

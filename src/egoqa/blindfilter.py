@@ -3,19 +3,19 @@
 A question is removed when a text-only answerer picks the correct choice in
 every one of ten seeded trials: such questions are answerable without the
 video. Choices are reshuffled per trial by default (configurable), and the
-whole procedure is a pure function of the seed list.
+whole procedure is a pure function of the seed list. `filter_rows` is the
+one trial loop; `seeding.choice_orders` gives its choice orders.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .core import QASample, ValidationError, normalize_answer
-from .seeding import choice_order, choice_orders, choice_seeds, derive_seed
+from .seeding import choice_orders, choice_seeds, derive_seed
 
 TRIALS = 10
 # Samples per choice_orders call. At 2,560 trial seeds the kernel's fixed
@@ -69,75 +69,19 @@ class UniformRandomAnswerer:
         return choices[int(rng.integers(len(choices)))]
 
 
-@dataclass(frozen=True)
-class FilterRow:
-    clip_uid: str
-    question: str
-    outcomes: tuple[bool, ...]
-    removed: bool
-
-
-@dataclass(frozen=True)
-class FilterReport:
-    total: int
-    removed: int
-    kept: int
-    rows: tuple[FilterRow, ...]
-
-    def __post_init__(self) -> None:
-        if self.removed + self.kept != self.total:
-            raise ValidationError("removed + kept must equal total")
-        for row in self.rows:
-            if row.removed != all(row.outcomes):
-                raise ValidationError(
-                    f"row for {row.question!r} marked removed={row.removed} but "
-                    f"outcomes are {row.outcomes}"
-                )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[FilterRow]) -> "FilterReport":
-        removed = sum(1 for r in rows if r.removed)
-        return cls(len(rows), removed, len(rows) - removed, tuple(rows))
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "total": self.total,
-            "removed": self.removed,
-            "kept": self.kept,
-            "rows": [
-                {
-                    "clip_uid": r.clip_uid,
-                    "question": r.question,
-                    "outcomes": list(r.outcomes),
-                    "removed": r.removed,
-                }
-                for r in self.rows
-            ],
-        }
-
-
 def trial_outcomes(
     sample: QASample,
     answerer: BlindAnswerer,
     seeds: Sequence[int],
     reshuffle_per_trial: bool = True,
 ) -> tuple[bool, ...]:
-    """Run the ten seeded trials for one sample; True marks a correct pick.
+    """One sample's outcomes from `filter_rows`; True marks a correct pick.
 
-    Each trial shuffles the four choices with its own seed (or reuses the
-    first trial's shuffle when reshuffle_per_trial is False) and asks the
-    answerer; correctness is normalized string equality.
+    Takes exactly TRIALS seeds and raises MissingDistractors for a sample
+    without distractors, as `filter_rows` does.
     """
-    if sample.wrong_answers is None:
-        raise _missing_distractors(sample)
-    orders = [choice_order(s) for s in _choice_seeds(sample, seeds, reshuffle_per_trial)]
-    return _trials(sample, answerer, seeds, orders)
-
-
-def _missing_distractors(sample: QASample) -> MissingDistractors:
-    return MissingDistractors(
-        f"sample {sample.clip_uid!r}/{sample.question!r} has no distractors"
-    )
+    ((_, outcomes),) = filter_rows((sample,), answerer, seeds, reshuffle_per_trial)
+    return outcomes
 
 
 def _choice_seeds(
@@ -176,15 +120,18 @@ def filter_rows(
     answerer: BlindAnswerer,
     seeds: Sequence[int],
     reshuffle_per_trial: bool = True,
-) -> Iterator[tuple[QASample, FilterRow]]:
-    """Stream (sample, outcome row) pairs, one per input sample, in order.
+) -> Iterator[tuple[QASample, tuple[bool, ...]]]:
+    """Stream (sample, outcomes) pairs, one per input sample, in order.
 
-    Samples are read BLOCK at a time, and one `choice_orders` call gives
-    the choice orders of a whole block: the orders `trial_outcomes` gets
-    from numpy one at a time. The seed count is checked before the first
-    sample is read. A sample without distractors ends its block: the rows
-    of the samples before it are yielded, then MissingDistractors is
-    raised. An error from `samples` itself propagates as the block is read.
+    outcomes[t] is True when the answerer picked the correct choice in the
+    trial with seeds[t], shown in the order of the sample's choice seed for
+    seeds[t] (for seeds[0] in every trial if reshuffle_per_trial is False).
+    A sample is removed when every outcome is True. Samples are read BLOCK
+    at a time, and one `choice_orders` call orders a whole block. The seed
+    count is checked before the first sample is read. A sample without
+    distractors ends its block: the pairs before it are yielded, then
+    MissingDistractors is raised. An error from `samples` itself
+    propagates as the block is read.
     """
     seeds = list(seeds)
     if len(seeds) != TRIALS:
@@ -204,25 +151,10 @@ def filter_rows(
             [s for sample in block for s in _choice_seeds(sample, seeds, reshuffle_per_trial)]
         ).tolist()
         for i, sample in enumerate(block):
-            outcomes = _trials(sample, answerer, seeds, orders[i * TRIALS:(i + 1) * TRIALS])
-            yield sample, FilterRow(sample.clip_uid, sample.question, outcomes, all(outcomes))
+            yield sample, _trials(sample, answerer, seeds, orders[i * TRIALS:(i + 1) * TRIALS])
         if missing is not None:
-            raise _missing_distractors(missing)
+            raise MissingDistractors(
+                f"sample {missing.clip_uid!r}/{missing.question!r} has no distractors"
+            )
         if len(block) < BLOCK:
             return
-
-
-def filter_test_set(
-    samples: Iterable[QASample],
-    answerer: BlindAnswerer,
-    seeds: Sequence[int],
-    reshuffle_per_trial: bool = True,
-) -> tuple[tuple[QASample, ...], FilterReport]:
-    """Drop samples the answerer gets right in all ten trials.
-
-    Kept samples retain their input order; the report carries every
-    sample's per-trial outcome row.
-    """
-    pairs = list(filter_rows(samples, answerer, seeds, reshuffle_per_trial))
-    kept = tuple(sample for sample, row in pairs if not row.removed)
-    return kept, FilterReport.from_rows([row for _, row in pairs])

@@ -21,8 +21,6 @@ from typing import Any, Iterator, Mapping
 
 from .blindfilter import (
     TRIALS,
-    FilterReport,
-    FilterRow,
     FrequencyPriorAnswerer,
     UniformRandomAnswerer,
     filter_rows,
@@ -99,7 +97,7 @@ def _resolve(
     if cast is not None and value is not None:
         try:
             value = cast(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 f"{name}: cannot read {value!r} as {cast.__name__}"
             ) from None
@@ -409,22 +407,31 @@ def cmd_filter_blind(args: argparse.Namespace, file_config: Mapping[str, Any]) -
     }
     meta = make_meta(hashed_config, seeds[0])
 
-    rows: list[FilterRow] = []
+    rows: list[tuple[str, str, tuple[bool, ...]]] = []
 
     def iter_kept():
-        for sample, row in pairs:
-            rows.append(row)
-            if not row.removed:
+        for sample, outcomes in pairs:
+            rows.append((sample.clip_uid, sample.question, outcomes))
+            if not all(outcomes):
                 yield qa_to_row(sample)
 
-    write_jsonl(args.out, iter_kept(), meta)
-    report = FilterReport.from_rows(rows)
-    write_json(report_path, {"_meta": meta["_meta"], **report.to_json_dict()})
+    kept = write_jsonl(args.out, iter_kept(), meta)
+    write_json(report_path, {
+        "_meta": meta["_meta"],
+        "total": len(rows),
+        "removed": len(rows) - kept,
+        "kept": kept,
+        "rows": [
+            {"clip_uid": clip_uid, "question": question,
+             "outcomes": list(outcomes), "removed": all(outcomes)}
+            for clip_uid, question, outcomes in rows
+        ],
+    })
     log.info(
         "filter-blind: kept %d/%d samples (%d removed)",
-        report.kept,
-        report.total,
-        report.removed,
+        kept,
+        len(rows),
+        len(rows) - kept,
     )
     return EXIT_OK
 

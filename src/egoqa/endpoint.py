@@ -13,6 +13,7 @@ import hashlib
 import http.client
 import json
 import logging
+import math
 import select
 import ssl
 import threading
@@ -54,6 +55,14 @@ class EndpointConfig:
             raise ValidationError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.max_retries < 0:
             raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.max_tokens < 1:
+            raise ValidationError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if not math.isfinite(self.temperature):
+            raise ValidationError(f"temperature must be finite, got {self.temperature}")
+        if not (math.isfinite(self.request_timeout_s) and self.request_timeout_s > 0):
+            raise ValidationError(
+                f"request_timeout_s must be finite and > 0, got {self.request_timeout_s}"
+            )
 
 
 class ChatEndpoint(Protocol):

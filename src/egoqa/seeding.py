@@ -5,9 +5,9 @@ derived from a keyed-length blake2b digest over the string forms of the
 parts. Identical parts give identical seeds on every platform and run.
 
 A choice order (the order in which a sample's four answer choices are
-shown) is defined by numpy: `choice_order(s)` is
-`np.random.default_rng(s).permutation(4)`. `choice_orders` computes it for
-a whole array of 64-bit seeds at once, bit-identically. Building one
+shown) is defined by numpy as `np.random.default_rng(s).permutation(4)`;
+only the tests call that. `choice_orders`, the package's one path, computes
+it for a whole array of 64-bit seeds at once, bit-identically. Building one
 Generator costs about 25 us, nearly all of it in SeedSequence; the kernel
 replays the same arithmetic on uint32/uint64 arrays instead:
 
@@ -69,16 +69,6 @@ def choice_seeds(sample: QASample, seeds: Sequence[int]) -> list[int]:
     """
     tail = _part(sample.clip_uid) + _part(sample.question) + _part(sample.answer)
     return [_seed(_CHOICES + _part(s) + tail) for s in seeds]
-
-
-def choice_seed(sample: QASample, seed: int) -> int:
-    """The RNG seed of a sample's choice order under a trial or run seed."""
-    return choice_seeds(sample, (seed,))[0]
-
-
-def choice_order(seed: int) -> list[int]:
-    """One choice order, from numpy: the definition `choice_orders` reproduces."""
-    return np.random.default_rng(seed).permutation(4).tolist()
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)

@@ -39,7 +39,7 @@ from .prompts import (
     render_closeqa_prompt,
     render_openqa_prompt,
 )
-from .seeding import choice_order, choice_seed
+from .seeding import choice_orders, choice_seeds
 from .windows import CorpusTimingStats
 
 
@@ -299,15 +299,15 @@ def synthesize(
 def shuffled_choices(sample: QASample, seed: int) -> tuple[tuple[str, str, str, str], int]:
     """Materialize the four answer choices in a seeded deterministic order.
 
-    The shuffle is a pure function of (seed, clip_uid, question, answer), so
-    serialization and blind-filter trials agree without storing the order on
-    the sample. Returns (choices, index of the correct answer).
+    The order is `choice_orders` of the sample's choice seed: a pure function
+    of (seed, clip_uid, question, answer), so serialization and blind-filter
+    trials agree without storing the order on the sample. Returns (choices,
+    index of the correct answer).
     """
     if sample.wrong_answers is None:
         raise ValidationError(
             f"sample {sample.clip_uid!r}/{sample.question!r} has no distractors"
         )
     pool = (sample.answer, *sample.wrong_answers)
-    perm = choice_order(choice_seed(sample, seed))
-    choices = tuple(pool[p] for p in perm)
-    return choices, perm.index(0)
+    order = choice_orders(choice_seeds(sample, (seed,)))[0].tolist()
+    return tuple(pool[p] for p in order), order.index(0)

@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 
 import egoqa.cli as cli
-from egoqa.blindfilter import (
-    UniformRandomAnswerer,
-    filter_test_set,
-    trial_outcomes,
-)
+from egoqa.blindfilter import UniformRandomAnswerer, filter_rows
 from egoqa.core import (
     EvalReport,
     MetricValue,
@@ -27,7 +23,7 @@ from egoqa.core import (
     QASample,
     TemporalWindow,
 )
-from egoqa.seeding import derive_seed
+from egoqa.seeding import choice_orders, choice_seeds, derive_seed
 from egoqa.chunking import chunk_track
 from egoqa.localization import (
     HeadOutputs,
@@ -359,25 +355,26 @@ def test_closeqa_protocol():
         TemporalWindow(1.0, 3.0),
         ("a plate", "a spoon", "a jar"),
     )
-    counts = [0, 0, 0, 0]
     n_shuffles = 100_000
-    for seed in range(n_shuffles):
-        _, correct_index = shuffled_choices(sample, seed)
-        counts[correct_index] += 1
-    for c in counts:
+    orders = choice_orders(choice_seeds(sample, range(n_shuffles)))
+    correct_index = np.argmax(orders == 0, axis=1)
+    assert [shuffled_choices(sample, seed)[1] for seed in range(100)] == (
+        correct_index[:100].tolist()
+    )
+    for c in np.bincount(correct_index, minlength=4):
         assert abs(c / n_shuffles - 0.25) <= 0.01
 
     seeds = [derive_seed("blind-trial", 0, t) for t in range(10)]
-    answerer = UniformRandomAnswerer()
-    removed = 0
-    for i in range(10_000):
-        s = QASample(
+    uniform = (
+        QASample(
             "clip-u", f"What did I move in round {i}?", "the box",
             TemporalWindow(0.0, 2.0),
             ("the bag", "the cart", "the bin"),
         )
-        if all(trial_outcomes(s, answerer, seeds)):
-            removed += 1
+        for i in range(10_000)
+    )
+    rows = filter_rows(uniform, UniformRandomAnswerer(), seeds)
+    removed = sum(all(outcomes) for _, outcomes in rows)
     assert removed <= 1
 
     def mk(i: int) -> QASample:
@@ -396,9 +393,11 @@ def test_closeqa_protocol():
     scripted = ScriptedAnswerer(
         {s.question: s.answer for s in samples}, seeds, script
     )
-    kept, report = filter_test_set(samples, scripted, seeds)
-    assert {r.question for r in report.rows if r.removed} == always
-    assert [s.question for s in kept] == [s.question for s in samples[5:]]
+    rows = list(filter_rows(samples, scripted, seeds))
+    assert {s.question for s, outcomes in rows if all(outcomes)} == always
+    assert [s.question for s, outcomes in rows if not all(outcomes)] == (
+        [s.question for s in samples[5:]]
+    )
 
 
 @pytest.mark.criterion(9, "byte-identical synthesis across runs and parallelism; designed stats")

@@ -13,13 +13,10 @@ import egoqa.blindfilter as blindfilter
 from egoqa.blindfilter import (
     BLOCK,
     TRIALS,
-    FilterReport,
-    FilterRow,
     FrequencyPriorAnswerer,
     MissingDistractors,
     UniformRandomAnswerer,
     filter_rows,
-    filter_test_set,
     trial_outcomes,
 )
 from egoqa.core import QASample, TemporalWindow, ValidationError, normalize_answer
@@ -103,11 +100,9 @@ def test_removal_requires_all_ten_correct():
             nine.question: [True] * 9 + [False],
         },
     )
-    kept, report = filter_test_set([always, nine], answerer, SEEDS)
-    assert [s.question for s in kept] == ["Q nine?"]
-    assert report.total == 2 and report.removed == 1 and report.kept == 1
-    row = next(r for r in report.rows if r.question == "Q nine?")
-    assert row.outcomes.count(True) == 9
+    rows = list(filter_rows([always, nine], answerer, SEEDS))
+    assert [(s.question, all(o)) for s, o in rows] == [("Q always?", True), ("Q nine?", False)]
+    assert rows[1][1].count(True) == 9
 
 
 def test_filter_preserves_kept_order():
@@ -115,15 +110,16 @@ def test_filter_preserves_kept_order():
         _sample(f"Q{i}?", "yes", ("n1", "n2", "n3"), uid=f"c{i}") for i in range(4)
     ]
     answerer = ScriptedAnswerer({}, SEEDS)  # unknown questions: never correct
-    kept, report = filter_test_set(samples, answerer, SEEDS)
-    assert [s.clip_uid for s in kept] == ["c0", "c1", "c2", "c3"]
-    assert report.removed == 0
+    rows = list(filter_rows(samples, answerer, SEEDS))
+    assert [s.clip_uid for s, o in rows if not all(o)] == ["c0", "c1", "c2", "c3"]
 
 
 def test_seed_count_enforced():
     s = _sample("Q?", "yes", ("n1", "n2", "n3"))
     with pytest.raises(ValidationError):
-        filter_test_set([s], UniformRandomAnswerer(), SEEDS[:9])
+        next(filter_rows([s], UniformRandomAnswerer(), SEEDS[:9]))
+    with pytest.raises(ValidationError):
+        trial_outcomes(s, UniformRandomAnswerer(), SEEDS + [1])
 
 
 def test_reshuffle_toggle_changes_choice_order_exposure():
@@ -143,18 +139,6 @@ def test_reshuffle_toggle_changes_choice_order_exposure():
     rec2 = Recorder()
     trial_outcomes(s, rec2, SEEDS, reshuffle_per_trial=True)
     assert len(set(rec2.seen)) > 1
-
-
-def test_report_consistency_enforced():
-    with pytest.raises(ValidationError):
-        FilterReport(total=2, removed=1, kept=0, rows=())
-    with pytest.raises(ValidationError):
-        FilterReport(
-            total=1,
-            removed=1,
-            kept=0,
-            rows=(FilterRow("c1", "Q?", (True, False), True),),
-        )
 
 
 # ------------------------------------------------ choice-order kernel
@@ -208,9 +192,9 @@ def _corpus(n):
 def test_filter_rows_equal_per_sample_trials_across_blocks(reshuffle):
     samples = _corpus(2 * BLOCK + 37)
     blocked, single = ChoiceRecorder(), ChoiceRecorder()
-    rows = [row for _, row in filter_rows(samples, blocked, SEEDS, reshuffle)]
+    rows = [outcomes for _, outcomes in filter_rows(samples, blocked, SEEDS, reshuffle)]
     want = [trial_outcomes(s, single, SEEDS, reshuffle) for s in samples]
-    assert [row.outcomes for row in rows] == want
+    assert rows == want
     assert blocked.seen == single.seen
 
 
@@ -252,7 +236,7 @@ def test_filter_rows_equal_trial_outcomes_and_the_naive_protocol(make_answerer, 
         for i in range(BLOCK + 44)
     ]
     seeds = list(range(-5, 5))
-    rows = [row.outcomes for _, row in filter_rows(
+    rows = [outcomes for _, outcomes in filter_rows(
         samples, make_answerer(samples), seeds, reshuffle)]
     single = [trial_outcomes(s, make_answerer(samples), seeds, reshuffle) for s in samples]
     naive = [_naive_outcomes(s, make_answerer(samples), seeds, reshuffle) for s in samples]

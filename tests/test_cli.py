@@ -251,6 +251,21 @@ class TestFilterBlind:
         assert len(kept) == 2
         assert all(r["answer"] != "yes" for r in kept)
 
+    @pytest.mark.parametrize("extra", [[], ["--no-reshuffle"]], ids=["reshuffle", "no-reshuffle"])
+    def test_report_counts_agree_with_rows_and_outcomes(self, tmp_path, extra):
+        out = str(tmp_path / "kept.jsonl")
+        report = str(tmp_path / "report.json")
+        assert cli.main([
+            "filter-blind", FILTER_INPUT, "--out", out, "--report", report, "--seed", "11",
+            *extra,
+        ]) == 0
+        doc = json.loads(_read(report))
+        rows = doc["rows"]
+        assert doc["total"] == doc["kept"] + doc["removed"] == len(rows)
+        assert doc["kept"] == len(_read(out).decode().splitlines()[1:])
+        assert all(row["removed"] == all(row["outcomes"]) for row in rows)
+        assert doc["removed"] == sum(row["removed"] for row in rows) > 0
+
     def test_kept_rows_byte_identical_to_input_rows(self, tmp_path):
         out = str(tmp_path / "kept.jsonl")
         cli.main(["filter-blind", FILTER_INPUT, "--out", out, "--seed", "11"])
@@ -784,6 +799,53 @@ MALFORMED_INPUTS = {
     "decode-nms-iou-nan": (
         lambda tmp: ["decode", HEADS, "--out", str(tmp / "preds.jsonl"), "--nms-iou", "nan"],
         "nms_iou must be finite",
+    ),
+    "config-seed-overflows-int-synthesize": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"seed": 1e400}'),
+                     "synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", MOCK],
+        "seed: cannot read inf as int",
+    ),
+    "config-seed-infinity-filter-blind": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"seed": Infinity}'),
+                     "filter-blind", FILTER_INPUT, "--out", str(tmp / "kept.jsonl")],
+        "seed: cannot read inf as int",
+    ),
+    "config-top-k-overflows-int-decode": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"top_k": -1e400}'),
+                     "decode", HEADS, "--out", str(tmp / "preds.jsonl")],
+        "top_k: cannot read -inf as int",
+    ),
+    # The endpoint port is closed: a connection attempt would exit 3.
+    "synthesize-timeout-infinite": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--base-url", "http://127.0.0.1:9", "--timeout", "inf"],
+        "request_timeout_s must be finite and > 0, got inf",
+    ),
+    "synthesize-timeout-nan": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--base-url", "http://127.0.0.1:9", "--timeout", "nan"],
+        "request_timeout_s must be finite and > 0, got nan",
+    ),
+    "synthesize-timeout-zero": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--base-url", "http://127.0.0.1:9", "--timeout", "0"],
+        "request_timeout_s must be finite and > 0, got 0.0",
+    ),
+    "synthesize-timeout-negative": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--base-url", "http://127.0.0.1:9", "--timeout", "-1"],
+        "request_timeout_s must be finite and > 0, got -1.0",
+    ),
+    "synthesize-temperature-nan": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--base-url", "http://127.0.0.1:9", "--temperature", "nan"],
+        "temperature must be finite, got nan",
+    ),
+    "synthesize-max-tokens-zero": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--base-url", "http://127.0.0.1:9", "--max-tokens", "0"],
+        "max_tokens must be >= 1, got 0",
     ),
     "config-value-fails-cast": (
         lambda tmp: ["--config", _text_file(tmp, "config.json", '{"parallelism": "x"}'),

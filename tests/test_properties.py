@@ -18,6 +18,7 @@ from egoqa.jsonl_io import SchemaMismatch, row_to_head, row_to_pred, row_to_qa, 
 from egoqa.localization import HeadOutputs, LengthMismatch, decode_windows
 from egoqa.prompts import ParsedCompletion, parse_closeqa_completion, parse_openqa_completion
 from egoqa.seeding import choice_orders, choice_seeds, derive_seed
+from egoqa.synthesis import shuffled_choices
 
 from .oracles import oracle_nms
 
@@ -224,3 +225,21 @@ def test_choice_seeds_equal_derive_seed(clip_uid, question, answer, seeds):
     want = [reference_derive_seed("choices", s, clip_uid, question, answer) for s in seeds]
     assert choice_seeds(sample, seeds) == want
     assert [derive_seed("choices", s, clip_uid, question, answer) for s in seeds] == want
+
+
+# shuffled_choices takes its order from the choice-order kernel; numpy's
+# permutation of the sample's choice seed is the definition it reproduces.
+@settings(max_examples=200, deadline=None)
+@given(
+    clip_uid=st.text(), question=st.text(), answer=st.text(),
+    wrong=st.tuples(st.text(), st.text(), st.text()),
+    seed=st.integers() | st.integers(-(2**200), 2**200),
+)
+def test_shuffled_choices_equal_numpy_permutation(clip_uid, question, answer, wrong, seed):
+    sample = SimpleNamespace(
+        clip_uid=clip_uid, question=question, answer=answer, wrong_answers=wrong
+    )
+    rng = np.random.default_rng(derive_seed("choices", seed, clip_uid, question, answer))
+    order = rng.permutation(4).tolist()
+    pool = (answer, *wrong)
+    assert shuffled_choices(sample, seed) == (tuple(pool[p] for p in order), order.index(0))
