@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 import numpy as np
 
 from .core import QASample, ValidationError, normalize_answer
-from .seeding import choice_orders, choice_seeds, derive_seed
+from .seeding import choice_heads, choice_orders, choice_seeds, derive_seed
 
 TRIALS = 10
 # Samples per choice_orders call. At 2,560 trial seeds the kernel's fixed
@@ -84,15 +84,6 @@ def trial_outcomes(
     return outcomes
 
 
-def _choice_seeds(
-    sample: QASample, seeds: Sequence[int], reshuffle_per_trial: bool
-) -> list[int]:
-    """Each trial's choice-order seed: from its own seed, or from the first trial's."""
-    if reshuffle_per_trial:
-        return choice_seeds(sample, seeds)
-    return choice_seeds(sample, seeds[:1]) * len(seeds)
-
-
 def _trials(
     sample: QASample,
     answerer: BlindAnswerer,
@@ -108,8 +99,8 @@ def _trials(
     target = normalize_answer(sample.answer)
     correct = {choice: normalize_answer(choice) == target for choice in pool}
     outcomes = []
-    for seed, order in zip(seeds, orders):
-        pick = answerer.answer(sample.question, tuple(pool[p] for p in order), seed)
+    for seed, (a, b, c, d) in zip(seeds, orders):
+        pick = answerer.answer(sample.question, (pool[a], pool[b], pool[c], pool[d]), seed)
         hit = correct.get(pick)
         outcomes.append(normalize_answer(pick) == target if hit is None else hit)
     return tuple(outcomes)
@@ -136,6 +127,9 @@ def filter_rows(
     seeds = list(seeds)
     if len(seeds) != TRIALS:
         raise ValidationError(f"exactly {TRIALS} seeds required, got {len(seeds)}")
+    # Each trial's choice order comes from its own seed, or every trial's from the first.
+    heads = choice_heads(seeds if reshuffle_per_trial else seeds[:1])
+    repeat = TRIALS // len(heads)
     samples = iter(samples)
     while True:
         block: list[QASample] = []
@@ -148,7 +142,7 @@ def filter_rows(
             if len(block) == BLOCK:
                 break
         orders = choice_orders(
-            [s for sample in block for s in _choice_seeds(sample, seeds, reshuffle_per_trial)]
+            [s for sample in block for s in choice_seeds(sample, heads) * repeat]
         ).tolist()
         for i, sample in enumerate(block):
             yield sample, _trials(sample, answerer, seeds, orders[i * TRIALS:(i + 1) * TRIALS])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import NarrationTrack, TemporalWindow, ValidationError
-from .windows import CorpusTimingStats, merge_windows, narration_window
+from .windows import CorpusTimingStats, hull_window
 
 
 class EmptyTrack(ValidationError):
@@ -54,26 +54,20 @@ def chunk_track(
     if not track.narrations:
         raise EmptyTrack(f"clip {track.clip_uid!r} has no narrations")
 
-    groups: list[list[int]] = []
+    ts = [narration.t_s for narration in track.narrations]
+    starts: list[int] = []
     open_first_t = 0.0
-    for i, narration in enumerate(track.narrations):
-        if (
-            groups
-            and len(groups[-1]) < max_sentences
-            and narration.t_s - open_first_t <= max_span_s
-        ):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-            open_first_t = narration.t_s
-
-    chunks = []
-    for chunk_index, members in enumerate(groups):
-        span = merge_windows(
-            narration_window(
-                track.narrations[i].t_s, track.clip_uid, stats, track.duration_s
-            )
-            for i in members
+    for i, t in enumerate(ts):
+        if not (starts and i - starts[-1] < max_sentences and t - open_first_t <= max_span_s):
+            starts.append(i)
+            open_first_t = t
+    ends = starts[1:] + [len(ts)]
+    return tuple(
+        NarrationChunk(
+            track.clip_uid,
+            tuple(range(start, end)),
+            hull_window(ts[start:end], track.clip_uid, stats, track.duration_s),
+            chunk_index,
         )
-        chunks.append(NarrationChunk(track.clip_uid, tuple(members), span, chunk_index))
-    return tuple(chunks)
+        for chunk_index, (start, end) in enumerate(zip(starts, ends))
+    )

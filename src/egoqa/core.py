@@ -212,7 +212,8 @@ def validate_track(track: NarrationTrack) -> list[Violation]:
     out: list[Violation] = []
     if not track.clip_uid:
         out.append(Violation("empty_clip_uid", "clip_uid must be non-empty"))
-    if not _finite(track.duration_s):
+    duration_finite = _finite(track.duration_s)
+    if not duration_finite:
         out.append(Violation("nonfinite_duration", f"duration_s = {track.duration_s}"))
     elif track.duration_s <= 0:
         out.append(Violation("nonpositive_duration", f"duration_s = {track.duration_s}"))
@@ -227,7 +228,7 @@ def validate_track(track: NarrationTrack) -> list[Violation]:
             continue
         if t < -TIME_EPS:
             out.append(Violation("timestamp_before_start", f"t_s = {t}", i))
-        if _finite(track.duration_s) and t > track.duration_s + TIME_EPS:
+        if duration_finite and t > track.duration_s + TIME_EPS:
             out.append(
                 Violation(
                     "timestamp_after_end",
@@ -247,12 +248,8 @@ def normalize_answer(text: str) -> str:
     """Canonical answer form used by every string-equality comparison.
 
     Lowercase, trim, collapse internal whitespace runs to one space, then
-    strip terminal punctuation. Stripping iterates to a fixed point so the
-    function is idempotent even on punctuation-only tails like "?! .;".
+    strip any tail of punctuation and spaces, such as "?! .;". After the
+    join the only whitespace left is single spaces, so the function is
+    idempotent.
     """
-    out = " ".join(text.lower().split())
-    while True:
-        stripped = out.rstrip(".,!?;:").rstrip()
-        if stripped == out:
-            return out
-        out = stripped
+    return " ".join(text.lower().split()).rstrip(".,!?;: ")

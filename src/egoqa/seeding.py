@@ -61,14 +61,20 @@ def derive_seed(*parts: object) -> int:
 _CHOICES = _part("choices")
 
 
-def choice_seeds(sample: QASample, seeds: Sequence[int]) -> list[int]:
-    """The RNG seed of a sample's choice order under each trial or run seed.
+def choice_heads(seeds: Sequence[object]) -> list[bytes]:
+    """The encoded `("choices", seed)` head of each seed's choice seeds."""
+    return [_CHOICES + _part(s) for s in seeds]
 
-    Each equals `derive_seed("choices", seed, clip_uid, question, answer)`;
-    the sample's parts are encoded once, not once per seed.
+
+def choice_seeds(sample: QASample, heads: Sequence[bytes]) -> list[int]:
+    """The RNG seed of a sample's choice order under each head's seed.
+
+    With heads = choice_heads(seeds), each equals
+    `derive_seed("choices", seed, clip_uid, question, answer)`; a caller
+    encodes its seeds once and the sample's parts once, not once a pair.
     """
     tail = _part(sample.clip_uid) + _part(sample.question) + _part(sample.answer)
-    return [_seed(_CHOICES + _part(s) + tail) for s in seeds]
+    return [_seed(head + tail) for head in heads]
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)

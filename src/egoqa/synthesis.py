@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -39,7 +39,7 @@ from .prompts import (
     render_closeqa_prompt,
     render_openqa_prompt,
 )
-from .seeding import choice_orders, choice_seeds
+from .seeding import choice_heads, choice_orders, choice_seeds
 from .windows import CorpusTimingStats
 
 
@@ -190,7 +190,8 @@ def distractor_unit(
         reason=parsed.reason,
     )
     if parsed.status == PARSE_OK:
-        return replace(sample, wrong_answers=parsed.distractors), record
+        sample = QASample(sample.clip_uid, sample.question, sample.answer, sample.window,
+                          parsed.distractors, sample.split, sample.source)
     return sample, record
 
 
@@ -309,5 +310,5 @@ def shuffled_choices(sample: QASample, seed: int) -> tuple[tuple[str, str, str, 
             f"sample {sample.clip_uid!r}/{sample.question!r} has no distractors"
         )
     pool = (sample.answer, *sample.wrong_answers)
-    order = choice_orders(choice_seeds(sample, (seed,)))[0].tolist()
+    order = choice_orders(choice_seeds(sample, choice_heads((seed,))))[0].tolist()
     return tuple(pool[p] for p in order), order.index(0)

@@ -10,9 +10,9 @@ before clamping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .core import NarrationTrack, TemporalWindow, ValidationError
+from .core import TIME_EPS, NarrationTrack, TemporalWindow, ValidationError
 
 # Clips whose mean interval falls below this are flagged: their windows
 # collapse to near-points and usually indicate duplicated timestamps.
@@ -25,10 +25,6 @@ class NoIntervalData(ValidationError):
 
 class UnknownClip(ValidationError):
     """Requested clip_uid is absent from the timing statistics."""
-
-
-class EmptyInput(ValidationError):
-    """An operation requiring at least one element received none."""
 
 
 @dataclass(frozen=True)
@@ -115,21 +111,28 @@ def narration_window(
 
     Pre-clamp the window is centered on t_j with length beta_i/alpha seconds.
     """
+    return hull_window((t_j,), clip_uid, stats, duration_s)
+
+
+def hull_window(
+    ts: Sequence[float], clip_uid: str, stats: CorpusTimingStats, duration_s: float
+) -> TemporalWindow:
+    """The hull of the clamped windows of one clip's timestamps ts (non-empty).
+
+    Computed in one step from min(ts) and max(ts): IEEE rounding is
+    monotone, so max(0, min(ts) - half) is the least window start and
+    min(duration, max(ts) + half) the greatest end. Every timestamp must
+    lie in [0, duration_s] within TIME_EPS, the tolerance validate_track
+    allows; one inside the tolerance is clamped into the clip first.
+    """
     if clip_uid not in stats.beta_by_clip:
         raise UnknownClip(f"clip {clip_uid!r} absent from timing statistics")
-    if not 0 <= t_j <= duration_s:
-        raise ValidationError(
-            f"timestamp {t_j} outside clip duration [0, {duration_s}]"
-        )
+    for t in ts:
+        if not -TIME_EPS <= t <= duration_s + TIME_EPS:
+            raise ValidationError(
+                f"timestamp {t} outside clip duration [0, {duration_s}]"
+            )
     half = stats.beta_by_clip[clip_uid] / (2.0 * stats.alpha_s)
-    return TemporalWindow(max(0.0, t_j - half), min(duration_s, t_j + half))
-
-
-def merge_windows(windows: Iterable[TemporalWindow]) -> TemporalWindow:
-    """Hull of the inputs: (min start, max end). Associative and idempotent."""
-    windows = tuple(windows)
-    if not windows:
-        raise EmptyInput("merge_windows requires at least one window")
-    return TemporalWindow(
-        min(w.start_s for w in windows), max(w.end_s for w in windows)
-    )
+    first = min(max(min(ts), 0.0), duration_s)
+    last = min(max(max(ts), 0.0), duration_s)
+    return TemporalWindow(max(0.0, first - half), min(duration_s, last + half))

@@ -9,11 +9,11 @@ outcomes, not a reference implementation.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from egoqa.core import normalize_answer
+from egoqa.core import TemporalWindow, normalize_answer
 
 
 def interval_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -173,6 +173,23 @@ def oracle_nms(
         if all(interval_iou((s, e), (s2, e2)) < nms_iou for s2, e2, _ in taken):
             taken.append((s, e, score))
     return taken
+
+
+def merge_windows(windows: Iterable[TemporalWindow]) -> TemporalWindow:
+    """Hull of the inputs: (min start, max end). Raises ValueError on none."""
+    windows = tuple(windows)
+    return TemporalWindow(min(w.start_s for w in windows), max(w.end_s for w in windows))
+
+
+def fixed_point_normalize(text: str) -> str:
+    """normalize_answer as first written: lowercase, collapse whitespace, then
+    strip terminal punctuation and whitespace in turn until nothing changes."""
+    out = " ".join(text.lower().split())
+    while True:
+        stripped = out.rstrip(".,!?;:").rstrip()
+        if stripped == out:
+            return out
+        out = stripped
 
 
 def oracle_shuffle(seed: int) -> tuple[list[int], int]:

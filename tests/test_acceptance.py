@@ -23,7 +23,7 @@ from egoqa.core import (
     QASample,
     TemporalWindow,
 )
-from egoqa.seeding import choice_orders, choice_seeds, derive_seed
+from egoqa.seeding import choice_heads, choice_orders, choice_seeds, derive_seed
 from egoqa.chunking import chunk_track
 from egoqa.localization import (
     HeadOutputs,
@@ -356,7 +356,7 @@ def test_closeqa_protocol():
         ("a plate", "a spoon", "a jar"),
     )
     n_shuffles = 100_000
-    orders = choice_orders(choice_seeds(sample, range(n_shuffles)))
+    orders = choice_orders(choice_seeds(sample, choice_heads(range(n_shuffles))))
     correct_index = np.argmax(orders == 0, axis=1)
     assert [shuffled_choices(sample, seed)[1] for seed in range(100)] == (
         correct_index[:100].tolist()

@@ -269,3 +269,32 @@ def test_import_leaves_out_synthesis_and_transport():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+class FirstChoice:
+    """Blind answerer that logs the choices it is shown and picks the first."""
+
+    def __init__(self):
+        self.seen = []
+
+    def answer(self, question, choices, seed):
+        self.seen.append(tuple(choices))
+        return choices[0]
+
+
+@pytest.mark.parametrize("reshuffle", [True, False])
+def test_trial_seeds_are_encoded_per_run_by_their_text(reshuffle):
+    # filter_rows encodes its seeds once a run. 1 == True == 1.0, yet "1",
+    # "True" and "1.0" derive different choice orders, so a cache that
+    # outlived its run, or was keyed by seed value, would show one run the
+    # orders of another. All runs share this process.
+    samples = _corpus(BLOCK + 3)
+    shown = {}
+    for seeds in (SEEDS, list(range(TRIALS)), [1] * TRIALS, [True] * TRIALS,
+                  [1.0] * TRIALS, [1, True, 1.0, 0, False, 0.0, 2, 3, 4, 5]):
+        answerer, naive = FirstChoice(), FirstChoice()
+        rows = [outcomes for _, outcomes in filter_rows(samples, answerer, seeds, reshuffle)]
+        assert rows == [_naive_outcomes(s, naive, seeds, reshuffle) for s in samples]
+        assert answerer.seen == naive.seen
+        shown[repr(seeds[0])] = answerer.seen
+    assert shown["1"] != shown["True"] != shown["1.0"] != shown["1"]

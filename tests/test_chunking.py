@@ -1,14 +1,17 @@
-"""Greedy chunking bounds, partition property, and maximality."""
+"""Greedy chunking bounds, partition property, maximality, and chunk spans."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egoqa.chunking import EmptyTrack, NarrationChunk, chunk_track
-from egoqa.core import TemporalWindow, ValidationError
-from egoqa.windows import compute_stats
+from egoqa.core import TIME_EPS, TemporalWindow, ValidationError
+from egoqa.windows import compute_stats, narration_window
 
 from .conftest import make_track
+from .oracles import merge_windows
 
 
 def _stats_for(*tracks):
@@ -109,3 +112,64 @@ def test_random_tracks_satisfy_bounds_partition_maximality():
             first_prev_t = track.narrations[prev.members[0]].t_s
             head_t = track.narrations[nxt.members[0]].t_s
             assert len(prev.members) == 5 or head_t - first_prev_t > 30.0
+
+
+def _edge_timestamps(duration):
+    """Timestamps at, and within TIME_EPS of, both ends of a clip."""
+    return st.sampled_from([
+        0.0, TIME_EPS, TIME_EPS / 2, -TIME_EPS / 2, -TIME_EPS,
+        duration, duration - TIME_EPS, duration - TIME_EPS / 2,
+        duration + TIME_EPS / 2, duration + TIME_EPS,
+    ])
+
+
+@st.composite
+def tolerant_tracks(draw):
+    """A track whose timestamps lie in [0, duration] within TIME_EPS.
+
+    Some clips are short-interval: their narrations sit nanoseconds apart
+    near one point, so beta is far below alpha and the windows nearly
+    collapse. The others mix uniform draws with edge timestamps.
+    """
+    duration = draw(st.floats(1.0, 600.0))
+    n = draw(st.integers(1, 25))
+    if draw(st.booleans()):
+        base = draw(st.floats(0.0, duration) | _edge_timestamps(duration))
+        ts = [min(base + k * 1e-9, duration + TIME_EPS) for k in range(n)]
+    else:
+        ts = sorted(draw(st.lists(
+            st.floats(0.0, duration) | _edge_timestamps(duration), min_size=n, max_size=n,
+        )))
+    return make_track("t", duration, ts)
+
+
+# A chunk's span is computed from its members' least and greatest
+# timestamps; it must equal, exactly, the hull of the members' own windows,
+# and each window must be the formula's on the timestamp clamped into the clip.
+@settings(max_examples=300, deadline=None)
+@given(track=tolerant_tracks(), max_sentences=st.integers(1, 6),
+       max_span_s=st.sampled_from([1e-9, 0.5, 30.0, 1e6]))
+def test_chunk_span_equals_hull_of_member_windows(track, max_sentences, max_span_s):
+    stats = _stats_for(track, make_track("aux", 100.0, [0.0, 7.0, 19.0]))
+    half = stats.beta_by_clip["t"] / (2.0 * stats.alpha_s)
+    duration = track.duration_s
+    for chunk in chunk_track(track, stats, max_sentences, max_span_s):
+        windows = []
+        for i in chunk.members:
+            t = track.narrations[i].t_s
+            window = narration_window(t, "t", stats, duration)
+            clamped = min(max(t, 0.0), duration)
+            assert window == TemporalWindow(
+                max(0.0, clamped - half), min(duration, clamped + half)
+            )
+            windows.append(window)
+        assert chunk.span == merge_windows(windows)
+
+
+@pytest.mark.parametrize("beyond", [-2 * TIME_EPS, 60.0 + 2 * TIME_EPS, float("nan")])
+def test_timestamp_beyond_tolerance_still_raises(beyond):
+    stats = _stats_for(make_track("b", 60.0, [0.0, 9.0]))
+    with pytest.raises(ValidationError, match="outside clip duration"):
+        chunk_track(make_track("b", 60.0, [5.0, beyond, 20.0]), stats)
+    with pytest.raises(ValidationError, match="outside clip duration"):
+        narration_window(beyond, "b", stats, 60.0)

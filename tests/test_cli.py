@@ -163,6 +163,27 @@ class TestSynthesize:
             os.path.join(DATA_DIR, "golden_stats.json")
         )
 
+    def test_timestamps_within_tolerance_are_clamped_into_the_clip(self, tmp_path):
+        # Validation accepts a timestamp within TIME_EPS outside [0, duration];
+        # the windows must take it too, clamped, not fail mid-run.
+        narrations = _ingest(tmp_path)
+        lines = _read(narrations).decode().splitlines(keepends=True)
+        rows = {json.loads(line).get("clip_uid"): i for i, line in enumerate(lines)}
+        for uid, index, nudge in (("clip-a", 0, -5e-7), ("clip-b", -1, 30.0 + 5e-7)):
+            row = json.loads(lines[rows[uid]])
+            row["narrations"][index]["t_s"] = nudge
+            lines[rows[uid]] = json.dumps(row) + "\n"
+        with open(narrations, "w", encoding="utf-8") as f:
+            f.writelines(lines)
+        code, out = self._synthesize(tmp_path, narrations)
+        assert code == 0
+        windows = {}
+        for line in _read(out).decode().splitlines()[1:]:
+            row = json.loads(line)
+            windows.setdefault(row["clip_uid"], []).append(row["window"])
+        assert windows["clip-a"][0][0] == 0.0
+        assert windows["clip-b"][-1][1] == 30.0
+
     def test_no_distractors_flag(self, tmp_path):
         narrations = _ingest(tmp_path)
         code, out = self._synthesize(

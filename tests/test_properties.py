@@ -1,6 +1,7 @@
 """Property tests for the decode path (greedy NMS against the scalar oracle,
 the HeadOutputs acceptance rule), the row decoders' and completion parsers'
-error contracts, and the choice-order kernel against numpy."""
+error contracts, the choice-order kernel against numpy, and answer
+normalization against its first, fixed-point form."""
 from __future__ import annotations
 
 import hashlib
@@ -10,17 +11,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from egoqa.core import ValidationError
+from egoqa.core import ValidationError, normalize_answer
 from egoqa.jsonl_io import SchemaMismatch, row_to_head, row_to_pred, row_to_qa, row_to_track
 from egoqa.localization import HeadOutputs, LengthMismatch, decode_windows
 from egoqa.prompts import ParsedCompletion, parse_closeqa_completion, parse_openqa_completion
-from egoqa.seeding import choice_orders, choice_seeds, derive_seed
+from egoqa.seeding import choice_heads, choice_orders, choice_seeds, derive_seed
 from egoqa.synthesis import shuffled_choices
 
-from .oracles import oracle_nms
+from .oracles import fixed_point_normalize, oracle_nms
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -212,8 +213,8 @@ def reference_derive_seed(*parts):
     return int.from_bytes(h.digest(), "big")
 
 
-# choice_seeds encodes a sample's parts once for all its seeds; each seed
-# must still be the derive_seed of the full part list. Only the three text
+# choice_seeds encodes a sample's parts once for all its seeds' heads; each
+# seed must still be the derive_seed of the full part list. Only the three text
 # fields are read, so any text is drawn, not just what QASample accepts.
 @settings(max_examples=200, deadline=None)
 @given(
@@ -223,7 +224,7 @@ def reference_derive_seed(*parts):
 def test_choice_seeds_equal_derive_seed(clip_uid, question, answer, seeds):
     sample = SimpleNamespace(clip_uid=clip_uid, question=question, answer=answer)
     want = [reference_derive_seed("choices", s, clip_uid, question, answer) for s in seeds]
-    assert choice_seeds(sample, seeds) == want
+    assert choice_seeds(sample, choice_heads(seeds)) == want
     assert [derive_seed("choices", s, clip_uid, question, answer) for s in seeds] == want
 
 
@@ -243,3 +244,22 @@ def test_shuffled_choices_equal_numpy_permutation(clip_uid, question, answer, wr
     order = rng.permutation(4).tolist()
     pool = (answer, *wrong)
     assert shuffled_choices(sample, seed) == (tuple(pool[p] for p in order), order.index(0))
+
+
+# normalize_answer strips its tail in one rstrip; the fixed-point loop it
+# replaced is the definition. Unicode whitespace (ideographic space, the
+# unit separator, NEL) is collapsed by split() before the strip runs.
+ANSWER_TEXT = st.text(st.sampled_from(list("aZé ?!.,;:\t\n\u3000\x1f\x85\xa0")) | st.characters())
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=ANSWER_TEXT)
+@example(text="a ?! .;")
+@example(text="?!. ,;:")
+@example(text="...")
+@example(text="The cup\u3000.\x1f?\x85!")
+@example(text="\x85 \u3000")
+def test_normalize_answer_equals_fixed_point_loop(text):
+    once = normalize_answer(text)
+    assert once == fixed_point_normalize(text)
+    assert normalize_answer(once) == once
