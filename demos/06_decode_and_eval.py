@@ -23,8 +23,8 @@ for w, score in windows:
 preds = {"clip-a::0": PredictionSet("clip-a", "clip-a::0", windows)}
 gts = {"clip-a::0": TemporalWindow(9.0, 21.0)}
 print("\nrecall table:")
-for name, value in vlg_recall(preds, gts).as_dict().items():
-    print(f"  {name:18s} {100.0 * value:5.1f}")
+for name, mv in vlg_recall(preds, gts).metrics.items():
+    print(f"  {name:18s} {100.0 * mv.value:5.1f}")
 
 print("\ntext metrics:")
 hyp, ref = "in the kitchen sink", "in the sink"

@@ -29,7 +29,6 @@ from .core import (
     EgoqaError,
     EvalReport,
     InvariantBreach,
-    MetricValue,
     Narration,
     NarrationTrack,
     PredictionSet,
@@ -105,8 +104,12 @@ def _resolve(
 
 
 def _endpoint_config(args: argparse.Namespace, file_config: Mapping[str, Any]) -> EndpointConfig:
+    # The mock sends no request, so no address may enter the config hash.
+    base_url = "" if getattr(args, "mock", None) else _resolve(
+        args, file_config, "base_url", "", "EGOQA_BASE_URL", str
+    )
     return EndpointConfig(
-        base_url=_resolve(args, file_config, "base_url", "", "EGOQA_BASE_URL", str),
+        base_url=base_url,
         model=_resolve(args, file_config, "model", "mock", None, str),
         temperature=_resolve(args, file_config, "temperature", 0.0, None, float),
         max_tokens=_resolve(args, file_config, "max_tokens", 128, None, int),
@@ -223,10 +226,7 @@ def cmd_ingest(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
     first, sole = read_first_row(args.input)
     keys = set(first or ())
     if "_meta" in keys or {"clip_uid", "narrations"} <= keys:
-        tracks = (
-            row_to_track(row, f"{args.input}:{lineno}")
-            for lineno, row in read_jsonl(args.input)
-        )
+        tracks = (track for _, track in _iter_tracks(args.input))
     else:
         # A one-line export was parsed whole by the sniff; anything else
         # (a pretty-printed export, say) is loaded as one document.
@@ -261,14 +261,26 @@ def _record_to_row(record: GenerationRecord) -> dict[str, Any]:
     return {k: v for k, v in vars(record).items() if v is not None}
 
 
+def _iter_tracks(path: str) -> Iterator[tuple[str, NarrationTrack]]:
+    """(file:line, track) for each row of a narrations file; a clip_uid seen
+    on an earlier row is a SchemaMismatch."""
+    seen: set[str] = set()
+    for lineno, row in read_jsonl(path):
+        where = f"{path}:{lineno}"
+        track = row_to_track(row, where)
+        if track.clip_uid in seen:
+            raise SchemaMismatch(f"{where}: duplicate clip_uid {track.clip_uid!r}")
+        seen.add(track.clip_uid)
+        yield where, track
+
+
 def _read_tracks(path: str) -> Iterator[NarrationTrack]:
     """The tracks of a narrations file; an invalid track is a ValidationError."""
-    for lineno, row in read_jsonl(path):
-        track = row_to_track(row, f"{path}:{lineno}")
+    for where, track in _iter_tracks(path):
         violations = validate_track(track)
         if violations:
             raise ValidationError(
-                f"{path}:{lineno}: invalid track "
+                f"{where}: invalid track "
                 f"{track.clip_uid!r}: {','.join(v.code for v in violations)}"
             )
         yield track
@@ -503,15 +515,7 @@ def cmd_eval(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
 
     if task == "vlg":
         preds = _load_preds(args.predictions[0])
-        result = vlg_recall(
-            preds, {qid: s.window for qid, s in gts.items()}
-        )
-        report = EvalReport(
-            metadata={"queries": len(gts)},
-            metrics={
-                name: MetricValue(value) for name, value in result.as_dict().items()
-            },
-        )
+        report = vlg_recall(preds, {qid: s.window for qid, s in gts.items()})
     elif task == "openqa":
         pairs = _answers(gts, args.predictions[0])
         embed_url = _resolve(args, file_config, "embed_url", "", None, str)
@@ -524,11 +528,7 @@ def cmd_eval(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
             embedder = TrigramEmbedder()
         report = openqa_report(pairs, embedder)
     else:
-        mean, std = closeqa_accuracy([_answers(gts, path) for path in args.predictions])
-        report = EvalReport(
-            metadata={"queries": len(gts), "runs": 5},
-            metrics={"accuracy": MetricValue(mean, std)},
-        )
+        report = closeqa_accuracy([_answers(gts, path) for path in args.predictions])
 
     write_json(args.out or "report.json", _report_doc(report, meta, task))
     for name in report.metrics:

@@ -217,6 +217,8 @@ def validate_track(track: NarrationTrack) -> list[Violation]:
         out.append(Violation("nonfinite_duration", f"duration_s = {track.duration_s}"))
     elif track.duration_s <= 0:
         out.append(Violation("nonpositive_duration", f"duration_s = {track.duration_s}"))
+    if not track.narrations:
+        out.append(Violation("no_narrations", "the track has no narrations"))
     prev_t = None
     for i, narration in enumerate(track.narrations):
         if not narration.text.strip():

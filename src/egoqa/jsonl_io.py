@@ -326,18 +326,6 @@ def row_to_pred(row: Mapping[str, Any], where: str = "row") -> PredictionSet:
         raise SchemaMismatch(f"{where}: bad prediction set: {exc}") from exc
 
 
-def head_to_row(
-    clip_uid: str, query_id: str, duration_s: float, heads: HeadOutputs
-) -> dict[str, Any]:
-    return {
-        "clip_uid": clip_uid,
-        "query_id": query_id,
-        "duration_s": duration_s,
-        "scores": list(heads.scores),
-        "offsets": [list(pair) for pair in heads.offsets],
-    }
-
-
 def row_to_head(
     row: Mapping[str, Any], where: str = "row"
 ) -> tuple[str, str, float, HeadOutputs]:

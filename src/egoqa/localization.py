@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -37,21 +36,22 @@ class NotADistribution(ValidationError):
     """A row fails to be a probability distribution."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeadOutputs:
     """Per-timestep relevance scores and boundary-distance offsets.
 
     Offsets are (left, right) distances in feature-index units; scores are
-    strict probabilities. Any sequences of numbers are accepted and stored
-    as tuples of Python floats.
+    strict probabilities. Any sequences of numbers are accepted. The fields
+    hold read-only float64 copies, scores of shape (n,) and offsets of
+    shape (n, 2), so a caller's array is never aliased or frozen.
     """
 
-    scores: tuple[float, ...]
-    offsets: tuple[tuple[float, float], ...]
+    scores: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64)
-        offsets = np.asarray(self.offsets, dtype=np.float64)
+        scores = np.array(self.scores, dtype=np.float64)
+        offsets = np.array(self.offsets, dtype=np.float64)
         if offsets.shape == (0,):
             offsets = offsets.reshape(0, 2)
         if scores.ndim != 1 or offsets.ndim != 2 or offsets.shape[1] != 2:
@@ -72,10 +72,10 @@ class HeadOutputs:
             raise ValidationError(
                 f"offsets must be finite and >= 0, got ({left}, {right})"
             )
-        object.__setattr__(self, "scores", tuple(scores.tolist()))
-        object.__setattr__(
-            self, "offsets", tuple(zip(offsets[:, 0].tolist(), offsets[:, 1].tolist()))
-        )
+        scores.flags.writeable = False
+        offsets.flags.writeable = False
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "offsets", offsets)
 
 
 @dataclass(frozen=True)
@@ -316,9 +316,7 @@ def decode_windows(
     if n == 0:
         return ()
     step = duration_s / n
-    scores = np.fromiter(heads.scores, np.float64, n)
-    offsets = np.fromiter(chain.from_iterable(heads.offsets), np.float64, 2 * n)
-    offsets = offsets.reshape(n, 2)
+    scores, offsets = heads.scores, heads.offsets
     t = np.flatnonzero(~(scores < score_threshold))
     score = scores[t]
     start = _clamp((t - offsets[t, 0]) * step, duration_s)

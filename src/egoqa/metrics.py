@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -63,46 +62,15 @@ def iou_1d(a: TemporalWindow, b: TemporalWindow) -> float:
     return inter / union
 
 
-@dataclass(frozen=True)
-class VLGResult:
-    """Recall at k in {1, 5} and IoU threshold m in {0.3, 0.5}.
-
-    mean_r1 is the average of the two Recall@1 values. The monotonicity
-    invariants (deeper k never hurts, looser m never hurts) are asserted at
-    construction.
-    """
-
-    r1_at_03: float
-    r1_at_05: float
-    r5_at_03: float
-    r5_at_05: float
-    mean_r1: float
-
-    def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
-            if not 0.0 <= value <= 1.0:
-                raise InvariantBreach(f"{name} must lie in [0, 1], got {value}")
-        if self.r5_at_03 < self.r1_at_03 or self.r5_at_05 < self.r1_at_05:
-            raise InvariantBreach("recall@5 must be >= recall@1 at equal threshold")
-        if self.r1_at_03 < self.r1_at_05 or self.r5_at_03 < self.r5_at_05:
-            raise InvariantBreach("recall at IoU 0.3 must be >= recall at IoU 0.5")
-        if self.mean_r1 != (self.r1_at_03 + self.r1_at_05) / 2.0:
-            raise InvariantBreach("mean_r1 must average the two recall@1 values")
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "recall@1_iou0.3": self.r1_at_03,
-            "recall@1_iou0.5": self.r1_at_05,
-            "recall@5_iou0.3": self.r5_at_03,
-            "recall@5_iou0.5": self.r5_at_05,
-            "mean_recall@1": self.mean_r1,
-        }
-
-
 def vlg_recall(
     preds: Mapping[str, PredictionSet], gts: Mapping[str, TemporalWindow]
-) -> VLGResult:
-    """Fraction of queries whose top-k windows contain one with IoU >= m."""
+) -> EvalReport:
+    """Fraction of queries whose top-k windows contain one with IoU >= m.
+
+    Recall at k in {1, 5} and IoU threshold m in {0.3, 0.5}, plus
+    mean_recall@1, the average of the two Recall@1 values. Deeper k and
+    looser m never lower recall; a breach is an InvariantBreach.
+    """
     missing = sorted(set(gts) - set(preds))
     if missing:
         raise MissingQuery(f"no predictions for queries: {missing}")
@@ -119,13 +87,13 @@ def vlg_recall(
                     hits[(k, m)] += 1
     n = len(gts)
     r = {key: count / n for key, count in hits.items()}
-    return VLGResult(
-        r1_at_03=r[(1, 0.3)],
-        r1_at_05=r[(1, 0.5)],
-        r5_at_03=r[(5, 0.3)],
-        r5_at_05=r[(5, 0.5)],
-        mean_r1=(r[(1, 0.3)] + r[(1, 0.5)]) / 2.0,
-    )
+    if r[(5, 0.3)] < r[(1, 0.3)] or r[(5, 0.5)] < r[(1, 0.5)]:
+        raise InvariantBreach("recall@5 must be >= recall@1 at equal threshold")
+    if r[(1, 0.3)] < r[(1, 0.5)] or r[(5, 0.3)] < r[(5, 0.5)]:
+        raise InvariantBreach("recall at IoU 0.3 must be >= recall at IoU 0.5")
+    metrics = {f"recall@{k}_iou{m}": MetricValue(value) for (k, m), value in r.items()}
+    metrics["mean_recall@1"] = MetricValue((r[(1, 0.3)] + r[(1, 0.5)]) / 2.0)
+    return EvalReport(metadata={"queries": n}, metrics=metrics)
 
 
 def tokenize(text: str) -> list[str]:
@@ -352,9 +320,7 @@ def sentence_similarity(hypothesis: str, reference: str, embedder: Embedder) -> 
     return float(np.clip(np.dot(v1, v2), -1.0, 1.0))
 
 
-def closeqa_accuracy(
-    runs: Sequence[Sequence[tuple[str, str]]],
-) -> tuple[float, float]:
+def closeqa_accuracy(runs: Sequence[Sequence[tuple[str, str]]]) -> EvalReport:
     """Mean and sample standard deviation of accuracy over five seeded runs.
 
     Each run is a sequence of (predicted, correct) pairs over the same
@@ -374,7 +340,12 @@ def closeqa_accuracy(
         / len(run)
         for run in runs
     ]
-    return float(np.mean(accuracies)), float(np.std(accuracies, ddof=1))
+    return EvalReport(
+        metadata={"queries": len(runs[0]), "runs": 5},
+        metrics={"accuracy": MetricValue(
+            float(np.mean(accuracies)), float(np.std(accuracies, ddof=1))
+        )},
+    )
 
 
 def openqa_report(

@@ -15,6 +15,10 @@ Produces:
   - golden_filter_report.json: filter-blind report over filter_input.jsonl
     with the frequency-prior answerer (fixture designed tie-free, so the
     report does not depend on the trial seeds).
+  - golden_preds.jsonl: decode output for head_outputs.jsonl.
+  - golden_report_{vlg,openqa,closeqa}.json: eval reports against
+    gt_vlg.jsonl, of golden_preds.jsonl (vlg), pred_answers_0.jsonl (openqa)
+    and pred_answers_0..4.jsonl (closeqa).
 
 Review diffs before committing: these files are goldens, and tests compare
 against them byte-for-byte.
@@ -115,63 +119,40 @@ def write_golden_prompts() -> None:
             f.write(text.encode("utf-8"))
 
 
-def run_pipeline() -> None:
+def _cli(*argv: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(HERE, "..", "..", "src")
+    subprocess.run([sys.executable, "-m", "egoqa.cli", *argv], check=True, env=env)
+
+
+def run_pipeline() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         narrations = os.path.join(tmp, "narrations.jsonl")
-        subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "egoqa.cli",
-                "ingest",
-                os.path.join(HERE, "narration_export.json"),
-                "--out",
-                narrations,
-            ],
-            check=True,
-            env=env,
+        _cli("ingest", os.path.join(HERE, "narration_export.json"), "--out", narrations)
+        _cli(
+            "synthesize", narrations,
+            "--out", os.path.join(HERE, "golden_qa.jsonl"),
+            "--records", os.path.join(HERE, "golden_records.jsonl"),
+            "--stats-out", os.path.join(HERE, "golden_stats.json"),
+            "--mock", os.path.join(HERE, "mock_completions.json"),
+            "--seed", "7", "--split", "test",
         )
-        subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "egoqa.cli",
-                "synthesize",
-                narrations,
-                "--out",
-                os.path.join(HERE, "golden_qa.jsonl"),
-                "--records",
-                os.path.join(HERE, "golden_records.jsonl"),
-                "--stats-out",
-                os.path.join(HERE, "golden_stats.json"),
-                "--mock",
-                os.path.join(HERE, "mock_completions.json"),
-                "--seed",
-                "7",
-                "--split",
-                "test",
-            ],
-            check=True,
-            env=env,
+        _cli(
+            "filter-blind", os.path.join(HERE, "filter_input.jsonl"),
+            "--out", os.path.join(tmp, "filtered.jsonl"),
+            "--report", os.path.join(HERE, "golden_filter_report.json"),
+            "--seed", "11",
         )
-        subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "egoqa.cli",
-                "filter-blind",
-                os.path.join(HERE, "filter_input.jsonl"),
-                "--out",
-                os.path.join(tmp, "filtered.jsonl"),
-                "--report",
-                os.path.join(HERE, "golden_filter_report.json"),
-                "--seed",
-                "11",
-            ],
-            check=True,
-            env=env,
+
+
+def run_scoring() -> None:
+    preds = os.path.join(HERE, "golden_preds.jsonl")
+    answers = [os.path.join(HERE, f"pred_answers_{r}.jsonl") for r in range(5)]
+    _cli("decode", os.path.join(HERE, "head_outputs.jsonl"), "--out", preds)
+    for task, predictions in (("vlg", [preds]), ("openqa", answers[:1]), ("closeqa", answers)):
+        _cli(
+            "eval", *predictions, "--gt", os.path.join(HERE, "gt_vlg.jsonl"),
+            "--task", task, "--out", os.path.join(HERE, f"golden_report_{task}.json"),
         )
 
 
@@ -179,4 +160,5 @@ if __name__ == "__main__":
     write_mock_completions()
     write_golden_prompts()
     run_pipeline()
+    run_scoring()
     print("fixtures regenerated in", HERE)

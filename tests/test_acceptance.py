@@ -17,8 +17,6 @@ import pytest
 import egoqa.cli as cli
 from egoqa.blindfilter import UniformRandomAnswerer, filter_rows
 from egoqa.core import (
-    EvalReport,
-    MetricValue,
     PredictionSet,
     QASample,
     TemporalWindow,
@@ -292,8 +290,7 @@ def test_vlg_metrics_oracle():
             windows_by_query[qid] = [(w.start_s, w.end_s) for w, _ in wins]
             preds[qid] = PredictionSet("c", qid, tuple(wins))
 
-        result = vlg_recall(preds, gts)
-        table = result.as_dict()
+        table = {name: mv.value for name, mv in vlg_recall(preds, gts).metrics.items()}
         want = oracle_vlg(windows_by_query, {q: (w.start_s, w.end_s) for q, w in gts.items()})
         for name, value in want.items():
             assert abs(table[name] - value) <= 1e-12
@@ -308,10 +305,9 @@ def test_vlg_metrics_oracle():
     preds = {
         qid: PredictionSet("g", qid, ((w, 0.9),)) for qid, w in gts.items()
     }
-    table = vlg_recall(preds, gts).as_dict()
-    assert all(v == 1.0 for v in table.values())
-    report = EvalReport({}, {name: MetricValue(v) for name, v in table.items()})
-    assert all(report.render_percent(name) == "100.0" for name in table)
+    report = vlg_recall(preds, gts)
+    assert all(mv.value == 1.0 for mv in report.metrics.values())
+    assert all(report.render_percent(name) == "100.0" for name in report.metrics)
 
 
 @pytest.mark.criterion(7, "text metric values; alignment exhaustive for token lengths <= 6")
@@ -346,9 +342,9 @@ def test_closeqa_protocol():
         runs.append(
             [("yes" if i < n_correct else "no", "yes") for i in range(10)]
         )
-    mean, std = closeqa_accuracy(runs)
-    assert mean == pytest.approx(0.5, abs=1e-9)
-    assert std == pytest.approx(0.223607, abs=1e-6)
+    accuracy = closeqa_accuracy(runs).metrics["accuracy"]
+    assert accuracy.value == pytest.approx(0.5, abs=1e-9)
+    assert accuracy.dispersion == pytest.approx(0.223607, abs=1e-6)
 
     sample = QASample(
         "clip-s", "What did I hold?", "a mug",

@@ -18,6 +18,8 @@ MOCK = os.path.join(DATA_DIR, "mock_completions.json")
 FILTER_INPUT = os.path.join(DATA_DIR, "filter_input.jsonl")
 HEADS = os.path.join(DATA_DIR, "head_outputs.jsonl")
 GT_VLG = os.path.join(DATA_DIR, "gt_vlg.jsonl")
+GOLDEN_PREDS = os.path.join(DATA_DIR, "golden_preds.jsonl")
+ANSWERS = [os.path.join(DATA_DIR, f"pred_answers_{r}.jsonl") for r in range(5)]
 
 
 @pytest.fixture(autouse=True)
@@ -132,6 +134,15 @@ class TestIngest:
         assert [r["clip_uid"] for r in rows] == ["ok"]
         assert len(rows[0]["narrations"]) == 1
 
+    def test_empty_track_rejected_with_code(self, tmp_path, caplog):
+        narrations = _narrations_file(tmp_path, ("a", [1.0, 3.0]), ("b", []))
+        out = tmp_path / "out.jsonl"
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(["ingest", narrations, "--out", str(out)]) == 0
+        assert "ingest reject clip b: no_narrations" in caplog.text
+        rows = [json.loads(l) for l in _read(out).decode().splitlines()[1:]]
+        assert [r["clip_uid"] for r in rows] == ["a"]
+
     def test_headerless_track_jsonl_ingests(self, tmp_path):
         with_header = _ingest(tmp_path)
         lines = _read(with_header).decode().splitlines(keepends=True)
@@ -183,6 +194,24 @@ class TestSynthesize:
             windows.setdefault(row["clip_uid"], []).append(row["window"])
         assert windows["clip-a"][0][0] == 0.0
         assert windows["clip-b"][-1][1] == 30.0
+
+    def test_empty_track_exits_2_before_any_request(self, tmp_path):
+        # The mock answers no prompt, so a single request would exit 3.
+        narrations = _narrations_file(tmp_path, ("a", [1.0, 3.0]), ("b", []))
+        mock = _text_file(tmp_path, "mock.json", "{}")
+        code = cli.main(["synthesize", narrations, "--out", str(tmp_path / "qa.jsonl"),
+                         "--mock", mock])
+        assert code == 2
+        assert sorted(os.listdir(tmp_path)) == ["mock.json", "narrations.jsonl"]
+
+    def test_mock_output_ignores_base_url(self, tmp_path, monkeypatch):
+        narrations = _ingest(tmp_path)
+        _, plain = self._synthesize(tmp_path, narrations, "plain.jsonl")
+        monkeypatch.setenv("EGOQA_BASE_URL", "http://example.invalid")
+        code, with_env = self._synthesize(tmp_path, narrations, "with-env.jsonl")
+        assert code == 0
+        for suffix in ("", ".records.jsonl", ".stats.json"):
+            assert _read(with_env + suffix) == _read(plain + suffix)
 
     def test_no_distractors_flag(self, tmp_path):
         narrations = _ingest(tmp_path)
@@ -325,6 +354,22 @@ class TestFilterBlind:
 
 
 class TestDecodeEval:
+    def test_decode_reproduces_golden_bytes(self, tmp_path):
+        preds = str(tmp_path / "preds.jsonl")
+        assert cli.main(["decode", HEADS, "--out", preds]) == 0
+        assert _read(preds) == _read(GOLDEN_PREDS)
+
+    @pytest.mark.parametrize("task, predictions", [
+        ("vlg", [GOLDEN_PREDS]), ("openqa", ANSWERS[:1]), ("closeqa", ANSWERS),
+    ])
+    def test_eval_reproduces_golden_report(self, task, predictions, tmp_path):
+        report = str(tmp_path / "report.json")
+        code = cli.main([
+            "eval", *predictions, "--gt", GT_VLG, "--task", task, "--out", report,
+        ])
+        assert code == 0
+        assert _read(report) == _read(os.path.join(DATA_DIR, f"golden_report_{task}.json"))
+
     def test_decode_then_vlg_eval(self, tmp_path):
         preds = str(tmp_path / "preds.jsonl")
         assert cli.main(["decode", HEADS, "--out", preds]) == 0
@@ -606,6 +651,13 @@ def _dir(tmp_path, name):
     return str(path)
 
 
+def _narrations_file(tmp_path, *clips):
+    """A headerless narrations file with one row per (clip_uid, timestamps)."""
+    rows = [{"clip_uid": uid, "duration_s": 10.0,
+             "narrations": [{"text": "C waits.", "t_s": t} for t in ts]} for uid, ts in clips]
+    return _text_file(tmp_path, "narrations.jsonl", "".join(json.dumps(r) + "\n" for r in rows))
+
+
 def _head_file(tmp_path, **fields):
     row = {"clip_uid": "c", "query_id": "c::0", "duration_s": 10.0,
            "scores": [0.5, 0.6], "offsets": [[0.0, 1.0], [1.0, 0.0]], **fields}
@@ -686,6 +738,11 @@ MALFORMED_INPUTS = {
         lambda tmp: ["decode", _head_file(tmp, duration_s=10**400),
                      "--out", str(tmp / "preds.jsonl")],
         "heads.jsonl:1: bad head outputs",
+    ),
+    "ingest-clip-uid-repeated": (
+        lambda tmp: ["ingest", _narrations_file(tmp, ("a", [1.0]), ("b", [1.0]), ("a", [2.0])),
+                     "--out", str(tmp / "n.jsonl")],
+        "narrations.jsonl:3: duplicate clip_uid 'a'",
     ),
     "ingest-duration-overflows-float": (
         lambda tmp: ["ingest", _export_file(tmp, {

@@ -147,6 +147,10 @@ class TestValidateTrack:
         codes = [v.code for v in validate_track(make_track("c1", math.inf, [1.0]))]
         assert codes == ["nonfinite_duration"]
 
+    def test_empty_track_code(self):
+        codes = [v.code for v in validate_track(make_track("c1", 10.0, []))]
+        assert codes == ["no_narrations"]
+
     def test_timestamp_after_end(self):
         track = make_track("c1", 10.0, [1.0, 12.0])
         codes = [v.code for v in validate_track(track)]

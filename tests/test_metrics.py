@@ -17,7 +17,6 @@ from egoqa.metrics import (
     EmptyEvaluation,
     MissingQuery,
     RunLengthMismatch,
-    VLGResult,
     closeqa_accuracy,
     iou_1d,
     meteor_exact,
@@ -66,30 +65,31 @@ class TestVlgRecall:
         gts = {"c::0": TemporalWindow(2, 8)}
         preds = {"c::0": _pred("c::0", [(2, 8, 0.9)])}
         r = vlg_recall(preds, gts)
-        assert r.as_dict() == {
-            "recall@1_iou0.3": 1.0,
-            "recall@1_iou0.5": 1.0,
-            "recall@5_iou0.3": 1.0,
-            "recall@5_iou0.5": 1.0,
-            "mean_recall@1": 1.0,
-        }
+        assert r.metadata == {"queries": 1}
+        assert [(name, mv.value, mv.dispersion) for name, mv in r.metrics.items()] == [
+            ("recall@1_iou0.3", 1.0, None),
+            ("recall@1_iou0.5", 1.0, None),
+            ("recall@5_iou0.3", 1.0, None),
+            ("recall@5_iou0.5", 1.0, None),
+            ("mean_recall@1", 1.0, None),
+        ]
 
     def test_rank_sensitivity(self):
         # correct window is ranked second: recall@1 misses, recall@5 hits
         gts = {"c::0": TemporalWindow(2, 8)}
         preds = {"c::0": _pred("c::0", [(20, 30, 0.9), (2, 8, 0.5)])}
-        r = vlg_recall(preds, gts)
-        assert r.r1_at_03 == 0.0
-        assert r.r5_at_03 == 1.0
+        r = vlg_recall(preds, gts).metrics
+        assert r["recall@1_iou0.3"].value == 0.0
+        assert r["recall@5_iou0.3"].value == 1.0
 
     def test_threshold_sensitivity(self):
         # IoU 0.4 counts at threshold 0.3 only
         gts = {"c::0": TemporalWindow(6, 18)}
         preds = {"c::0": _pred("c::0", [(3, 12, 0.9)])}
-        r = vlg_recall(preds, gts)
-        assert r.r1_at_03 == 1.0
-        assert r.r1_at_05 == 0.0
-        assert r.mean_r1 == 0.5
+        r = vlg_recall(preds, gts).metrics
+        assert r["recall@1_iou0.3"].value == 1.0
+        assert r["recall@1_iou0.5"].value == 0.0
+        assert r["mean_recall@1"].value == 0.5
 
     def test_missing_query_rejected(self):
         gts = {"c::0": TemporalWindow(2, 8), "c::1": TemporalWindow(1, 4)}
@@ -107,15 +107,28 @@ class TestVlgRecall:
             "c::0": _pred("c::0", [(2, 8, 0.9)]),
             "c::9": _pred("c::9", [(0, 1, 0.1)]),
         }
-        assert vlg_recall(preds, gts).r1_at_03 == 1.0
+        assert vlg_recall(preds, gts).metrics["recall@1_iou0.3"].value == 1.0
 
-    def test_result_invariants_enforced(self):
-        with pytest.raises(InvariantBreach):
-            VLGResult(0.5, 0.6, 0.5, 0.6, 0.55)  # looser threshold cannot do worse
-        with pytest.raises(InvariantBreach):
-            VLGResult(0.5, 0.5, 0.4, 0.5, 0.5)  # deeper k cannot do worse
-        with pytest.raises(InvariantBreach):
-            VLGResult(0.6, 0.4, 0.6, 0.4, 0.55)  # mean_r1 must be exact
+    def test_result_invariants_enforced(self, monkeypatch):
+        # A faulty IoU whose `>=` answers from a script, not from a number.
+        # One window per query: the answers go to (k, m) = (1, 0.3),
+        # (1, 0.5), (5, 0.3), (5, 0.5) in that order.
+        class Scripted:
+            def __init__(self, answers):
+                self.answers = iter(answers)
+
+            def __ge__(self, m):
+                return next(self.answers)
+
+        gts = {"c::0": TemporalWindow(2, 8)}
+        preds = {"c::0": _pred("c::0", [(2, 8, 0.9)])}
+        for answers, message in (
+            ([False, True, False, True], "IoU 0.3 must be >= recall at IoU 0.5"),
+            ([True, True, False, False], "recall@5 must be >= recall@1"),
+        ):
+            monkeypatch.setattr(metrics, "iou_1d", lambda w, gt: Scripted(answers))
+            with pytest.raises(InvariantBreach, match=message):
+                vlg_recall(preds, gts)
 
 
 class TestTokenize:
@@ -308,15 +321,17 @@ class TestCloseqaAccuracy:
         return runs
 
     def test_protocol_example(self):
-        mean, std = closeqa_accuracy(self._runs([0.4, 0.4, 0.4, 0.4, 0.9]))
+        report = closeqa_accuracy(self._runs([0.4, 0.4, 0.4, 0.4, 0.9]))
+        assert report.metadata == {"queries": 10, "runs": 5}
+        mean, std = report.metrics["accuracy"].value, report.metrics["accuracy"].dispersion
         assert mean == pytest.approx(0.5, abs=1e-12)
         assert std == pytest.approx(0.223607, abs=1e-6)
 
     def test_normalization_applied(self):
         runs = [[("Yes.", "yes")] for _ in range(5)]
-        mean, std = closeqa_accuracy(runs)
-        assert mean == 1.0
-        assert std == 0.0
+        accuracy = closeqa_accuracy(runs).metrics["accuracy"]
+        assert accuracy.value == 1.0
+        assert accuracy.dispersion == 0.0
 
     def test_run_count_enforced(self):
         with pytest.raises(RunLengthMismatch):
@@ -339,10 +354,12 @@ class TestCloseqaAccuracy:
         golds = [f"answer {q}" for q in range(30)]
         runs = [[(f"Answer {q}." if (q + r) % 3 else "no", g) for q, g in enumerate(golds)]
                 for r in range(5)]
-        mean, std = closeqa_accuracy(runs)
+        accuracy = closeqa_accuracy(runs).metrics["accuracy"]
         assert len(calls) == 5 * 30 + 30
         want = [sum(1 for q in range(30) if (q + r) % 3) / 30 for r in range(5)]
-        assert (mean, std) == (float(np.mean(want)), float(np.std(want, ddof=1)))
+        assert (accuracy.value, accuracy.dispersion) == (
+            float(np.mean(want)), float(np.std(want, ddof=1))
+        )
 
 
 class TestOpenqaReport:

@@ -83,8 +83,8 @@ def test_head_outputs_accepts_exactly_the_valid_inputs(rows):
             HeadOutputs(scores, offsets)
         return
     heads = HeadOutputs(scores, offsets)
-    assert heads.scores == tuple(float(s) for s in scores)
-    assert heads.offsets == tuple((float(l), float(r)) for l, r in offsets)
+    assert heads.scores.tolist() == [float(s) for s in scores]
+    assert heads.offsets.tolist() == [[float(l), float(r)] for l, r in offsets]
 
 
 @PROPERTY
