@@ -145,9 +145,10 @@ def _pass_items(entry: Mapping[str, Any], pass_keys: tuple[str, ...]) -> list | 
 
 
 def _float(value: Any) -> float | None:
-    """A JSON number as a float; None if it is not one or overflows a float."""
+    """A JSON number as a float; None if it is not one (a bool is not) or
+    overflows a float."""
     try:
-        return float(value) if isinstance(value, (int, float)) else None
+        return float(value) if type(value) in (int, float) else None
     except OverflowError:
         return None
 
@@ -239,7 +240,7 @@ def cmd_ingest(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
         for track in tracks:
             violations = validate_track(track)
             if violations:
-                reject("clip", track.clip_uid, ",".join(v.code for v in violations))
+                reject("clip", track.clip_uid, ",".join(violations))
                 continue
             written += 1
             yield track_to_row(track)
@@ -281,7 +282,7 @@ def _read_tracks(path: str) -> Iterator[NarrationTrack]:
         if violations:
             raise ValidationError(
                 f"{where}: invalid track "
-                f"{track.clip_uid!r}: {','.join(v.code for v in violations)}"
+                f"{track.clip_uid!r}: {','.join(violations)}"
             )
         yield track
 

@@ -50,8 +50,8 @@ class Narration:
 class NarrationTrack:
     """One clip's ordered narration sentences plus the clip duration.
 
-    Construction does not validate; use validate_track to obtain the full
-    list of invariant violations as data.
+    Construction does not validate; use validate_track to obtain the
+    reason code of every invariant violation.
     """
 
     clip_uid: str
@@ -194,54 +194,38 @@ class EvalReport:
         return out
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One invariant violation found by validate_track."""
-
-    code: str
-    detail: str
-    index: int | None = None
-
-
-def validate_track(track: NarrationTrack) -> list[Violation]:
-    """Check every NarrationTrack invariant; return violations as data.
+def validate_track(track: NarrationTrack) -> list[str]:
+    """Check every NarrationTrack invariant; return the reason codes of the
+    violations in the order found.
 
     An empty result means the track is valid. Violations are never raised:
     callers decide whether a broken track is a rejection or a fault.
     """
-    out: list[Violation] = []
+    out: list[str] = []
     if not track.clip_uid:
-        out.append(Violation("empty_clip_uid", "clip_uid must be non-empty"))
+        out.append("empty_clip_uid")
     duration_finite = _finite(track.duration_s)
     if not duration_finite:
-        out.append(Violation("nonfinite_duration", f"duration_s = {track.duration_s}"))
+        out.append("nonfinite_duration")
     elif track.duration_s <= 0:
-        out.append(Violation("nonpositive_duration", f"duration_s = {track.duration_s}"))
+        out.append("nonpositive_duration")
     if not track.narrations:
-        out.append(Violation("no_narrations", "the track has no narrations"))
+        out.append("no_narrations")
     prev_t = None
-    for i, narration in enumerate(track.narrations):
+    for narration in track.narrations:
         if not narration.text.strip():
-            out.append(Violation("empty_text", "narration text blank after trim", i))
+            out.append("empty_text")
         t = narration.t_s
         if not _finite(t):
-            out.append(Violation("nonfinite_timestamp", f"t_s = {t}", i))
+            out.append("nonfinite_timestamp")
             prev_t = None
             continue
         if t < -TIME_EPS:
-            out.append(Violation("timestamp_before_start", f"t_s = {t}", i))
+            out.append("timestamp_before_start")
         if duration_finite and t > track.duration_s + TIME_EPS:
-            out.append(
-                Violation(
-                    "timestamp_after_end",
-                    f"t_s = {t} exceeds duration {track.duration_s}",
-                    i,
-                )
-            )
+            out.append("timestamp_after_end")
         if prev_t is not None and t < prev_t - TIME_EPS:
-            out.append(
-                Violation("non_monotonic_timestamps", f"t_s {t} after {prev_t}", i)
-            )
+            out.append("non_monotonic_timestamps")
         prev_t = t
     return out
 

@@ -45,7 +45,6 @@ class TrigramEmbedder:
     """
 
     name = "offline-sim"
-    dim = TRIGRAM_DIM
 
     def embed(self, text: str) -> np.ndarray:
         lowered = text.lower()

@@ -255,12 +255,10 @@ class MockChatEndpoint:
         self._completions = dict(completions)
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
-        self.calls = 0
 
     def complete(self, prompt: str) -> str:
         key = prompt_digest(prompt)
         with self._lock:
-            self.calls += 1
             if key not in self._completions:
                 if "*" in self._completions:
                     key = "*"

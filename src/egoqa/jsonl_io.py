@@ -2,10 +2,11 @@
 
 Every dataset file is UTF-8 JSON objects, one per line, preceded by a
 {"_meta": ...} header carrying the tool version, a configuration hash and
-the seed. The header deliberately has no timestamp and the hash excludes
-parallelism, timeouts and paths, so equal-configuration runs produce
-byte-identical files. Keys are sorted and separators compact, making the
-encoding canonical.
+the seed. The header deliberately has no timestamp, and each command
+hashes only the settings that change its payload (never parallelism,
+timeouts or paths), so equal-configuration runs produce byte-identical
+files. Keys are sorted and separators compact, making the encoding
+canonical.
 
 Readers are generators: rows are decoded as they stream, so memory stays
 bounded by the largest row, not the corpus.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from contextlib import contextmanager, suppress
 from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
@@ -29,14 +31,6 @@ from .core import (
 from .localization import HeadOutputs, check_duration
 
 TOOL_NAME = "egoqa"
-
-# Configuration keys that never influence output payloads: execution-shape
-# and location parameters. Excluded from the config hash so, for example,
-# parallelism 1 and 4 hash identically.
-VOLATILE_CONFIG_KEYS = frozenset(
-    {"parallelism", "request_timeout_s", "paths", "quiet", "verbose"}
-)
-
 
 class UnreadableInput(ValidationError):
     """File missing, undecodable, or not JSONL."""
@@ -59,17 +53,13 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def config_hash(config: Mapping[str, Any]) -> str:
-    """Stable hex digest of the semantically relevant configuration."""
-    semantic = {
-        k: v
-        for k, v in config.items()
-        if k not in VOLATILE_CONFIG_KEYS and not _is_pathlike_key(k)
-    }
-    return hashlib.sha256(dumps_canonical(semantic).encode("utf-8")).hexdigest()[:16]
+    """Stable hex digest of config, every key included.
 
-
-def _is_pathlike_key(key: str) -> bool:
-    return key.endswith(("_path", "_file", "_dir")) or key in {"input", "output", "out"}
+    The caller decides what identifies an output: it passes exactly the
+    settings that change the payload, never execution shape (parallelism,
+    timeouts) or locations (paths).
+    """
+    return hashlib.sha256(dumps_canonical(config).encode("utf-8")).hexdigest()[:16]
 
 
 def make_meta(config: Mapping[str, Any], seed: int | None = None) -> dict[str, Any]:
@@ -163,12 +153,30 @@ def write_json(path: str, doc: Mapping[str, Any]) -> None:
         f.write(dumps_canonical(doc) + "\n")
 
 
+class _RepeatedKey(Exception):
+    """A JSON object names one key twice."""
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise _RepeatedKey(next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1))
+    return obj
+
+
+# json.loads given a hook would build a decoder per call, costing more than the hook.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _decode(text: str, where: str) -> Any:
     """json.loads, raising UnreadableInput for any text the decoder rejects:
     syntax errors, integers over the interpreter's digit limit (a plain
-    ValueError) and nesting deeper than the recursion limit."""
+    ValueError), nesting deeper than the recursion limit, and an object
+    that repeats a key (json.loads would keep the last value silently)."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
+    except _RepeatedKey as exc:
+        raise UnreadableInput(f"{where}: repeated key {exc.args[0]!r}") from exc
     except (ValueError, RecursionError) as exc:
         raise UnreadableInput(f"{where}: not JSON: {exc}") from exc
 
@@ -189,9 +197,8 @@ def read_json_object(path: str, what: str) -> dict[str, Any]:
 def read_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (1-based line number, row) for each payload row, lazily.
 
-    A leading {"_meta": ...} row is skipped; use read_meta to inspect it.
-    Lines are decoded one at a time, so bytes that are not UTF-8 are
-    reported with their line.
+    A leading {"_meta": ...} row is skipped. Lines are decoded one at a
+    time, so bytes that are not UTF-8 are reported with their line.
     """
     try:
         f = open(path, "rb")
@@ -215,7 +222,8 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
 
 def read_first_row(path: str) -> tuple[dict[str, Any] | None, bool]:
     """The first line as a JSON object (None when it is blank or not one),
-    and whether it is the file's only non-blank line."""
+    and whether it is the file's only non-blank line. A repeated key is an
+    error in an export and a JSONL row alike, so it raises UnreadableInput."""
     try:
         with open(path, encoding="utf-8") as f:
             first = f.readline()
@@ -224,21 +232,36 @@ def read_first_row(path: str) -> tuple[dict[str, Any] | None, bool]:
         raise UnreadableInput(f"cannot read {path}: {exc}") from exc
     try:
         row = _decode(first, f"{path}:1")
-    except UnreadableInput:
+    except UnreadableInput as exc:
+        if isinstance(exc.__cause__, _RepeatedKey):
+            raise
         return None, sole
     return (row if isinstance(row, dict) else None), sole
 
 
-def read_meta(path: str) -> dict[str, Any] | None:
-    """Return the header's _meta object, or None when the file has none."""
-    meta = (read_first_row(path)[0] or {}).get("_meta")
-    return meta if isinstance(meta, dict) else None
+# Exact JSON types: no number is read from a string or a bool, no text from a number.
+_TEXT = (str,)
+_NUMBER = (int, float)
+_KIND = {_TEXT: "a string", _NUMBER: "a number"}
 
 
-def _need(row: Mapping[str, Any], key: str, where: str) -> Any:
+def _need(row: Mapping[str, Any], key: str, where: str, kind=None) -> Any:
+    """row[key], which must be of kind (_TEXT or _NUMBER) when it is given."""
     if key not in row:
         raise SchemaMismatch(f"{where}: missing field {key!r}")
-    return row[key]
+    value = row[key]
+    if kind is not None and type(value) not in kind:
+        raise TypeError(f"{key} must be {_KIND[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _array(value: Any, size: int, name: str, kind=_NUMBER) -> list:
+    if type(value) is not list or len(value) != size:
+        raise TypeError(f"{name} must be an array of {size} items")
+    for item in value:
+        if type(item) not in kind:
+            raise TypeError(f"each {name} item must be {_KIND[kind]}, got {type(item).__name__}")
+    return value
 
 
 def track_to_row(track: NarrationTrack) -> dict[str, Any]:
@@ -252,12 +275,12 @@ def track_to_row(track: NarrationTrack) -> dict[str, Any]:
 def row_to_track(row: Mapping[str, Any], where: str = "row") -> NarrationTrack:
     try:
         narrations = tuple(
-            Narration(text=str(_need(n, "text", where)), t_s=float(_need(n, "t_s", where)))
+            Narration(_need(n, "text", where, _TEXT), float(_need(n, "t_s", where, _NUMBER)))
             for n in _need(row, "narrations", where)
         )
         return NarrationTrack(
-            clip_uid=str(_need(row, "clip_uid", where)),
-            duration_s=float(_need(row, "duration_s", where)),
+            clip_uid=_need(row, "clip_uid", where, _TEXT),
+            duration_s=float(_need(row, "duration_s", where, _NUMBER)),
             narrations=narrations,
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -280,16 +303,18 @@ def qa_to_row(sample: QASample) -> dict[str, Any]:
 
 def row_to_qa(row: Mapping[str, Any], where: str = "row") -> QASample:
     try:
-        window = _need(row, "window", where)
+        start, end = map(float, _array(_need(row, "window", where), 2, "window"))
         wrong = row.get("wrong_answers")
         return QASample(
-            clip_uid=str(_need(row, "clip_uid", where)),
-            question=str(_need(row, "question", where)),
-            answer=str(_need(row, "answer", where)),
-            window=TemporalWindow(float(window[0]), float(window[1])),
-            wrong_answers=tuple(str(w) for w in wrong) if wrong is not None else None,
-            split=str(_need(row, "split", where)),
-            source=str(_need(row, "source", where)),
+            clip_uid=_need(row, "clip_uid", where, _TEXT),
+            question=_need(row, "question", where, _TEXT),
+            answer=_need(row, "answer", where, _TEXT),
+            window=TemporalWindow(start, end),
+            wrong_answers=(
+                None if wrong is None else tuple(_array(wrong, 3, "wrong_answers", _TEXT))
+            ),
+            split=_need(row, "split", where, _TEXT),
+            source=_need(row, "source", where, _TEXT),
         )
     except (TypeError, ValueError, OverflowError, LookupError, ValidationError) as exc:
         if isinstance(exc, SchemaMismatch):
@@ -309,16 +334,18 @@ def pred_to_row(pred: PredictionSet) -> dict[str, Any]:
 def row_to_pred(row: Mapping[str, Any], where: str = "row") -> PredictionSet:
     try:
         triples = [
-            (TemporalWindow(float(w[0]), float(w[1])), float(w[2]))
-            for w in _need(row, "windows", where)
+            (TemporalWindow(float(start), float(end)), float(score))
+            for start, end, score in (
+                _array(w, 3, "prediction window") for w in _need(row, "windows", where)
+            )
         ]
         # Tolerate unranked exports: order by score descending, stable.
         triples.sort(key=lambda pair: -pair[1])
         return PredictionSet(
-            clip_uid=str(_need(row, "clip_uid", where)),
-            query_id=str(_need(row, "query_id", where)),
+            clip_uid=_need(row, "clip_uid", where, _TEXT),
+            query_id=_need(row, "query_id", where, _TEXT),
             windows=tuple(triples),
-            answer_text=str(row.get("answer_text", "")),
+            answer_text=_need(row, "answer_text", where, _TEXT) if "answer_text" in row else "",
         )
     except (TypeError, ValueError, OverflowError, LookupError, ValidationError) as exc:
         if isinstance(exc, SchemaMismatch):
@@ -333,9 +360,9 @@ def row_to_head(
         heads = HeadOutputs(
             scores=_need(row, "scores", where), offsets=_need(row, "offsets", where)
         )
-        clip_uid = str(_need(row, "clip_uid", where))
-        query_id = str(_need(row, "query_id", where))
-        duration_s = float(_need(row, "duration_s", where))
+        clip_uid = _need(row, "clip_uid", where, _TEXT)
+        query_id = _need(row, "query_id", where, _TEXT)
+        duration_s = float(_need(row, "duration_s", where, _NUMBER))
         check_duration(duration_s)
         return clip_uid, query_id, duration_s, heads
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:

@@ -41,17 +41,25 @@ class HeadOutputs:
     """Per-timestep relevance scores and boundary-distance offsets.
 
     Offsets are (left, right) distances in feature-index units; scores are
-    strict probabilities. Any sequences of numbers are accepted. The fields
-    hold read-only float64 copies, scores of shape (n,) and offsets of
-    shape (n, 2), so a caller's array is never aliased or frozen.
+    strict probabilities. Any sequences of numbers are accepted, but not
+    of strings or bools. The fields hold read-only float64 copies, scores
+    of shape (n,) and offsets of shape (n, 2), so a caller's array is never
+    aliased or frozen.
     """
 
     scores: np.ndarray
     offsets: np.ndarray
 
     def __post_init__(self) -> None:
-        scores = np.array(self.scores, dtype=np.float64)
-        offsets = np.array(self.offsets, dtype=np.float64)
+        scores = np.array(self.scores)
+        offsets = np.array(self.offsets)
+        # numpy would read strings and bools as numbers; their dtype tells.
+        if scores.dtype.kind in "bUS" or offsets.dtype.kind in "bUS":
+            raise ValidationError(
+                f"scores and offsets must be numbers, got {scores.dtype} and {offsets.dtype}"
+            )
+        scores = scores.astype(np.float64, copy=False)
+        offsets = offsets.astype(np.float64, copy=False)
         if offsets.shape == (0,):
             offsets = offsets.reshape(0, 2)
         if scores.ndim != 1 or offsets.ndim != 2 or offsets.shape[1] != 2:
@@ -96,10 +104,6 @@ class LabelAssignment:
                 raise InvariantBreach("targets must exist exactly at positives")
             if target is not None and (target[0] < 0 or target[1] < 0):
                 raise InvariantBreach(f"regression targets must be >= 0, got {target}")
-
-    @property
-    def has_positives(self) -> bool:
-        return any(self.positives)
 
 
 @dataclass(frozen=True)

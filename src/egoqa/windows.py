@@ -14,11 +14,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import TIME_EPS, NarrationTrack, TemporalWindow, ValidationError
 
-# Clips whose mean interval falls below this are flagged: their windows
-# collapse to near-points and usually indicate duplicated timestamps.
-SHORT_INTERVAL_S = 1e-6
-
-
 class NoIntervalData(ValidationError):
     """No track in the corpus has two or more narrations with a positive gap."""
 
@@ -32,21 +27,16 @@ class CorpusTimingStats:
     """alpha plus the per-clip beta values.
 
     fallback_clips had no usable interval data (fewer than 2 narrations, or
-    all gaps zero) and were assigned beta = alpha; short_interval_clips have
-    a genuine but sub-microsecond mean interval.
+    all gaps zero) and were assigned beta = alpha.
     """
 
     alpha_s: float
     beta_by_clip: Mapping[str, float]
     fallback_clips: frozenset[str] = field(default_factory=frozenset)
-    short_interval_clips: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta_by_clip", dict(self.beta_by_clip))
         object.__setattr__(self, "fallback_clips", frozenset(self.fallback_clips))
-        object.__setattr__(
-            self, "short_interval_clips", frozenset(self.short_interval_clips)
-        )
         if not self.beta_by_clip:
             raise ValidationError("beta_by_clip must not be empty")
         if self.alpha_s <= 0:
@@ -92,16 +82,13 @@ def compute_stats(tracks: Iterable[NarrationTrack]) -> CorpusTimingStats:
 
     beta_by_clip: dict[str, float] = {}
     fallback: set[str] = set()
-    short: set[str] = set()
     for uid, beta in raw_beta.items():
         if beta is None:
             beta_by_clip[uid] = alpha
             fallback.add(uid)
         else:
             beta_by_clip[uid] = beta
-            if beta < SHORT_INTERVAL_S:
-                short.add(uid)
-    return CorpusTimingStats(alpha, beta_by_clip, frozenset(fallback), frozenset(short))
+    return CorpusTimingStats(alpha, beta_by_clip, frozenset(fallback))
 
 
 def narration_window(

@@ -405,6 +405,9 @@ def test_end_to_end_determinism(tmp_path, monkeypatch):
     narrations = str(tmp_path / "narrations.jsonl")
     assert cli.main(["ingest", export, "--out", narrations]) == 0
 
+    # Execution shape and locations are not settings: parallelism, the
+    # timeout (a different one on each run) and the output paths must not
+    # reach the bytes, config_hash included.
     outputs = set()
     for run in range(3):
         for par in (1, 2, 8):
@@ -412,7 +415,7 @@ def test_end_to_end_determinism(tmp_path, monkeypatch):
             code = cli.main([
                 "synthesize", narrations, "--out", out,
                 "--mock", mock, "--seed", "7", "--split", "test",
-                "--parallelism", str(par),
+                "--parallelism", str(par), "--timeout", str(10 * run + par),
             ])
             assert code == 0
             files = []

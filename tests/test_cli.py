@@ -9,6 +9,7 @@ import os
 import pytest
 
 import egoqa.cli as cli
+import egoqa.jsonl_io as jsonl_io
 from egoqa.core import InvariantBreach
 
 from .conftest import DATA_DIR
@@ -58,8 +59,10 @@ class TestIngest:
         one_line = tmp_path / "export.json"
         one_line.write_text(json.dumps(json.loads(_read(EXPORT))))
         decoded = []
-        loads = json.loads
-        monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
+        decode = jsonl_io._decode  # every file read decodes through it
+        monkeypatch.setattr(
+            jsonl_io, "_decode", lambda s, where: decoded.append(s) or decode(s, where)
+        )
         out = str(tmp_path / "n.jsonl")
         assert cli.main(["ingest", str(one_line), "--out", out]) == 0
         monkeypatch.undo()
@@ -679,8 +682,8 @@ def _track_file(tmp_path, **fields):
     return _text_file(tmp_path, "narrations.jsonl", json.dumps(row) + "\n")
 
 
-def _pred_file(tmp_path, windows):
-    row = {"clip_uid": "clip-d", "query_id": "clip-d::0", "windows": windows}
+def _pred_file(tmp_path, windows, clip_uid="clip-d"):
+    row = {"clip_uid": clip_uid, "query_id": f"{clip_uid}::0", "windows": windows}
     return _text_file(tmp_path, "preds.jsonl", json.dumps(row) + "\n")
 
 
@@ -930,6 +933,152 @@ MALFORMED_INPUTS = {
                      "synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
                      "--mock", MOCK],
         "parallelism",
+    ),
+    # A mistyped field is rejected, never converted: no number from a string
+    # or a bool, no text from a number, no fixed-size array truncated.
+    "stats-window-is-string": (
+        lambda tmp: ["stats", _qa_file(tmp, window="12"), "--out", str(tmp / "stats.json")],
+        "qa.jsonl:1: bad qa sample: window must be an array of 2 items",
+    ),
+    "stats-wrong-answers-is-string": (
+        lambda tmp: ["stats", _qa_file(tmp, wrong_answers="xyz"),
+                     "--out", str(tmp / "stats.json")],
+        "qa.jsonl:1: bad qa sample: wrong_answers must be an array of 3 items",
+    ),
+    "stats-window-is-triple": (
+        lambda tmp: ["stats", _qa_file(tmp, window=[1, 5, 99]),
+                     "--out", str(tmp / "stats.json")],
+        "qa.jsonl:1: bad qa sample: window must be an array of 2 items",
+    ),
+    "stats-window-holds-strings": (
+        lambda tmp: ["stats", _qa_file(tmp, window=["1", "5"]),
+                     "--out", str(tmp / "stats.json")],
+        "qa.jsonl:1: bad qa sample: each window item must be a number, got str",
+    ),
+    "stats-answer-is-bool": (
+        lambda tmp: ["stats", _qa_file(tmp, answer=True), "--out", str(tmp / "stats.json")],
+        "qa.jsonl:1: bad qa sample: answer must be a string, got bool",
+    ),
+    "stats-clip-uid-is-number": (
+        lambda tmp: ["stats", _qa_file(tmp, clip_uid=7), "--out", str(tmp / "stats.json")],
+        "qa.jsonl:1: bad qa sample: clip_uid must be a string, got int",
+    ),
+    "stats-narration-time-is-string": (
+        lambda tmp: ["stats", FILTER_INPUT, "--out", str(tmp / "stats.json"),
+                     "--narrations", _track_file(tmp, narrations=[
+                         {"text": "C waits.", "t_s": "1.0"}])],
+        "narrations.jsonl:1: bad narration track: t_s must be a number, got str",
+    ),
+    "stats-track-duration-is-bool": (
+        lambda tmp: ["stats", FILTER_INPUT, "--out", str(tmp / "stats.json"),
+                     "--narrations", _track_file(tmp, duration_s=True, narrations=[
+                         {"text": "C waits.", "t_s": 0.5}])],
+        "narrations.jsonl:1: bad narration track: duration_s must be a number, got bool",
+    ),
+    "eval-vlg-gt-window-is-string": (
+        lambda tmp: ["eval", _pred_file(tmp, [[1.0, 2.0, 0.9]], "clip-a"),
+                     "--gt", _qa_file(tmp, window="12"), "--task", "vlg",
+                     "--out", str(tmp / "report.json")],
+        "qa.jsonl:1: bad qa sample: window must be an array of 2 items",
+    ),
+    "eval-vlg-window-holds-strings": (
+        lambda tmp: ["eval", _pred_file(tmp, [["1", "2", "0.5", 9]]),
+                     "--gt", _qa_file(tmp, clip_uid="clip-d", window=[1, 2]), "--task", "vlg",
+                     "--out", str(tmp / "report.json")],
+        "preds.jsonl:1: bad prediction set: prediction window must be an array of 3 items",
+    ),
+    "eval-vlg-window-is-quadruple": (
+        lambda tmp: ["eval", _pred_file(tmp, [[1, 2, 0.5, 9]]),
+                     "--gt", _qa_file(tmp, clip_uid="clip-d", window=[1, 2]), "--task", "vlg",
+                     "--out", str(tmp / "report.json")],
+        "preds.jsonl:1: bad prediction set: prediction window must be an array of 3 items",
+    ),
+    "eval-vlg-score-is-string": (
+        lambda tmp: ["eval", _pred_file(tmp, [[1, 2, "0.5"]]),
+                     "--gt", _qa_file(tmp, clip_uid="clip-d", window=[1, 2]), "--task", "vlg",
+                     "--out", str(tmp / "report.json")],
+        "preds.jsonl:1: bad prediction set: each prediction window item must be a number, got str",
+    ),
+    "decode-scores-are-strings": (
+        lambda tmp: ["decode", _head_file(tmp, scores=["0.5", "0.6"]),
+                     "--out", str(tmp / "preds.jsonl")],
+        "heads.jsonl:1: bad head outputs: scores and offsets must be numbers",
+    ),
+    "decode-offsets-are-bools": (
+        lambda tmp: ["decode", _head_file(tmp, offsets=[[False, True], [True, False]]),
+                     "--out", str(tmp / "preds.jsonl")],
+        "heads.jsonl:1: bad head outputs: scores and offsets must be numbers",
+    ),
+    "decode-query-id-is-number": (
+        lambda tmp: ["decode", _head_file(tmp, query_id=0), "--out", str(tmp / "preds.jsonl")],
+        "heads.jsonl:1: bad head outputs: query_id must be a string, got int",
+    ),
+    "decode-duration-is-string": (
+        lambda tmp: ["decode", _head_file(tmp, duration_s="10"),
+                     "--out", str(tmp / "preds.jsonl")],
+        "heads.jsonl:1: bad head outputs: duration_s must be a number, got str",
+    ),
+    "ingest-duration-is-bool": (
+        lambda tmp: ["ingest", _export_file(tmp, {
+            "duration_sec": True,
+            "narration_pass_1": {"narrations": [
+                {"narration_text": "C waits.", "timestamp_sec": 0.5}]},
+        }), "--out", str(tmp / "n.jsonl")],
+        "bad_duration=1",
+    ),
+    "ingest-timestamp-is-bool": (
+        lambda tmp: ["ingest", _export_file(tmp, {
+            "duration_sec": 10,
+            "narration_pass_1": {"narrations": [
+                {"narration_text": "C waits.", "timestamp_sec": False}]},
+        }), "--out", str(tmp / "n.jsonl")],
+        "bad_timestamp=1",
+    ),
+    # A repeated object key is rejected, never resolved to its last value.
+    "ingest-export-clip-repeated": (
+        lambda tmp: ["ingest", _text_file(tmp, "export.json", "{\n" + ",\n".join(
+            f'"a": {{"duration_sec": {d}, "narration_pass_1": {{"narrations": '
+            f'[{{"narration_text": "C waits.", "timestamp_sec": 1}}]}}}}' for d in (10, 20)
+        ) + "\n}\n"), "--out", str(tmp / "n.jsonl")],
+        "export.json: repeated key 'a'",
+    ),
+    "ingest-one-line-export-clip-repeated": (
+        lambda tmp: ["ingest", _text_file(tmp, "export.json", "{" + ", ".join(
+            f'"a": {{"duration_sec": {d}, "narration_pass_1": {{"narrations": '
+            f'[{{"narration_text": "C waits.", "timestamp_sec": 1}}]}}}}' for d in (10, 20)
+        ) + "}\n"), "--out", str(tmp / "n.jsonl")],
+        "export.json:1: repeated key 'a'",
+    ),
+    "ingest-row-key-repeated": (
+        lambda tmp: ["ingest", _text_file(tmp, "narrations.jsonl",
+                                          '{"clip_uid": "a", "clip_uid": "b", "duration_s": 10,'
+                                          ' "narrations": [{"text": "C waits.", "t_s": 1}]}\n'
+                                          + _read(_narrations_file(tmp, ("c", [1.0]))).decode()),
+                     "--out", str(tmp / "n.jsonl")],
+        "narrations.jsonl:1: repeated key 'clip_uid'",
+    ),
+    "config-key-repeated": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"top_k": 5, "top_k": 1}'),
+                     "decode", HEADS, "--out", str(tmp / "preds.jsonl")],
+        "config.json: repeated key 'top_k'",
+    ),
+    "mock-key-repeated": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", _text_file(tmp, "mock.json", '{"*": "x", "*": "y"}')],
+        "mock.json: repeated key '*'",
+    ),
+    "stats-qa-answer-repeated": (
+        lambda tmp: ["stats", _text_file(tmp, "qa.jsonl", QA_ROW.decode()[:-1]
+                                         + ', "answer": "no"}\n'),
+                     "--out", str(tmp / "stats.json")],
+        "qa.jsonl:1: repeated key 'answer'",
+    ),
+    "stats-narration-key-repeated": (
+        lambda tmp: ["stats", FILTER_INPUT, "--out", str(tmp / "stats.json"), "--narrations",
+                     _text_file(tmp, "narrations.jsonl",
+                                '{"clip_uid": "c", "duration_s": 10, "narrations": '
+                                '[{"text": "C waits.", "t_s": 1, "t_s": 9}]}\n')],
+        "narrations.jsonl:1: repeated key 't_s'",
     ),
 }
 

@@ -131,7 +131,7 @@ class TestValidateTrack:
                 Narration("C waves.", 4.0),
             ),
         )
-        codes = [v.code for v in validate_track(track)]
+        codes = validate_track(track)
         assert "empty_clip_uid" in codes
         assert "empty_text" in codes
         assert "nonfinite_timestamp" in codes
@@ -140,20 +140,20 @@ class TestValidateTrack:
         assert "non_monotonic_timestamps" in codes
 
     def test_nonpositive_duration_code(self):
-        codes = [v.code for v in validate_track(make_track("c1", -3.0, [1.0]))]
+        codes = validate_track(make_track("c1", -3.0, [1.0]))
         assert codes == ["nonpositive_duration", "timestamp_after_end"]
 
     def test_nonfinite_duration_skips_end_check(self):
-        codes = [v.code for v in validate_track(make_track("c1", math.inf, [1.0]))]
+        codes = validate_track(make_track("c1", math.inf, [1.0]))
         assert codes == ["nonfinite_duration"]
 
     def test_empty_track_code(self):
-        codes = [v.code for v in validate_track(make_track("c1", 10.0, []))]
+        codes = validate_track(make_track("c1", 10.0, []))
         assert codes == ["no_narrations"]
 
     def test_timestamp_after_end(self):
         track = make_track("c1", 10.0, [1.0, 12.0])
-        codes = [v.code for v in validate_track(track)]
+        codes = validate_track(track)
         assert codes == ["timestamp_after_end"]
 
     def test_tolerance_absorbs_rounding(self):

@@ -207,7 +207,7 @@ class TestAssignLabels:
 
     def test_no_positives_case(self):
         la = assign_labels(4, TemporalWindow(0.0, 0.4), 40.0)
-        assert not la.has_positives
+        assert not any(la.positives)
 
     def test_alignment_enforced(self):
         with pytest.raises(InvariantBreach):
@@ -307,8 +307,13 @@ class TestHeadOutputs:
     def test_unconvertible_values_are_rejected(self):
         with pytest.raises(ValueError):
             HeadOutputs([0.5, 0.6], [[0, 1], [1]])
-        with pytest.raises(ValueError):
+        # strings and bools are not numbers, even where numpy would read them
+        with pytest.raises(ValidationError, match="must be numbers"):
             HeadOutputs([0.5, "x"], [[0, 1], [1, 0]])
+        with pytest.raises(ValidationError, match="must be numbers"):
+            HeadOutputs([0.5, 0.6], [[0, 1], ["1", "0"]])
+        with pytest.raises(ValidationError, match="must be numbers"):
+            HeadOutputs([0.5, 0.6], [[False, True], [True, False]])
         # numpy converts None to NaN, which the range check rejects
         with pytest.raises(ValidationError):
             HeadOutputs([0.5, None], [[0, 1], [1, 0]])
