@@ -2,7 +2,8 @@
 
 Builds a tiny narration export and a scripted mock-endpoint fixture in a
 temp directory, then runs: ingest -> synthesize -> filter-blind -> stats.
-Every output file starts with a _meta row carrying the tool version, a
+The synthesize settings come from a --config JSON file; flags would
+override it. Every output file starts with a _meta row carrying the tool version, a
 config hash, and the seed, and reruns are byte-identical.
 """
 import json
@@ -87,8 +88,10 @@ with tempfile.TemporaryDirectory() as tmp:
     stats = os.path.join(tmp, "stats.json")
 
     run("ingest", export, "--out", narrations)
-    run("synthesize", narrations, "--out", qa,
-        "--mock", mock, "--seed", "7", "--split", "test")
+    config = os.path.join(tmp, "synthesize.json")
+    with open(config, "w", encoding="utf-8") as f:
+        json.dump({"seed": 7, "split": "test", "max_sentences": 5, "parallelism": 2}, f)
+    run("--config", config, "synthesize", narrations, "--out", qa, "--mock", mock)
     # uniform answerer: only questions guessable by pure luck are removed
     run("filter-blind", qa, "--out", kept, "--seed", "11",
         "--answerer", "uniform")

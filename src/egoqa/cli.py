@@ -77,56 +77,59 @@ EXIT_ENDPOINT = 3
 EXIT_INTERNAL = 4
 
 
-def _resolve(
-    args: argparse.Namespace,
-    file_config: Mapping[str, Any],
-    name: str,
-    default: Any,
-    env_var: str | None = None,
-    cast=None,
-):
-    """flags > environment > config file > builtin default."""
-    value = getattr(args, name, None)
-    if value is None and env_var:
-        value = os.environ.get(env_var) or None
-    if value is None:
-        value = file_config.get(name)
-    if value is None:
-        value = default
-    if cast is not None and value is not None:
+# Each setting's builtin value, whose type is the setting's type, and the values
+# a setting may take where they are listed. The flags and --config read both.
+DEFAULTS: dict[str, Any] = {
+    "narration_pass": "merge",
+    "seed": 0,
+    "split": "train",
+    "max_sentences": 5,
+    "max_span_s": 30.0,
+    "openqa_template": "openqa_llama",
+    "base_url": "",
+    "model": "mock",
+    "temperature": 0.0,
+    "max_tokens": 128,
+    "timeout": 30.0,
+    "max_retries": 2,
+    "parallelism": 1,
+    "answerer": "frequency",
+    "embed_url": "",
+    "score_threshold": 0.05,
+    "nms_iou": 0.5,
+    "top_k": 5,
+}
+CHOICES: dict[str, tuple[str, ...]] = {
+    "narration_pass": ("1", "2", "merge"),
+    "split": ("train", "val", "test"),
+    "openqa_template": ("openqa_llama", "openqa_chat"),
+    "answerer": ("frequency", "uniform"),
+}
+
+
+def _settle(args: argparse.Namespace) -> None:
+    """Set each setting on args from its flag, else EGOQA_BASE_URL (base_url
+    only), else --config, else DEFAULTS. A config value must name a setting,
+    have its exact JSON type (a float setting also takes an integer, no
+    setting a bool) and, where the setting has CHOICES, be one of them."""
+    settled = dict(DEFAULTS)
+    config = read_json_object(args.config, "config file") if args.config else {}
+    for name, value in config.items():
+        if name not in DEFAULTS:
+            raise ValidationError(f"{args.config}: unknown setting {name!r}")
+        kind = type(DEFAULTS[name])
         try:
-            value = cast(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(
-                f"{name}: cannot read {value!r} as {cast.__name__}"
-            ) from None
-    return value
-
-
-def _endpoint_config(args: argparse.Namespace, file_config: Mapping[str, Any]) -> EndpointConfig:
-    # The mock sends no request, so no address may enter the config hash.
-    base_url = "" if getattr(args, "mock", None) else _resolve(
-        args, file_config, "base_url", "", "EGOQA_BASE_URL", str
-    )
-    return EndpointConfig(
-        base_url=base_url,
-        model=_resolve(args, file_config, "model", "mock", None, str),
-        temperature=_resolve(args, file_config, "temperature", 0.0, None, float),
-        max_tokens=_resolve(args, file_config, "max_tokens", 128, None, int),
-        request_timeout_s=_resolve(args, file_config, "timeout", 30.0, None, float),
-        max_retries=_resolve(args, file_config, "max_retries", 2, None, int),
-        parallelism=_resolve(args, file_config, "parallelism", 1, None, int),
-    )
-
-
-def _make_endpoint(args: argparse.Namespace, config: EndpointConfig):
-    if getattr(args, "mock", None):
-        return MockChatEndpoint(read_json_object(args.mock, "mock fixture"))
-    if not config.base_url:
-        raise ValidationError(
-            "no endpoint configured: pass --base-url / EGOQA_BASE_URL or --mock"
-        )
-    return HttpChatEndpoint(config, api_key=os.environ.get("EGOQA_API_KEY"))
+            if type(value) not in ((int, float) if kind is float else (kind,)):
+                raise TypeError
+            settled[name] = kind(value)
+        except (TypeError, OverflowError):
+            raise ValidationError(f"{name}: cannot read {value!r} as {kind.__name__}") from None
+        if name in CHOICES and value not in CHOICES[name]:
+            raise ValidationError(f"{name}: {value!r} is not one of {CHOICES[name]}")
+    settled["base_url"] = os.environ.get("EGOQA_BASE_URL") or settled["base_url"]
+    for name, value in settled.items():
+        if getattr(args, name, None) is None:
+            setattr(args, name, value)
 
 
 # ---------------------------------------------------------------- ingest
@@ -145,10 +148,10 @@ def _pass_items(entry: Mapping[str, Any], pass_keys: tuple[str, ...]) -> list | 
 
 
 def _float(value: Any) -> float | None:
-    """A JSON number as a float; None if it is not one (a bool is not) or
-    overflows a float."""
+    """A finite JSON number as a float; None if it is not one (a bool is
+    not), overflows a float, or is NaN or infinite."""
     try:
-        return float(value) if type(value) in (int, float) else None
+        return float(value) if type(value) in (int, float) and math.isfinite(value) else None
     except OverflowError:
         return None
 
@@ -167,11 +170,7 @@ def _iter_export_tracks(
     Narration-level problems reject the narration; clip-level problems
     reject the clip. Both are reported through reject with a reason code.
     """
-    pass_keys = {
-        "1": ("narration_pass_1",),
-        "2": ("narration_pass_2",),
-        "merge": ("narration_pass_1", "narration_pass_2"),
-    }[which_pass]
+    pass_keys = tuple(f"narration_pass_{n}" for n in "12" if which_pass in (n, "merge"))
 
     for clip_uid in sorted(export):
         entry = export[clip_uid]
@@ -213,11 +212,8 @@ def _iter_export_tracks(
         yield NarrationTrack(clip_uid, duration, tuple(narrations))
 
 
-def cmd_ingest(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
-    which_pass = _resolve(args, file_config, "narration_pass", "merge", None, str)
-    if which_pass not in ("1", "2", "merge"):
-        raise ValidationError(f"--pass must be 1, 2 or merge, got {which_pass!r}")
-
+def cmd_ingest(args: argparse.Namespace) -> int:
+    check_outputs(args.out, inputs=(args.config, args.input))
     rejects: Counter[str] = Counter()
 
     def reject(unit: str, clip_uid: str, code: str, detail: str = "") -> None:
@@ -233,7 +229,7 @@ def cmd_ingest(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
         # (a pretty-printed export, say) is loaded as one document.
         if first is None or not sole:
             first = read_json_object(args.input, "narration export")
-        tracks = _iter_export_tracks(first, which_pass, reject)
+        tracks = _iter_export_tracks(first, args.narration_pass, reject)
 
     def valid_rows():
         written = 0
@@ -248,7 +244,7 @@ def cmd_ingest(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
             reasons = ", ".join(f"{code}={n}" for code, n in sorted(rejects.items()))
             raise EmptyCorpus(f"{args.input}: no usable clips (rejects: {reasons or 'none'})")
 
-    meta = make_meta({"command": "ingest", "narration_pass": which_pass})
+    meta = make_meta({"command": "ingest", "narration_pass": args.narration_pass})
     count = write_jsonl(args.out, valid_rows(), meta)
     log.info("ingest: wrote %d clips to %s", count, args.out)
     return EXIT_OK
@@ -287,21 +283,27 @@ def _read_tracks(path: str) -> Iterator[NarrationTrack]:
         yield track
 
 
-def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
-    config = _endpoint_config(args, file_config)
-    endpoint = _make_endpoint(args, config)
-    seed = _resolve(args, file_config, "seed", 0, None, int)
-    split = _resolve(args, file_config, "split", "train", None, str)
-    max_sentences = _resolve(args, file_config, "max_sentences", 5, None, int)
-    max_span_s = _resolve(args, file_config, "max_span_s", 30.0, None, float)
-    openqa_template = load_template(
-        _resolve(args, file_config, "openqa_template", "openqa_llama", None, str)
+def cmd_synthesize(args: argparse.Namespace) -> int:
+    # The mock sends no request, so no address may enter the config hash.
+    config = EndpointConfig(
+        base_url="" if args.mock else args.base_url, model=args.model,
+        temperature=args.temperature, max_tokens=args.max_tokens,
+        request_timeout_s=args.timeout, max_retries=args.max_retries,
+        parallelism=args.parallelism,
     )
-    with_distractors = not getattr(args, "no_distractors", False)
+    if args.mock:
+        endpoint = MockChatEndpoint(read_json_object(args.mock, "mock fixture"))
+    elif config.base_url:
+        endpoint = HttpChatEndpoint(config, api_key=os.environ.get("EGOQA_API_KEY"))
+    else:
+        raise ValidationError("no endpoint configured: pass --base-url / EGOQA_BASE_URL or --mock")
+    openqa_template = load_template(args.openqa_template)
+    with_distractors = not args.no_distractors
     closeqa_template = load_template("closeqa_llama") if with_distractors else None
     records_path = args.records or args.out + ".records.jsonl"
     stats_path = args.stats_out or args.out + ".stats.json"
-    check_outputs(records_path, args.out, stats_path)
+    check_outputs(records_path, args.out, stats_path,
+                  inputs=(args.config, args.narrations, args.mock))
 
     # Pass 1: corpus timing statistics. compute_stats streams the tracks
     # and keeps one number per clip.
@@ -327,14 +329,14 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
         "max_retries": config.max_retries,
-        "max_sentences": max_sentences,
-        "max_span_s": max_span_s,
-        "split": split,
+        "max_sentences": args.max_sentences,
+        "max_span_s": args.max_span_s,
+        "split": args.split,
         "openqa_template": openqa_template.template_id,
         "with_distractors": with_distractors,
-        "seed": seed,
+        "seed": args.seed,
     }
-    meta = make_meta(hashed_config, seed)
+    meta = make_meta(hashed_config, args.seed)
 
     builder = StatsBuilder()
     sent: Counter[str] = Counter()
@@ -345,7 +347,7 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
         nonlocal failure
         clips = synthesize(
             _read_tracks(args.narrations), stats, config, openqa_template,
-            closeqa_template, endpoint, split, max_sentences, max_span_s,
+            closeqa_template, endpoint, args.split, args.max_sentences, args.max_span_s,
         )
         for track, records, samples, failure in clips:
             builder.add_narration_stats(len(track.narrations), track.duration_s)
@@ -377,7 +379,7 @@ def cmd_synthesize(args: argparse.Namespace, file_config: Mapping[str, Any]) -> 
 # ----------------------------------------------------------- filter-blind
 
 
-def cmd_filter_blind(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
+def cmd_filter_blind(args: argparse.Namespace) -> int:
     if args.seeds:
         try:
             seeds = [int(s) for s in args.seeds.split(",")]
@@ -386,21 +388,15 @@ def cmd_filter_blind(args: argparse.Namespace, file_config: Mapping[str, Any]) -
                 f"--seeds must be comma-separated integers, got {args.seeds!r}"
             ) from None
     else:
-        base = _resolve(args, file_config, "seed", 0, None, int)
-        seeds = [derive_seed("blind-trial", base, t) for t in range(TRIALS)]
-    reshuffle = not getattr(args, "no_reshuffle", False)
-
-    kind = _resolve(args, file_config, "answerer", "frequency", None, str)
-    if kind not in ("frequency", "uniform"):
-        raise ValidationError(f"--answerer must be frequency or uniform, got {kind!r}")
+        seeds = [derive_seed("blind-trial", args.seed, t) for t in range(TRIALS)]
     report_path = args.report or args.out + ".report.json"
-    check_outputs(args.out, report_path)
+    check_outputs(args.out, report_path, inputs=(args.config, args.qa, args.train))
 
     def read_qa(path: str) -> Iterator[QASample]:
         return (row_to_qa(row, f"{path}:{n}") for n, row in read_jsonl(path))
 
     samples = read_qa(args.qa)
-    if kind == "uniform":
+    if args.answerer == "uniform":
         answerer = UniformRandomAnswerer()
     elif args.train in (None, args.qa):
         # The training answers are the test set's own: read the file once,
@@ -410,13 +406,13 @@ def cmd_filter_blind(args: argparse.Namespace, file_config: Mapping[str, Any]) -
         samples = (held.popleft() for _ in range(len(held)))
     else:
         answerer = FrequencyPriorAnswerer(s.answer for s in read_qa(args.train))
-    pairs = filter_rows(samples, answerer, seeds, reshuffle)
+    pairs = filter_rows(samples, answerer, seeds, not args.no_reshuffle)
 
     hashed_config = {
         "command": "filter-blind",
-        "answerer": kind,
+        "answerer": args.answerer,
         "seeds": seeds,
-        "reshuffle_per_trial": reshuffle,
+        "reshuffle_per_trial": not args.no_reshuffle,
     }
     meta = make_meta(hashed_config, seeds[0])
 
@@ -501,8 +497,10 @@ def _report_doc(report: EvalReport, meta: Mapping[str, Any], task: str) -> dict[
     }
 
 
-def cmd_eval(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     task = args.task
+    out = args.out or "report.json"
+    check_outputs(out, inputs=(args.config, args.gt, *args.predictions))
     gts = _load_gt(args.gt)
     expected = 5 if task == "closeqa" else 1
     if len(args.predictions) != expected:
@@ -519,10 +517,9 @@ def cmd_eval(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
         report = vlg_recall(preds, {qid: s.window for qid, s in gts.items()})
     elif task == "openqa":
         pairs = _answers(gts, args.predictions[0])
-        embed_url = _resolve(args, file_config, "embed_url", "", None, str)
-        if embed_url:
+        if args.embed_url:
             embedder = HttpEmbedder(
-                EndpointConfig(base_url=embed_url, model="remote-embedding"),
+                EndpointConfig(base_url=args.embed_url, model="remote-embedding"),
                 api_key=os.environ.get("EGOQA_API_KEY"),
             )
         else:
@@ -531,7 +528,7 @@ def cmd_eval(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
     else:
         report = closeqa_accuracy([_answers(gts, path) for path in args.predictions])
 
-    write_json(args.out or "report.json", _report_doc(report, meta, task))
+    write_json(out, _report_doc(report, meta, task))
     for name in report.metrics:
         log.info("eval %s: %s = %s", task, name, report.render_percent(name))
     return EXIT_OK
@@ -540,7 +537,9 @@ def cmd_eval(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
 # ----------------------------------------------------------------- stats
 
 
-def cmd_stats(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
+def cmd_stats(args: argparse.Namespace) -> int:
+    out = args.out or "stats.json"
+    check_outputs(out, inputs=(args.config, args.qa, args.narrations))
     builder = StatsBuilder()
     for lineno, row in read_jsonl(args.qa):
         builder.add(row_to_qa(row, f"{args.qa}:{lineno}"))
@@ -551,8 +550,6 @@ def cmd_stats(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
             builder.add_narration_stats(len(track.narrations), track.duration_s)
     doc = builder.finalize()
 
-    out = args.out or "stats.json"
-    check_outputs(out)
     if args.tsv_dir:
         try:
             os.makedirs(args.tsv_dir, exist_ok=True)
@@ -576,21 +573,19 @@ def cmd_stats(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
 # ---------------------------------------------------------------- decode
 
 
-def cmd_decode(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
-    score_threshold = _resolve(args, file_config, "score_threshold", 0.05, None, float)
-    nms_iou = _resolve(args, file_config, "nms_iou", 0.5, None, float)
-    top_k = _resolve(args, file_config, "top_k", 5, None, int)
-    if top_k < 0:
-        raise ValidationError(f"top_k must be >= 0, got {top_k}")
-    for name, value in (("score_threshold", score_threshold), ("nms_iou", nms_iou)):
+def cmd_decode(args: argparse.Namespace) -> int:
+    check_outputs(args.out, inputs=(args.config, args.head_outputs))
+    if args.top_k < 0:
+        raise ValidationError(f"top_k must be >= 0, got {args.top_k}")
+    for name, value in (("score_threshold", args.score_threshold), ("nms_iou", args.nms_iou)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
 
     hashed_config = {
         "command": "decode",
-        "score_threshold": score_threshold,
-        "nms_iou": nms_iou,
-        "top_k": top_k,
+        "score_threshold": args.score_threshold,
+        "nms_iou": args.nms_iou,
+        "top_k": args.top_k,
     }
     meta = make_meta(hashed_config)
 
@@ -599,7 +594,9 @@ def cmd_decode(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
             clip_uid, query_id, duration_s, heads = row_to_head(
                 row, f"{args.head_outputs}:{lineno}"
             )
-            windows = decode_windows(heads, duration_s, score_threshold, nms_iou, top_k)
+            windows = decode_windows(
+                heads, duration_s, args.score_threshold, args.nms_iou, args.top_k
+            )
             yield pred_to_row(
                 PredictionSet(
                     clip_uid=clip_uid,
@@ -617,6 +614,12 @@ def cmd_decode(args: argparse.Namespace, file_config: Mapping[str, Any]) -> int:
 # ------------------------------------------------------------------ main
 
 
+def _setting(p: argparse.ArgumentParser, flag: str, dest: str = "", **kw: Any) -> None:
+    """Add the flag of a setting, typed and restricted by DEFAULTS and CHOICES."""
+    dest = dest or flag[2:].replace("-", "_")
+    p.add_argument(flag, dest=dest, type=type(DEFAULTS[dest]), choices=CHOICES.get(dest), **kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="egoqa",
@@ -632,35 +635,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse a raw narration export into narrations.jsonl")
     p.add_argument("input")
     p.add_argument("--out", required=True)
-    p.add_argument("--pass", dest="narration_pass", choices=("1", "2", "merge"))
+    _setting(p, "--pass", "narration_pass")
 
     p = sub.add_parser("synthesize", help="generate QA pairs and distractors")
     p.add_argument("narrations")
     p.add_argument("--out", required=True)
     p.add_argument("--records", help="audit records path (default <out>.records.jsonl)")
     p.add_argument("--stats-out", help="dataset stats path (default <out>.stats.json)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--split", choices=("train", "val", "test"))
-    p.add_argument("--max-sentences", type=int)
-    p.add_argument("--max-span-s", type=float)
-    p.add_argument("--openqa-template", choices=("openqa_llama", "openqa_chat"))
+    for flag in ("--seed", "--split", "--max-sentences", "--max-span-s", "--openqa-template"):
+        _setting(p, flag)
     p.add_argument("--no-distractors", action="store_true")
     p.add_argument("--mock", help="fixture file for the in-process mock endpoint")
-    p.add_argument("--base-url")
-    p.add_argument("--model")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--max-retries", type=int)
-    p.add_argument("--parallelism", type=int)
+    for flag in ("--base-url", "--model", "--temperature", "--max-tokens", "--timeout",
+                 "--max-retries", "--parallelism"):
+        _setting(p, flag)
 
     p = sub.add_parser("filter-blind", help="drop questions a blind answerer always gets right")
     p.add_argument("qa")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="report path (default <out>.report.json)")
     p.add_argument("--seeds", help="10 comma-separated trial seeds")
-    p.add_argument("--seed", type=int, help="base seed used to derive the 10 trial seeds")
-    p.add_argument("--answerer", choices=("frequency", "uniform"))
+    _setting(p, "--seed", help="base seed used to derive the 10 trial seeds")
+    _setting(p, "--answerer")
     p.add_argument("--train", help="qa.jsonl supplying the frequency prior (default: input)")
     p.add_argument("--no-reshuffle", action="store_true",
                    help="reuse the first trial's choice order in every trial")
@@ -670,8 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--task", choices=("vlg", "openqa", "closeqa"), required=True)
     p.add_argument("--out")
-    p.add_argument("--embed-url", dest="embed_url",
-                   help="remote embedding endpoint; default is the offline embedder")
+    _setting(p, "--embed-url", help="remote embedding endpoint; default is the offline embedder")
 
     p = sub.add_parser("stats", help="dataset statistics report")
     p.add_argument("qa")
@@ -682,9 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode head outputs into ranked windows")
     p.add_argument("head_outputs")
     p.add_argument("--out", required=True)
-    p.add_argument("--score-threshold", type=float)
-    p.add_argument("--nms-iou", type=float)
-    p.add_argument("--top-k", type=int)
+    for flag in ("--score-threshold", "--nms-iou", "--top-k"):
+        _setting(p, flag)
 
     return parser
 
@@ -707,8 +701,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        file_config = read_json_object(args.config, "config file") if args.config else {}
-        return COMMANDS[args.command](args, file_config)
+        _settle(args)
+        return COMMANDS[args.command](args)
     except ServiceError as exc:
         log.error("endpoint failure: %s", exc)
         return EXIT_ENDPOINT

@@ -104,23 +104,25 @@ def staged_writer(path: str) -> Iterator[TextIO]:
         raise
 
 
-def check_outputs(*paths: str) -> None:
+def check_outputs(*paths: str, inputs: Iterable[str | None] = ()) -> None:
     """Raise UnwritableOutput for the first path that is a directory, lies
-    in a directory that does not exist, or names an earlier output again.
+    in a directory that does not exist, or names one of the inputs (None
+    entries are skipped) or an earlier output again.
 
-    A command with several outputs checks them all before its first write,
-    so a bad later path leaves no earlier output behind, and one output can
-    never replace another.
+    A command checks all its outputs before its first write, so a bad later
+    path leaves no earlier output behind, and no output can ever replace an
+    input or another output.
     """
-    seen = set()
+    taken = dict.fromkeys(map(os.path.realpath, filter(None, inputs)), "both input and output")
     for path in paths:
         if os.path.isdir(path):
             raise UnwritableOutput(f"{path}: cannot replace output: Is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise UnwritableOutput(f"{path}: cannot create output: No such file or directory")
-        if os.path.realpath(path) in seen:
-            raise UnwritableOutput(f"{path}: named as more than one output")
-        seen.add(os.path.realpath(path))
+        real = os.path.realpath(path)
+        if real in taken:
+            raise UnwritableOutput(f"{path}: named as {taken[real]}")
+        taken[real] = "more than one output"
 
 
 @contextmanager

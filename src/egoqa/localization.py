@@ -53,8 +53,11 @@ class HeadOutputs:
     def __post_init__(self) -> None:
         scores = np.array(self.scores)
         offsets = np.array(self.offsets)
-        # numpy would read strings and bools as numbers; their dtype tells.
-        if scores.dtype.kind in "bUS" or offsets.dtype.kind in "bUS":
+        # numpy would read strings and bools as numbers; their dtype tells. An
+        # object array (ints beyond int64, None, a mix) may convert a numeric
+        # string among numbers, so there each item's type must tell.
+        if any(a.dtype.kind in "bUS" or a.dtype.kind == "O" and {*map(type, a.flat)} - {int, float}
+               for a in (scores, offsets)):
             raise ValidationError(
                 f"scores and offsets must be numbers, got {scores.dtype} and {offsets.dtype}"
             )

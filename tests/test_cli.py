@@ -109,6 +109,34 @@ class TestIngest:
         rows = _read(out).decode().splitlines()
         assert len(rows) == 2  # meta + the one good clip
 
+    def test_nonfinite_numbers_reject_only_their_narration_or_clip(self, tmp_path, caplog):
+        def clip(duration, *times):
+            return {"duration_sec": duration, "narration_pass_1": {"narrations": [
+                {"narration_text": f"C steps {i}.", "timestamp_sec": t}
+                for i, t in enumerate(times)]}}
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({  # json.dumps writes NaN and Infinity
+            "nan-time": clip(60.0, 1.0, float("nan")),
+            "inf-time": clip(60.0, 2.0, float("inf"), 3.0),
+            "inf-duration": clip(float("inf"), 1.0),
+            "nan-duration": clip(float("nan"), 1.0),
+        }))
+        out = str(tmp_path / "n.jsonl")
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(["ingest", str(bad), "--out", out]) == 0
+        rejects = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert sorted(rejects) == [
+            "ingest reject clip inf-duration: bad_duration (inf)",
+            "ingest reject clip nan-duration: bad_duration (nan)",
+            "ingest reject narration in inf-time: bad_timestamp",
+            "ingest reject narration in nan-time: bad_timestamp",
+        ]
+        rows = [json.loads(l) for l in _read(out).decode().splitlines()[1:]]
+        assert {r["clip_uid"]: [n["t_s"] for n in r["narrations"]] for r in rows} == {
+            "inf-time": [2.0, 3.0], "nan-time": [1.0],
+        }
+
     def test_missing_input_exits_2(self, tmp_path):
         out = str(tmp_path / "n.jsonl")
         assert cli.main(["ingest", "/nonexistent.json", "--out", out]) == 2
@@ -593,27 +621,53 @@ class TestStats:
 
 
 class TestConfigPrecedence:
-    def _args(self, **kw):
-        ns = argparse.Namespace(
-            base_url=None, model=None, temperature=None, max_tokens=None,
-            timeout=None, max_retries=None, parallelism=None,
+    def _base_url(self, tmp_path, config, *flags):
+        """The base_url _settle gives a synthesize run under this config file."""
+        path = _text_file(tmp_path, "config.json", json.dumps(config))
+        args = cli.build_parser().parse_args(
+            ["--config", path, "synthesize", "n.jsonl", "--out", "qa.jsonl", *flags]
         )
-        for k, v in kw.items():
-            setattr(ns, k, v)
-        return ns
+        cli._settle(args)
+        return args.base_url
 
-    def test_flag_beats_env_beats_config(self, monkeypatch):
-        file_config = {"base_url": "http://from-config"}
-        assert cli._endpoint_config(self._args(), file_config).base_url == "http://from-config"
+    def test_flag_beats_env_beats_config(self, tmp_path, monkeypatch):
+        config = {"base_url": "http://from-config"}
+        assert self._base_url(tmp_path, {}) == ""
+        assert self._base_url(tmp_path, config) == "http://from-config"
         monkeypatch.setenv("EGOQA_BASE_URL", "http://from-env")
-        assert cli._endpoint_config(self._args(), file_config).base_url == "http://from-env"
-        args = self._args(base_url="http://from-flag")
-        assert cli._endpoint_config(args, file_config).base_url == "http://from-flag"
+        assert self._base_url(tmp_path, config) == "http://from-env"
+        flag = ("--base-url", "http://from-flag")
+        assert self._base_url(tmp_path, config, *flag) == "http://from-flag"
 
-    def test_empty_env_var_falls_through(self, monkeypatch):
+    def test_empty_env_var_falls_through(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EGOQA_BASE_URL", "")
-        config = cli._endpoint_config(self._args(), {"base_url": "http://from-config"})
-        assert config.base_url == "http://from-config"
+        assert self._base_url(tmp_path, {"base_url": "http://from-config"}) == "http://from-config"
+
+    def test_top_k_flag_beats_config_beats_default(self, tmp_path):
+        config = _text_file(tmp_path, "config.json", '{"top_k": 1}')
+        out = str(tmp_path / "preds.jsonl")
+
+        def decoded(*argv):
+            assert cli.main([*argv, "--out", out]) == 0
+            return _read(out)
+
+        top_1 = decoded("decode", HEADS, "--top-k", "1")
+        top_2 = decoded("decode", HEADS, "--top-k", "2")
+        assert top_1 != top_2
+        assert decoded("--config", config, "decode", HEADS, "--top-k", "2") == top_2
+        assert decoded("--config", config, "decode", HEADS) == top_1
+        assert decoded("decode", HEADS) == decoded("decode", HEADS, "--top-k", "5")
+
+    def test_settings_table_matches_flags(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = [a for p in sub.choices.values() for a in p._actions if a.dest in cli.DEFAULTS]
+        assert {a.dest for a in flags} == set(cli.DEFAULTS)
+        for a in flags:
+            assert a.option_strings and a.default is None, a.dest
+            assert a.type is type(cli.DEFAULTS[a.dest]), a.dest
+            assert a.choices == cli.CHOICES.get(a.dest), a.dest
+        assert all(cli.DEFAULTS[name] in choices for name, choices in cli.CHOICES.items())
 
     def test_config_file_used_by_main(self, tmp_path):
         config = tmp_path / "config.json"
@@ -928,6 +982,57 @@ MALFORMED_INPUTS = {
                      "--base-url", "http://127.0.0.1:9", "--max-tokens", "0"],
         "max_tokens must be >= 1, got 0",
     ),
+    # A config value must name a setting and have its exact JSON type; it is
+    # rejected before any input is read, request sent or output staged.
+    "config-top-k-is-float": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"top_k": 2.7}'),
+                     "decode", HEADS, "--out", str(tmp / "preds.jsonl")],
+        "top_k: cannot read 2.7 as int",
+    ),
+    "config-top-k-is-bool": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"top_k": true}'),
+                     "decode", HEADS, "--out", str(tmp / "preds.jsonl")],
+        "top_k: cannot read True as int",
+    ),
+    "config-top-k-is-string": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"top_k": "3"}'),
+                     "decode", HEADS, "--out", str(tmp / "preds.jsonl")],
+        "top_k: cannot read '3' as int",
+    ),
+    "config-score-threshold-is-bool": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"score_threshold": false}'),
+                     "decode", HEADS, "--out", str(tmp / "preds.jsonl")],
+        "score_threshold: cannot read False as float",
+    ),
+    "config-max-tokens-is-float": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"max_tokens": 128.0}'),
+                     "synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", MOCK],
+        "max_tokens: cannot read 128.0 as int",
+    ),
+    "config-narration-pass-is-number": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"narration_pass": 1}'),
+                     "ingest", EXPORT, "--out", str(tmp / "n.jsonl")],
+        "narration_pass: cannot read 1 as str",
+    ),
+    "config-key-misspelt": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"topk": 1}'),
+                     "decode", HEADS, "--out", str(tmp / "preds.jsonl")],
+        "config.json: unknown setting 'topk'",
+    ),
+    "config-key-is-not-a-setting": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"no_distractors": true}'),
+                     "synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", MOCK],
+        "config.json: unknown setting 'no_distractors'",
+    ),
+    # The endpoint port is closed: a connection attempt would exit 3.
+    "config-split-not-a-choice": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", '{"split": "bogus"}'),
+                     "synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--base-url", "http://127.0.0.1:9"],
+        "split: 'bogus' is not one of ('train', 'val', 'test')",
+    ),
     "config-value-fails-cast": (
         lambda tmp: ["--config", _text_file(tmp, "config.json", '{"parallelism": "x"}'),
                      "synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
@@ -1094,6 +1199,8 @@ class TestExitCodes:
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert any(reason in e for e in errors), errors
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+        if case.startswith("config-"):
+            assert not os.path.exists(argv[argv.index("--out") + 1])
 
     @pytest.mark.parametrize("argv, reason", [
         pytest.param(["filter-blind", FILTER_INPUT, "--out", "kept.jsonl",
@@ -1118,6 +1225,28 @@ class TestExitCodes:
                       "--report", "kept.jsonl"],
                      "kept.jsonl: named as more than one output",
                      id="filter-blind-report-is-out"),
+        # An output may not name an input, --config and --mock included.
+        pytest.param(["ingest", "narrations.jsonl", "--out", "narrations.jsonl"],
+                     "narrations.jsonl: named as both input and output",
+                     id="ingest-out-is-input"),
+        pytest.param(["synthesize", "narrations.jsonl", "--out", "qa2.jsonl",
+                      "--mock", "mock.json", "--records", "mock.json"],
+                     "mock.json: named as both input and output",
+                     id="synthesize-records-is-mock"),
+        pytest.param(["filter-blind", "qa.jsonl", "--out", "qa.jsonl"],
+                     "qa.jsonl: named as both input and output",
+                     id="filter-blind-out-is-input"),
+        pytest.param(["eval", GOLDEN_PREDS, "--gt", "gt.jsonl", "--task", "vlg",
+                      "--out", os.path.join(".", "gt.jsonl")],
+                     "gt.jsonl: named as both input and output",
+                     id="eval-out-is-gt"),
+        pytest.param(["stats", "qa.jsonl", "--out", "qa.jsonl"],
+                     "qa.jsonl: named as both input and output",
+                     id="stats-out-is-input"),
+        pytest.param(["--config", "config.json", "decode", "heads.jsonl",
+                      "--out", "config.json"],
+                     "config.json: named as both input and output",
+                     id="decode-out-is-config"),
     ])
     def test_bad_later_output_leaves_no_earlier_output(
         self, argv, reason, tmp_path, monkeypatch, caplog
@@ -1125,22 +1254,31 @@ class TestExitCodes:
         _ingest(tmp_path)
         (tmp_path / "taken").mkdir()
         (tmp_path / "taken.txt").write_text("")
+        for name, source in [("qa.jsonl", FILTER_INPUT), ("gt.jsonl", GT_VLG),
+                             ("heads.jsonl", HEADS), ("mock.json", MOCK)]:
+            (tmp_path / name).write_bytes(_read(source))
+        (tmp_path / "config.json").write_text("{}")
         monkeypatch.chdir(tmp_path)
-        before = sorted(os.listdir(tmp_path))
+
+        def contents():
+            return {name: None if os.path.isdir(name) else _read(name)
+                    for name in os.listdir(".")}
+
+        before = contents()
         with caplog.at_level(logging.ERROR):
             assert cli.main(argv) == 2
         assert any(reason in r.getMessage() for r in caplog.records)
-        assert sorted(os.listdir(tmp_path)) == before
+        assert contents() == before
 
     def test_invariant_breach_maps_to_4(self, tmp_path, monkeypatch):
-        def boom(args, file_config):
+        def boom(args):
             raise InvariantBreach("forced")
 
         monkeypatch.setitem(cli.COMMANDS, "stats", boom)
         assert cli.main(["stats", "whatever"]) == 4
 
     def test_unexpected_exception_maps_to_4(self, tmp_path, monkeypatch):
-        def boom(args, file_config):
+        def boom(args):
             raise RuntimeError("forced")
 
         monkeypatch.setitem(cli.COMMANDS, "stats", boom)

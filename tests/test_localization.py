@@ -314,9 +314,17 @@ class TestHeadOutputs:
             HeadOutputs([0.5, 0.6], [[0, 1], ["1", "0"]])
         with pytest.raises(ValidationError, match="must be numbers"):
             HeadOutputs([0.5, 0.6], [[False, True], [True, False]])
-        # numpy converts None to NaN, which the range check rejects
-        with pytest.raises(ValidationError):
+        # an object array holds what numpy cannot type; each item must be a number
+        with pytest.raises(ValidationError, match="must be numbers"):
             HeadOutputs([0.5, None], [[0, 1], [1, 0]])
+        with pytest.raises(ValidationError, match="must be numbers"):
+            HeadOutputs([0.5, 0.6], [[0.0, None], [1, 0]])
+        with pytest.raises(ValidationError, match="must be numbers"):
+            HeadOutputs([0.5, 0.6], [[18446744073709551616, "3"], [1, 0]])
+
+    def test_ints_beyond_int64_are_numbers(self):
+        heads = HeadOutputs([0.5, 0.6], [[18446744073709551616, 0], [1, 0]])
+        assert heads.offsets.tolist() == [[2.0**64, 0.0], [1.0, 0.0]]
 
     def test_scores_must_be_flat(self):
         with pytest.raises(ValidationError):
