@@ -539,7 +539,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     out = args.out or "stats.json"
-    check_outputs(out, inputs=(args.config, args.qa, args.narrations))
+    tsvs = [os.path.join(args.tsv_dir, f"{name}.tsv") for name in HISTOGRAMS if args.tsv_dir]
+    # A --tsv-dir still to be made (below) holds no file a TSV could replace.
+    checked = tsvs if tsvs and os.path.isdir(args.tsv_dir) else []
+    check_outputs(out, *checked, inputs=(args.config, args.qa, args.narrations))
     builder = StatsBuilder()
     for lineno, row in read_jsonl(args.qa):
         builder.add(row_to_qa(row, f"{args.qa}:{lineno}"))
@@ -559,10 +562,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
             ) from None
     meta = make_meta({"command": "stats"})
     write_json(out, {"_meta": meta["_meta"], **doc})
-    if args.tsv_dir:
-        for name in HISTOGRAMS:
-            with staged_writer(os.path.join(args.tsv_dir, f"{name}.tsv")) as f:
-                f.write("\n".join(builder.tsv_lines(name)) + "\n")
+    for name, path in zip(HISTOGRAMS, tsvs):
+        with staged_writer(path) as f:
+            f.write("\n".join(builder.tsv_lines(name)) + "\n")
     log.info(
         "stats: %d samples over %d clips (questions avg %.2f words)",
         doc["sample_count"], doc["clip_count"], doc["question_words_mean"],
@@ -705,6 +707,9 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](args)
     except ServiceError as exc:
         log.error("endpoint failure: %s", exc)
+        # The traceback's frames hold the failed command's client; kept, they
+        # would leave its idle connections open until the cyclic GC runs.
+        exc.__traceback__ = None
         return EXIT_ENDPOINT
     except ValidationError as exc:
         log.error("invalid input: %s", exc)

@@ -73,19 +73,24 @@ class ChatEndpoint(Protocol):
 class HttpClient:
     """Transport shared by the HTTP clients: JSON POSTs below config.base_url.
 
-    Each thread keeps one keep-alive connection, reopened without spending
-    an attempt when the server closed it while idle. Proxies come from the
+    Idle keep-alive connections sit on one stack the client owns: a request
+    pops one (reopened, without spending an attempt, if the server dropped
+    it while idle) or opens one, and pushes it back once its reply decodes,
+    so no more are open than requests in flight. Proxies come from the
     environment (HTTP(S)_PROXY, NO_PROXY), read once here; HTTPS verifies
     certificates against ssl.create_default_context(). Transport failures,
     non-2xx replies and malformed envelopes are retried at once, up to
-    config.max_retries times, then raised as `unavailable`; every failed
-    attempt closes the connection.
+    config.max_retries times, then raised as `unavailable`; a failed attempt
+    closes its connection and drops it.
     """
 
     unavailable: type[ServiceError]  # raised when every attempt failed
     service: str  # names the service in logs and errors
 
     def __init__(self, config: EndpointConfig, api_key: str | None = None):
+        # Set first, so __del__ finds it even when a check below raises. Its
+        # pop and append are atomic, so the threads share it without a lock.
+        self._idle: list[http.client.HTTPConnection] = []
         if not config.base_url:
             raise ValidationError(f"{type(self).__name__} requires a base_url")
         url = urllib.parse.urlsplit(config.base_url)
@@ -126,22 +131,27 @@ class HttpClient:
             else:
                 self._tunnel = (*self._address, auth)
             self._address = (via.hostname, _port(via))
-        self._local = threading.local()
+
+    def __del__(self):
+        for conn in self._idle:
+            conn.close()
 
     def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection, closed first if the server dropped it."""
-        held = getattr(self._local, "held", None)
-        if held is None:
+        """The most recently pushed idle connection, closed first if the
+        server dropped it, or a new one."""
+        try:
+            conn = self._idle.pop()
+        except IndexError:
             conn = self._open(*self._address, timeout=self.config.request_timeout_s)
             if self._tunnel is not None:
                 conn.set_tunnel(*self._tunnel)
-            held = self._local.held = _ThreadConnection(conn)
-        elif held.conn.sock is not None and _readable(held.conn.sock):
+            return conn
+        if conn.sock is not None and _readable(conn.sock):
             # An idle keep-alive socket that reads as ready holds EOF or
             # stray bytes: the server is done with it. http.client reconnects
             # on the next request.
-            held.conn.close()
-        return held.conn
+            conn.close()
+        return conn
 
     def _post_json(self, route: str, body: Mapping[str, Any], decode: Callable[[Any], Any]):
         """POST body to {base_url}/{route}; return decode(parsed JSON reply).
@@ -153,8 +163,9 @@ class HttpClient:
         target = self._prefix + route
         payload = json.dumps(body).encode("utf-8")
         attempts = self.config.max_retries + 1
-        # Kept as text: holding the exception would tie this frame, and with
-        # it the connection, into a reference cycle.
+        # Kept and logged as text: holding the exception (a log handler may
+        # keep its record) would keep this frame, and with it the client and
+        # its idle connections, alive.
         last_error = ""
         for attempt in range(attempts):
             conn = self._connection()
@@ -166,7 +177,7 @@ class HttpClient:
                     raise http.client.HTTPException(
                         f"HTTP {response.status} {response.reason} from {route}"
                     )
-                return decode(json.loads(data))
+                reply = decode(json.loads(data))
             except (
                 OSError, http.client.HTTPException, KeyError, IndexError, TypeError, ValueError,
                 RecursionError,
@@ -178,23 +189,14 @@ class HttpClient:
                     self.service,
                     attempt + 1,
                     attempts,
-                    exc,
+                    last_error,
                 )
+            else:
+                self._idle.append(conn)
+                return reply
         raise self.unavailable(
             f"{self.service} endpoint failed after {attempts} attempts: {last_error}"
         )
-
-
-class _ThreadConnection:
-    """Owns one thread's connection: the thread-local slot holding it is
-    released when the thread ends or the client is dropped, and the
-    connection is closed then."""
-
-    def __init__(self, conn: http.client.HTTPConnection):
-        self.conn = conn
-
-    def __del__(self):
-        self.conn.close()
 
 
 def _port(url: urllib.parse.SplitResult) -> int | None:
@@ -246,12 +248,21 @@ class MockChatEndpoint:
     """In-process endpoint replaying completions from a fixture mapping.
 
     The fixture maps prompt_digest(prompt) to either a completion string or
-    a list of strings consumed one per call (repeating the last once
-    exhausted), which lets tests script a malformed first attempt followed
-    by a good retry. A "*" entry, if present, answers unknown prompts.
+    a non-empty list of strings consumed one per call (repeating the last
+    once exhausted), which lets tests script a malformed first attempt
+    followed by a good retry. A "*" entry, if present, answers unknown
+    prompts. Any other value raises ValidationError here, before any call.
     """
 
-    def __init__(self, completions: Mapping[str, object]):
+    def __init__(self, completions: Mapping[str, str | list[str]]):
+        for key, entry in completions.items():
+            if not isinstance(entry, str) and not (
+                isinstance(entry, list) and entry and all(isinstance(c, str) for c in entry)
+            ):
+                raise ValidationError(
+                    f"mock fixture entry {key!r} must be a string or a non-empty "
+                    f"list of strings, got {type(entry).__name__}"
+                )
         self._completions = dict(completions)
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -269,9 +280,6 @@ class MockChatEndpoint:
             entry = self._completions[key]
             if isinstance(entry, str):
                 return entry
-            seq = list(entry)
-            if not seq:
-                raise EndpointUnavailable(f"mock fixture entry for {key} is empty")
             i = self._cursor.get(key, 0)
             self._cursor[key] = i + 1
-            return str(seq[min(i, len(seq) - 1)])
+            return entry[min(i, len(entry) - 1)]

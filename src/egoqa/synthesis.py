@@ -1,14 +1,15 @@
 """QA pair and distractor generation against a chat endpoint.
 
 openqa_unit makes one chunk's QA request and distractor_unit one sample's
-distractor request; each leaves an audit record, so the number of records
-always equals the number of chunks (or samples) submitted. _run_jobs is the
-one scheduler: a bounded worker pool fed lazily from a job iterable that
-yields results in input order, never completion order, and stops at the
-first job that fails. synthesize, the library entry point of the
-synthesize command, runs a whole corpus through one _run_jobs call and
-yields each clip's records and samples as its last chunk completes.
-generate_openqa and attach_distractors run one batch of units each.
+distractor request, both through _request, the one parse-retry loop, which
+leaves one audit record per unit: the number of records always equals the
+number of chunks (or samples) submitted. _run_jobs is the one scheduler: a
+bounded worker pool fed lazily from a job iterable that yields results in
+input order, never completion order, and stops at the first job that fails.
+synthesize, the library entry point of the synthesize command, runs a
+whole corpus through one _run_jobs call and yields each clip's records and
+samples as its last chunk completes. generate_openqa and
+attach_distractors run one batch of units each.
 
 Only an endpoint that waits on a socket (an HttpClient) gets the pool: an
 in-process endpoint such as MockChatEndpoint runs its jobs inline, one at
@@ -45,10 +46,12 @@ from .windows import CorpusTimingStats
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    """Audit trail for one generation request.
+    """Audit trail for one generation unit: a QA or distractor prompt and
+    its parse retries.
 
     ref identifies the unit: the chunk index for openqa, the question text
-    for closeqa. raw_completion is the last attempt's raw text.
+    for closeqa. raw_completion is the last attempt's raw text, and attempts
+    counts the completions received (transport retries are not counted).
     """
 
     kind: str
@@ -63,25 +66,45 @@ class GenerationRecord:
     reason: str | None = None
 
 
-def _attempt_loop(
-    endpoint: ChatEndpoint, prompt: str, parse, max_retries: int
-) -> tuple[ParsedCompletion, str, int]:
-    """Call the endpoint until the completion parses or retries run out.
+def _request(
+    endpoint: ChatEndpoint,
+    prompt: str,
+    parse: Callable[[str], ParsedCompletion],
+    max_retries: int,
+    kind: str,
+    clip_uid: str,
+    ref: str,
+    *,
+    question: str | None = None,
+    answer: str | None = None,
+) -> tuple[ParsedCompletion, GenerationRecord]:
+    """Call the endpoint until the completion parses or retries run out;
+    return the last parse and the unit's record. question and answer are
+    the record's when known, else the parsed ones. max_retries >= 0 (as
+    EndpointConfig checks), so at least one request is made.
 
     Only malformed completions are retried; constraint violations are final
     (resubmitting an identical prompt cannot fix an over-length answer at
     temperature 0, and truncating would fabricate data).
     """
-    raw = ""
-    parsed = ParsedCompletion(PARSE_MALFORMED, reason="no attempt made")
-    attempts = 0
-    for attempt in range(max_retries + 1):
+    for attempts in range(1, max_retries + 2):
         raw = endpoint.complete(prompt)
-        attempts = attempt + 1
         parsed = parse(raw)
         if parsed.status != PARSE_MALFORMED:
             break
-    return parsed, raw, attempts
+    record = GenerationRecord(
+        kind=kind,
+        clip_uid=clip_uid,
+        ref=ref,
+        raw_completion=raw,
+        parse_status=parsed.status,
+        attempts=attempts,
+        question=parsed.question if question is None else question,
+        answer=parsed.answer if answer is None else answer,
+        wrong_answers=parsed.distractors,
+        reason=parsed.reason,
+    )
+    return parsed, record
 
 
 # Jobs a pool may hold per worker, running or finished but not yet yielded.
@@ -132,19 +155,9 @@ def openqa_unit(
 ) -> tuple[QASample | None, GenerationRecord]:
     """One chunk's QA request: (sample, or None if it did not parse; record)."""
     prompt = render_openqa_prompt(chunk, track, template)
-    parsed, raw, attempts = _attempt_loop(
-        endpoint, prompt, parse_openqa_completion, config.max_retries
-    )
-    record = GenerationRecord(
-        kind="openqa",
-        clip_uid=chunk.clip_uid,
-        ref=str(chunk.chunk_index),
-        raw_completion=raw,
-        parse_status=parsed.status,
-        attempts=attempts,
-        question=parsed.question,
-        answer=parsed.answer,
-        reason=parsed.reason,
+    parsed, record = _request(
+        endpoint, prompt, parse_openqa_completion, config.max_retries,
+        "openqa", chunk.clip_uid, ref=str(chunk.chunk_index),
     )
     sample = None
     if parsed.status == PARSE_OK:
@@ -171,23 +184,10 @@ def distractor_unit(
     if sample.wrong_answers is not None:
         return sample, None
     prompt = render_closeqa_prompt(sample.question, sample.answer, template)
-    parsed, raw, attempts = _attempt_loop(
-        endpoint,
-        prompt,
-        lambda r: parse_closeqa_completion(r, sample.answer),
-        config.max_retries,
-    )
-    record = GenerationRecord(
-        kind="closeqa",
-        clip_uid=sample.clip_uid,
-        ref=sample.question,
-        raw_completion=raw,
-        parse_status=parsed.status,
-        attempts=attempts,
-        question=sample.question,
-        answer=sample.answer,
-        wrong_answers=parsed.distractors,
-        reason=parsed.reason,
+    parsed, record = _request(
+        endpoint, prompt, lambda r: parse_closeqa_completion(r, sample.answer),
+        config.max_retries, "closeqa", sample.clip_uid, ref=sample.question,
+        question=sample.question, answer=sample.answer,
     )
     if parsed.status == PARSE_OK:
         sample = QASample(sample.clip_uid, sample.question, sample.answer, sample.window,

@@ -5,6 +5,7 @@ import argparse
 import json
 import logging
 import os
+from itertools import takewhile
 
 import pytest
 
@@ -20,6 +21,7 @@ FILTER_INPUT = os.path.join(DATA_DIR, "filter_input.jsonl")
 HEADS = os.path.join(DATA_DIR, "head_outputs.jsonl")
 GT_VLG = os.path.join(DATA_DIR, "gt_vlg.jsonl")
 GOLDEN_PREDS = os.path.join(DATA_DIR, "golden_preds.jsonl")
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 ANSWERS = [os.path.join(DATA_DIR, f"pred_answers_{r}.jsonl") for r in range(5)]
 
 
@@ -669,6 +671,34 @@ class TestConfigPrecedence:
             assert a.choices == cli.CHOICES.get(a.dest), a.dest
         assert all(cli.DEFAULTS[name] in choices for name, choices in cli.CHOICES.items())
 
+    def test_readme_settings_table_matches_defaults(self):
+        """Each row of the README's settings table names a setting, its flag,
+        JSON type, default and allowed values (as JSON literals) as cli.DEFAULTS,
+        cli.CHOICES and build_parser() have them."""
+        with open(README, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        start = lines.index(
+            "| setting | flag | JSON type | default | allowed values | read by |"
+        ) + 2
+        rows = takewhile(lambda l: l.startswith("|"), lines[start:])
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {(a.dest, f) for p in sub.choices.values() for a in p._actions
+                 for f in a.option_strings}
+        json_types = {"integer": int, "number": float, "string": str}
+        names = []
+        for row in rows:
+            name, flag, kind, default, allowed, _ = (c.strip() for c in row.strip("|").split("|"))
+            name = name.strip("`")
+            names.append(name)
+            assert (name, flag.strip("`")) in flags, row
+            assert json_types[kind] is type(cli.DEFAULTS[name]), row
+            value = json.loads(default.strip("`"))
+            assert type(value) is type(cli.DEFAULTS[name]) and value == cli.DEFAULTS[name], row
+            choices = tuple(json.loads(v.strip().strip("`")) for v in allowed.split(",") if v)
+            assert choices == cli.CHOICES.get(name, ()), row
+        assert sorted(names) == sorted(cli.DEFAULTS)
+
     def test_config_file_used_by_main(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"narration_pass": "1"}))
@@ -765,6 +795,37 @@ MALFORMED_INPUTS = {
         lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
                      "--mock", _text_file(tmp, "mock.json", "{broken")],
         "mock fixture",
+    ),
+    # A fixture value must be a string or a non-empty list of strings.
+    "synthesize-mock-value-is-number": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", _text_file(tmp, "mock.json", '{"*": 5}')],
+        "mock fixture entry '*'",
+    ),
+    "synthesize-mock-value-is-null": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", _text_file(tmp, "mock.json", '{"*": null}')],
+        "mock fixture entry '*'",
+    ),
+    "synthesize-mock-list-of-numbers": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", _text_file(tmp, "mock.json", '{"*": [1, 2]}')],
+        "mock fixture entry '*'",
+    ),
+    "synthesize-mock-value-is-object": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", _text_file(tmp, "mock.json", '{"*": {"a": 1}}')],
+        "mock fixture entry '*'",
+    ),
+    "synthesize-mock-list-holds-a-number": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", _text_file(tmp, "mock.json", '{"*": ["x", 3]}')],
+        "mock fixture entry '*'",
+    ),
+    "synthesize-mock-list-is-empty": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", _text_file(tmp, "mock.json", '{"*": []}')],
+        "mock fixture entry '*'",
     ),
     "filter-blind-seed-not-int": (
         lambda tmp: ["filter-blind", FILTER_INPUT, "--out", str(tmp / "kept.jsonl"),
@@ -1247,6 +1308,15 @@ class TestExitCodes:
                       "--out", "config.json"],
                      "config.json: named as both input and output",
                      id="decode-out-is-config"),
+        # The histogram TSVs are outputs too.
+        pytest.param(["stats", os.path.join("plots", "answer_words.tsv"), "--out", "s.json",
+                      "--tsv-dir", "plots"],
+                     "answer_words.tsv: named as both input and output",
+                     id="stats-tsv-is-input"),
+        pytest.param(["stats", "qa.jsonl", "--out", os.path.join("plots", "question_words.tsv"),
+                      "--tsv-dir", "plots"],
+                     "question_words.tsv: named as more than one output",
+                     id="stats-tsv-is-out"),
     ])
     def test_bad_later_output_leaves_no_earlier_output(
         self, argv, reason, tmp_path, monkeypatch, caplog
@@ -1258,11 +1328,16 @@ class TestExitCodes:
                              ("heads.jsonl", HEADS), ("mock.json", MOCK)]:
             (tmp_path / name).write_bytes(_read(source))
         (tmp_path / "config.json").write_text("{}")
+        (tmp_path / "plots").mkdir()
+        (tmp_path / "plots" / "answer_words.tsv").write_bytes(_read(FILTER_INPUT))
+        (tmp_path / "plots" / "question_words.tsv").write_text("{}")
         monkeypatch.chdir(tmp_path)
 
         def contents():
-            return {name: None if os.path.isdir(name) else _read(name)
-                    for name in os.listdir(".")}
+            return {
+                os.path.join(top, name): None if name in dirs else _read(os.path.join(top, name))
+                for top, dirs, files in os.walk(".") for name in dirs + files
+            }
 
         before = contents()
         with caplog.at_level(logging.ERROR):

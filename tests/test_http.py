@@ -201,7 +201,8 @@ def test_reply_nested_deeper_than_the_decoder_is_a_failed_attempt(server, tmp_pa
 def _synthesize_at(server, tmp_path, fixture, parallelisms, want_code):
     """Run synthesize against the server at each parallelism, each run from
     a fresh mock. Returns the set of (qa, records, stats) file contents and
-    the connections each run opened."""
+    the connections each run opened. Every connection a run opened must be
+    closed once cli.main has returned."""
     narrations = str(tmp_path / "narrations.jsonl")
     assert cli.main(["ingest", EXPORT, "--out", narrations]) == 0
     outputs, connections = set(), []
@@ -215,6 +216,8 @@ def _synthesize_at(server, tmp_path, fixture, parallelisms, want_code):
             "--parallelism", str(par),
         ])
         assert code == want_code
+        for _ in range(server.connections):
+            assert server.closed.acquire(timeout=5)
         files = []
         for path in (out, out + ".records.jsonl", out + ".stats.json"):
             if os.path.exists(path):
@@ -232,8 +235,10 @@ def test_loopback_synthesis_byte_identical_across_parallelism(server, tmp_path):
     outputs, connections = _synthesize_at(server, tmp_path, fixture, (1, 2, 8), want_code=0)
     assert len(outputs) == 1
     assert len(next(iter(outputs))) == 3
-    # One keep-alive connection inline; the pool's workers each open their own.
+    # One keep-alive connection inline; the pool opens more, but never more
+    # than the requests it has in flight.
     assert connections[0] == 1 and connections[2] > 1
+    assert connections[1] <= 2 and connections[2] <= 8
 
 
 def test_loopback_endpoint_death_partial_output_same_at_any_parallelism(server, tmp_path):
@@ -244,6 +249,12 @@ def test_loopback_endpoint_death_partial_output_same_at_any_parallelism(server, 
     assert len(outputs) == 1
     (_, records, *_), = outputs
     assert b'"parse_status":"ok"' in records
+    # A failure late in the run, when other connections are idle, closes them too.
+    late = sorted(full)[-1]
+    outputs, _ = _synthesize_at(
+        server, tmp_path, {k: v for k, v in full.items() if k != late}, (1, 4), want_code=3
+    )
+    assert len(outputs) == 1
 
 
 def test_openqa_eval_exits_3_when_embedder_keeps_failing(server, tmp_path):
@@ -288,6 +299,35 @@ def test_sequential_requests_share_one_keep_alive_connection(server):
         assert endpoint.complete("hi") == "hello"
     assert len(server.requests) == 20
     assert server.connections == 1
+
+
+def test_threads_share_the_idle_stack_without_losing_or_sharing_a_connection(server):
+    """Every connection opened is back on the idle stack exactly once after
+    concurrent requests, and none served two requests at once (with no
+    retries, that would fail a request)."""
+    server.replies = [(200, CHAT_OK)]
+    endpoint = HttpChatEndpoint(_config(server, retries=0))
+    opened, open_connection = [], endpoint._open
+    endpoint._open = lambda *a, **kw: opened.append(open_connection(*a, **kw)) or opened[-1]
+    threads, per_thread, replies = 8, 25, []
+
+    def work():
+        replies.append([endpoint.complete("hi") for _ in range(per_thread)])
+
+    workers = [threading.Thread(target=work) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert replies == [["hello"] * per_thread] * threads
+    assert 1 <= len(opened) <= threads
+    assert sorted(map(id, endpoint._idle)) == sorted(map(id, opened))
 
 
 def test_connection_closed_while_idle_is_reopened_without_spending_an_attempt(server):
