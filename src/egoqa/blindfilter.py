@@ -12,10 +12,10 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Protocol, Sequence
 
-import numpy as np
-
-from .core import QASample, ValidationError, normalize_answer
+from .core import QASample, ValidationError, lazy_import, normalize_answer
 from .seeding import choice_heads, choice_orders, choice_seeds, derive_seed
+
+np = lazy_import("numpy")
 
 TRIALS = 10
 # Samples per choice_orders call. At 2,560 trial seeds the kernel's fixed

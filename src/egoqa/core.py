@@ -1,12 +1,15 @@
-"""Shared domain types, identity rules, and validation.
+"""Shared domain types, identity rules, validation, and lazy imports.
 
 Every other module builds on the value types defined here. All types are
 immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Any, Mapping
 
 # Absolute tolerance for timestamp comparisons, in seconds. Narration
@@ -239,3 +242,26 @@ def normalize_answer(text: str) -> str:
     idempotent.
     """
     return " ".join(text.lower().split()).rstrip(".,!?;: ")
+
+
+def lazy_import(name: str) -> ModuleType:
+    """Module `name`, found now and executed on its first attribute access.
+
+    The `importlib.util.LazyLoader` recipe of the importlib docs; a module
+    already in sys.modules is returned as it is. A module that cannot be
+    found, or that sys.modules blocks with None, raises ModuleNotFoundError
+    here, at import. Before Python 3.12 LazyLoader is not thread-safe, so
+    the first attribute access must not race: no worker thread of this
+    package (the synthesis pool's) touches a lazily imported module.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -12,10 +12,10 @@ import functools
 import hashlib
 from typing import Protocol
 
-import numpy as np
-
-from .core import ServiceError
+from .core import ServiceError, lazy_import
 from .endpoint import EndpointConfig, HttpClient
+
+np = lazy_import("numpy")
 
 TRIGRAM_DIM = 256
 

@@ -10,15 +10,12 @@ tested hermetically and deterministically.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import math
 import select
-import ssl
 import threading
 import urllib.parse
-import urllib.request
 from base64 import b64encode
 from dataclasses import dataclass
 from functools import partial
@@ -81,7 +78,9 @@ class HttpClient:
     certificates against ssl.create_default_context(). Transport failures,
     non-2xx replies and malformed envelopes are retried at once, up to
     config.max_retries times, then raised as `unavailable`; a failed attempt
-    closes its connection and drops it.
+    closes its connection and drops it. The HTTP and TLS modules
+    (http.client, ssl, urllib.request) are imported by the constructor, so a
+    command that builds no client never loads them.
     """
 
     unavailable: type[ServiceError]  # raised when every attempt failed
@@ -91,6 +90,10 @@ class HttpClient:
         # Set first, so __del__ finds it even when a check below raises. Its
         # pop and append are atomic, so the threads share it without a lock.
         self._idle: list[http.client.HTTPConnection] = []
+        import http.client
+        import ssl
+        import urllib.request
+
         if not config.base_url:
             raise ValidationError(f"{type(self).__name__} requires a base_url")
         url = urllib.parse.urlsplit(config.base_url)
@@ -160,6 +163,8 @@ class HttpClient:
         envelope it cannot use, which counts as a failed attempt, as does a
         reply nested deeper than the JSON decoder can follow.
         """
+        import http.client
+
         target = self._prefix + route
         payload = json.dumps(body).encode("utf-8")
         attempts = self.config.max_retries + 1

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
+from .core import InvariantBreach, TemporalWindow, ValidationError, lazy_import
 
-from .core import InvariantBreach, TemporalWindow, ValidationError
+np = lazy_import("numpy")
 
 # Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-7

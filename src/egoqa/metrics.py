@@ -22,8 +22,6 @@ import re
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .core import (
     EvalReport,
     InvariantBreach,
@@ -31,9 +29,12 @@ from .core import (
     PredictionSet,
     TemporalWindow,
     ValidationError,
+    lazy_import,
     normalize_answer,
 )
 from .embedding import Embedder
+
+np = lazy_import("numpy")
 
 K_VALUES = (1, 5)
 M_VALUES = (0.3, 0.5)

@@ -15,7 +15,7 @@ replays the same arithmetic on uint32/uint64 arrays instead:
   (numpy uses one word below 2**32, which hashes the same, since an absent
   word and a zero word both hash as 0), `mix_entropy` with pool size 4,
   then `generate_state(4, uint64)`. The hash constants do not depend on
-  the data and are computed at import.
+  the data and are computed on first use.
 - PCG64 seeding (O'Neill 2014): `state = 0; inc = (initseq << 1) | 1`,
   step, `state += initstate`, step. The 128-bit LCG runs on four 32-bit
   limbs held in uint64 arrays.
@@ -32,12 +32,14 @@ kernel with numpy and are what detects a divergence.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+from types import SimpleNamespace
 from typing import Sequence
 
-import numpy as np
+from .core import QASample, lazy_import
 
-from .core import QASample
+np = lazy_import("numpy")
 
 
 def _part(part: object) -> bytes:
@@ -77,9 +79,6 @@ def choice_seeds(sample: QASample, heads: Sequence[bytes]) -> list[int]:
     return [_seed(head + tail) for head in heads]
 
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
     """(xor, multiply) constants of SeedSequence's successive hash calls.
 
@@ -92,16 +91,6 @@ def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
     return np.array([h[:-1], h[1:]], dtype=np.uint32)[:, :, None]
 
 
-# mix_entropy makes 4 calls to fill the pool, then 3 per pool word while
-# mixing; generate_state makes one per 32-bit output word.
-_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-# PCG64's 128-bit multiplier as 32-bit limbs, least significant first.
-_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
-_M0, _M1, _M2, _M3 = (np.uint64(_PCG_MULT >> (32 * k) & 0xFFFFFFFF) for k in range(4))
-
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
     out = (values ^ consts[0]) * consts[1]
@@ -110,51 +99,55 @@ def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
 
 def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
     """generate_state(4, uint64) of SeedSequence(seed), as (8, n) uint32 words."""
+    const = _constants()
     pool = np.zeros((4, seeds.size), dtype=np.uint32)
-    pool[0] = seeds & _LOW32
+    pool[0] = seeds & const.LOW32
     pool[1] = seeds >> np.uint64(32)
-    pool = _hashmix(pool, _MIX_HASH[:, :4])
+    pool = _hashmix(pool, const.MIX_HASH[:, :4])
     for src in range(4):
         dst = [d for d in range(4) if d != src]
-        hashed = _hashmix(pool[src], _MIX_HASH[:, 4 + 3 * src:7 + 3 * src])
-        mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+        hashed = _hashmix(pool[src], const.MIX_HASH[:, 4 + 3 * src:7 + 3 * src])
+        mixed = const.MIX_L * pool[dst] - const.MIX_R * hashed
         pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    return _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH)
+    return _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], const.STATE_HASH)
 
 
 def _lcg_step(s: list[np.ndarray], inc: list[np.ndarray]) -> list[np.ndarray]:
     """state * multiplier + inc mod 2**128, on four 32-bit limbs."""
+    const = _constants()
+    low32, (m0, m1, m2, m3) = const.LOW32, const.M
     s0, s1, s2, s3 = s
-    p00 = s0 * _M0
-    p01, p10 = s0 * _M1, s1 * _M0
-    p02, p11, p20 = s0 * _M2, s1 * _M1, s2 * _M0
-    c = (p00 & _LOW32) + inc[0]
-    r0 = c & _LOW32
-    c = (c >> 32) + (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32) + inc[1]
-    r1 = c & _LOW32
+    p00 = s0 * m0
+    p01, p10 = s0 * m1, s1 * m0
+    p02, p11, p20 = s0 * m2, s1 * m1, s2 * m0
+    c = (p00 & low32) + inc[0]
+    r0 = c & low32
+    c = (c >> 32) + (p00 >> 32) + (p01 & low32) + (p10 & low32) + inc[1]
+    r1 = c & low32
     c = ((c >> 32) + (p01 >> 32) + (p10 >> 32)
-         + (p02 & _LOW32) + (p11 & _LOW32) + (p20 & _LOW32) + inc[2])
-    r2 = c & _LOW32
+         + (p02 & low32) + (p11 & low32) + (p20 & low32) + inc[2])
+    r2 = c & low32
     # The top limb keeps only its low 32 bits, so its sum may wrap.
     c = ((c >> 32) + (p02 >> 32) + (p11 >> 32) + (p20 >> 32)
-         + s0 * _M3 + s1 * _M2 + s2 * _M1 + s3 * _M0 + inc[3])
-    return [r0, r1, r2, c & _LOW32]
+         + s0 * m3 + s1 * m2 + s2 * m1 + s3 * m0 + inc[3])
+    return [r0, r1, r2, c & low32]
 
 
 def _pcg64_seed(seeds: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """PCG64's (state, inc) limbs after seeding from SeedSequence(seed)."""
+    low32 = _constants().LOW32
     w = _seed_sequence_words(seeds).astype(np.uint64)
     # generate_state's uint64 k is w[2k] | w[2k+1] << 32; PCG64 takes
     # initstate = u64[0] << 64 | u64[1] and initseq = u64[2] << 64 | u64[3].
     initstate = [w[2], w[3], w[0], w[1]]
     initseq = [w[6], w[7], w[4], w[5]]
-    inc = [((initseq[0] << 1) & _LOW32) | np.uint64(1)]
-    inc += [((initseq[k] << 1) & _LOW32) | (initseq[k - 1] >> 31) for k in (1, 2, 3)]
+    inc = [((initseq[0] << 1) & low32) | np.uint64(1)]
+    inc += [((initseq[k] << 1) & low32) | (initseq[k - 1] >> 31) for k in (1, 2, 3)]
     # The first step from state 0 gives inc; add initstate with carries.
     state, carry = [], 0
     for k in range(4):
         total = inc[k] + initstate[k] + carry
-        state.append(total & _LOW32)
+        state.append(total & low32)
         carry = total >> 32
     return _lcg_step(state, inc), inc
 
@@ -193,7 +186,24 @@ def _shuffle_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nxt, add, np.array(orders, dtype=np.int64)
 
 
-_NEXT_PHASE, _CODE_ADD, _ORDERS = _shuffle_tables()
+@functools.cache
+def _constants() -> SimpleNamespace:
+    """The kernel's numpy scalars and tables, built on first use.
+
+    They are numpy values, not Python ints: numpy 1.x casts a Python int
+    operand by its value, which could change the dtype of a result.
+    """
+    const = SimpleNamespace(LOW32=np.uint64(0xFFFFFFFF))
+    # mix_entropy makes 4 calls to fill the pool, then 3 per pool word while
+    # mixing; generate_state makes one per 32-bit output word.
+    const.MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+    const.STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+    const.MIX_L, const.MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+    # PCG64's 128-bit multiplier as 32-bit limbs, least significant first.
+    mult = 2549297995355413924 << 64 | 4865540595714422341
+    const.M = tuple(np.uint64(mult >> (32 * k) & 0xFFFFFFFF) for k in range(4))
+    const.NEXT_PHASE, const.CODE_ADD, const.ORDERS = _shuffle_tables()
+    return const
 
 
 def choice_orders(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -203,6 +213,7 @@ def choice_orders(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     about 0.4 ms plus about 0.4 us per seed, against about 25 us per seed
     from numpy, so it pays off from a few dozen seeds on.
     """
+    const = _constants()
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     orders = np.empty((seeds.size, 4), dtype=np.int64)
     rows = np.arange(seeds.size)
@@ -212,13 +223,13 @@ def choice_orders(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     while rows.size:
         state = _lcg_step(state, inc)
         out = _xsl_rr(state)
-        for draw in (out & _LOW32, out >> 32):
+        for draw in (out & const.LOW32, out >> 32):
             key = (phase << 2) | (draw & 3)
-            code += _CODE_ADD[key]
-            phase = _NEXT_PHASE[key]
+            code += const.CODE_ADD[key]
+            phase = const.NEXT_PHASE[key]
         done = phase == 3
         if done.any():
-            orders[rows[done]] = _ORDERS[code[done]]
+            orders[rows[done]] = const.ORDERS[code[done]]
             going = ~done
             rows, phase, code = rows[going], phase[going], code[going]
             state = [limb[going] for limb in state]

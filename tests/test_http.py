@@ -370,11 +370,87 @@ def test_https_verifies_with_the_default_context(monkeypatch):
         server.close()
 
 
-def test_importing_the_package_does_not_import_requests():
-    code = "import sys, egoqa, egoqa.cli; print('requests' in sys.modules)"
+def _fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports egoqa from src/. This test
+    process imported numpy when it collected the tests, so only a new
+    interpreter starts without it."""
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=120,
     )
+
+
+# Imports egoqa.cli, runs each argv of the JSON list argv[1] in-process and
+# writes to argv[2], after the import and after each command, its exit code
+# and which of numpy (its numpy.linalg executes with it), http.client and ssl
+# are loaded.
+_LOADED_AFTER_EACH = """
+import json, sys
+import egoqa.cli as cli
+
+def loaded():
+    return [m for m in ("numpy.linalg", "http.client", "ssl") if m in sys.modules]
+
+steps = [["import", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    steps.append([argv[0], cli.main(argv), loaded()])
+with open(sys.argv[2], "w") as f:
+    json.dump(steps, f)
+"""
+
+
+def _loaded_after_each(tmp_path, argvs: list[list[str]]) -> list:
+    steps = str(tmp_path / "steps.json")
+    out = _fresh_interpreter(_LOADED_AFTER_EACH, json.dumps(argvs), steps)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    with open(steps, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def _same_bytes(path: str, golden: str) -> bool:
+    with open(path, "rb") as f, open(os.path.join(DATA_DIR, golden), "rb") as g:
+        return f.read() == g.read()
+
+
+def test_only_the_commands_that_use_them_load_numpy_and_the_http_stack(tmp_path):
+    narrations, qa, preds = (
+        str(tmp_path / name) for name in ("narrations.jsonl", "qa.jsonl", "preds.jsonl")
+    )
+    steps = _loaded_after_each(tmp_path, [
+        ["ingest", EXPORT, "--out", narrations],
+        ["synthesize", narrations, "--out", qa, "--mock", MOCK, "--seed", "7", "--split", "test"],
+        ["stats", qa, "--out", str(tmp_path / "stats.json")],
+        ["decode", os.path.join(DATA_DIR, "head_outputs.jsonl"), "--out", preds],
+    ])
+    assert steps == [
+        ["import", 0, []],
+        ["ingest", 0, []],
+        ["synthesize", 0, []],
+        ["stats", 0, []],
+        ["decode", 0, ["numpy.linalg"]],
+    ]
+    assert _same_bytes(qa, "golden_qa.jsonl")
+    assert _same_bytes(preds, "golden_preds.jsonl")
+
+
+def test_synthesis_pool_threads_never_load_numpy(server, tmp_path):
+    """Before Python 3.12 LazyLoader is not thread-safe: the first access to
+    numpy must never come from the synthesis pool's threads, so a parallel
+    HTTP run must leave it unexecuted."""
+    with open(MOCK, encoding="utf-8") as f:
+        server.mock = MockChatEndpoint(json.load(f))
+    narrations, qa = str(tmp_path / "narrations.jsonl"), str(tmp_path / "qa.jsonl")
+    assert cli.main(["ingest", EXPORT, "--out", narrations]) == 0
+    steps = _loaded_after_each(tmp_path, [[
+        "synthesize", narrations, "--out", qa, "--base-url", server.url,
+        "--seed", "7", "--split", "test", "--parallelism", "4",
+    ]])
+    assert steps == [["import", 0, []], ["synthesize", 0, ["http.client", "ssl"]]]
+    assert server.connections > 1
+
+
+def test_missing_numpy_fails_at_import():
+    out = _fresh_interpreter("import sys; sys.modules['numpy'] = None; import egoqa.cli")
+    assert out.returncode == 1
+    assert "ModuleNotFoundError: No module named 'numpy'" in out.stderr
