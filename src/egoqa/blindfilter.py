@@ -4,7 +4,8 @@ A question is removed when a text-only answerer picks the correct choice in
 every one of ten seeded trials: such questions are answerable without the
 video. Choices are reshuffled per trial by default (configurable), and the
 whole procedure is a pure function of the seed list. `filter_rows` is the
-one trial loop; `seeding.choice_orders` gives its choice orders.
+one trial loop; `seeding.choice_orders` gives its choice orders, and a
+seeded pick among n choices is a derived seed modulo n.
 """
 from __future__ import annotations
 
@@ -12,15 +13,10 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from .core import QASample, ValidationError, lazy_import, normalize_answer
+from .core import QASample, ValidationError, normalize_answer
 from .seeding import choice_heads, choice_orders, choice_seeds, derive_seed
 
-np = lazy_import("numpy")
-
 TRIALS = 10
-# Samples per choice_orders call. At 2,560 trial seeds the kernel's fixed
-# cost (about 0.4 ms a call) is about 1% of the block's trials.
-BLOCK = 256
 # Distinct choice strings whose training count FrequencyPriorAnswerer keeps.
 COUNT_MEMO = 4096
 
@@ -42,7 +38,8 @@ class FrequencyPriorAnswerer:
     """Picks the choice most frequent among training answers.
 
     A strong no-video baseline: rare distractors lose to common answers.
-    Ties (including all-unseen choices) break by a seeded draw. Counts are
+    Ties (including all-unseen choices) break by a seeded draw: tied choice
+    `derive_seed("freq-prior", seed, question) % len(tied)`. Counts are
     memoized by raw choice text (at most COUNT_MEMO), so the same choices
     shown in a sample's ten trials are normalized once.
     """
@@ -57,16 +54,14 @@ class FrequencyPriorAnswerer:
         tied = [i for i, s in enumerate(scores) if s == best]
         if len(tied) == 1:
             return choices[tied[0]]
-        rng = np.random.default_rng(derive_seed("freq-prior", seed, question))
-        return choices[tied[int(rng.integers(len(tied)))]]
+        return choices[tied[derive_seed("freq-prior", seed, question) % len(tied)]]
 
 
 class UniformRandomAnswerer:
-    """Picks uniformly at random among the choices, seeded per question."""
+    """Picks choice `derive_seed("uniform", seed, question) % len(choices)`."""
 
     def answer(self, question: str, choices: Sequence[str], seed: int) -> str:
-        rng = np.random.default_rng(derive_seed("uniform", seed, question))
-        return choices[int(rng.integers(len(choices)))]
+        return choices[derive_seed("uniform", seed, question) % len(choices)]
 
 
 def trial_outcomes(
@@ -117,12 +112,10 @@ def filter_rows(
     outcomes[t] is True when the answerer picked the correct choice in the
     trial with seeds[t], shown in the order of the sample's choice seed for
     seeds[t] (for seeds[0] in every trial if reshuffle_per_trial is False).
-    A sample is removed when every outcome is True. Samples are read BLOCK
-    at a time, and one `choice_orders` call orders a whole block. The seed
-    count is checked before the first sample is read. A sample without
-    distractors ends its block: the pairs before it are yielded, then
-    MissingDistractors is raised. An error from `samples` itself
-    propagates as the block is read.
+    A sample is removed when every outcome is True. The seed count is
+    checked before the first sample is read. A sample without distractors
+    raises MissingDistractors once the pairs before it are yielded; an
+    error from `samples` itself propagates as it is read.
     """
     seeds = list(seeds)
     if len(seeds) != TRIALS:
@@ -130,25 +123,10 @@ def filter_rows(
     # Each trial's choice order comes from its own seed, or every trial's from the first.
     heads = choice_heads(seeds if reshuffle_per_trial else seeds[:1])
     repeat = TRIALS // len(heads)
-    samples = iter(samples)
-    while True:
-        block: list[QASample] = []
-        missing = None
-        for sample in samples:
-            if sample.wrong_answers is None:
-                missing = sample
-                break
-            block.append(sample)
-            if len(block) == BLOCK:
-                break
-        orders = choice_orders(
-            [s for sample in block for s in choice_seeds(sample, heads) * repeat]
-        ).tolist()
-        for i, sample in enumerate(block):
-            yield sample, _trials(sample, answerer, seeds, orders[i * TRIALS:(i + 1) * TRIALS])
-        if missing is not None:
+    for sample in samples:
+        if sample.wrong_answers is None:
             raise MissingDistractors(
-                f"sample {missing.clip_uid!r}/{missing.question!r} has no distractors"
+                f"sample {sample.clip_uid!r}/{sample.question!r} has no distractors"
             )
-        if len(block) < BLOCK:
-            return
+        orders = choice_orders(choice_seeds(sample, heads)) * repeat
+        yield sample, _trials(sample, answerer, seeds, orders)

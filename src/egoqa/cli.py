@@ -136,11 +136,21 @@ def _settle(args: argparse.Namespace) -> None:
 
 
 def _pass_items(entry: Mapping[str, Any], pass_keys: tuple[str, ...]) -> list | None:
-    """The raw narration items of the selected passes; None if a pass is malformed."""
+    """The raw narration items of the selected passes; None if a pass is malformed.
+
+    A pass or its `narrations` that is absent or null holds no items; any
+    other pass must be an object and its `narrations` a list.
+    """
     items: list = []
     for key in pass_keys:
-        block = entry.get(key) or {}
-        narrations = (block.get("narrations") or []) if isinstance(block, dict) else None
+        block = entry.get(key)
+        if block is None:
+            continue
+        if not isinstance(block, dict):
+            return None
+        narrations = block.get("narrations")
+        if narrations is None:
+            continue
         if not isinstance(narrations, list):
             return None
         items.extend(narrations)
@@ -365,6 +375,15 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     elapsed = max(time.monotonic() - start, 1e-9)
     if count:
         write_json(stats_path, {"_meta": meta["_meta"], **builder.finalize()})
+    else:
+        # No sample, no stats: an earlier run's stats file must not stay
+        # beside this run's qa file.
+        try:
+            os.remove(stats_path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise UnwritableOutput(f"{stats_path}: cannot remove output: {exc.strerror}") from None
     log.info(
         "synthesize: wrote %d samples to %s in %.2fs; parsed openqa %d/%d, closeqa %d/%d",
         count, args.out, elapsed,
@@ -416,12 +435,14 @@ def cmd_filter_blind(args: argparse.Namespace) -> int:
     }
     meta = make_meta(hashed_config, seeds[0])
 
-    rows: list[tuple[str, str, tuple[bool, ...]]] = []
+    rows: list[dict[str, Any]] = []
 
     def iter_kept():
         for sample, outcomes in pairs:
-            rows.append((sample.clip_uid, sample.question, outcomes))
-            if not all(outcomes):
+            removed = all(outcomes)
+            rows.append({"clip_uid": sample.clip_uid, "question": sample.question,
+                         "outcomes": list(outcomes), "removed": removed})
+            if not removed:
                 yield qa_to_row(sample)
 
     kept = write_jsonl(args.out, iter_kept(), meta)
@@ -430,11 +451,7 @@ def cmd_filter_blind(args: argparse.Namespace) -> int:
         "total": len(rows),
         "removed": len(rows) - kept,
         "kept": kept,
-        "rows": [
-            {"clip_uid": clip_uid, "question": question,
-             "outcomes": list(outcomes), "removed": all(outcomes)}
-            for clip_uid, question, outcomes in rows
-        ],
+        "rows": rows,
     })
     log.info(
         "filter-blind: kept %d/%d samples (%d removed)",

@@ -310,5 +310,5 @@ def shuffled_choices(sample: QASample, seed: int) -> tuple[tuple[str, str, str, 
             f"sample {sample.clip_uid!r}/{sample.question!r} has no distractors"
         )
     pool = (sample.answer, *sample.wrong_answers)
-    order = choice_orders(choice_seeds(sample, choice_heads((seed,))))[0].tolist()
+    order = choice_orders(choice_seeds(sample, choice_heads((seed,))))[0]
     return tuple(pool[p] for p in order), order.index(0)

@@ -15,6 +15,9 @@ Produces:
   - golden_filter_report.json: filter-blind report over filter_input.jsonl
     with the frequency-prior answerer (fixture designed tie-free, so the
     report does not depend on the trial seeds).
+  - golden_filter_report_uniform.json: the same with the uniform answerer,
+    whose every pick is a seeded draw, so it pins the choice orders and the
+    draws derived from the trial seeds.
   - golden_preds.jsonl: decode output for head_outputs.jsonl.
   - golden_report_{vlg,openqa,closeqa}.json: eval reports against
     gt_vlg.jsonl, of golden_preds.jsonl (vlg), pred_answers_0.jsonl (openqa)
@@ -142,6 +145,12 @@ def run_pipeline() -> None:
             "--out", os.path.join(tmp, "filtered.jsonl"),
             "--report", os.path.join(HERE, "golden_filter_report.json"),
             "--seed", "11",
+        )
+        _cli(
+            "filter-blind", os.path.join(HERE, "filter_input.jsonl"),
+            "--out", os.path.join(tmp, "filtered-uniform.jsonl"),
+            "--report", os.path.join(HERE, "golden_filter_report_uniform.json"),
+            "--seed", "11", "--answerer", "uniform",
         )
 
 

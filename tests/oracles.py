@@ -11,8 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from egoqa.core import TemporalWindow, normalize_answer
 
 
@@ -190,29 +188,6 @@ def fixed_point_normalize(text: str) -> str:
         if stripped == out:
             return out
         out = stripped
-
-
-def oracle_shuffle(seed: int) -> tuple[list[int], int]:
-    """(order, uint32 draws used) of numpy's Generator.shuffle of range(4).
-
-    Reads the raw 64-bit PCG64 outputs for the seed, splits each into its
-    low then high 32 bits (next_uint32), and runs the Fisher-Yates swaps
-    for i = 3, 2, 1 with a draw masked to the smallest all-ones mask >= i,
-    redrawn while it exceeds i.
-    """
-    draws = []
-    for raw in np.random.PCG64(seed).random_raw(16).tolist():
-        draws += [raw & 0xFFFFFFFF, raw >> 32]
-    order, used = [0, 1, 2, 3], 0
-    for i in (3, 2, 1):
-        mask = (1 << i.bit_length()) - 1
-        while True:
-            j = draws[used] & mask
-            used += 1
-            if j <= i:
-                break
-        order[i], order[j] = order[j], order[i]
-    return order, used
 
 
 class ScriptedAnswerer:

@@ -10,12 +10,13 @@ import itertools
 import json
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import egoqa.cli as cli
-from egoqa.blindfilter import UniformRandomAnswerer, filter_rows
+from egoqa.blindfilter import FrequencyPriorAnswerer, UniformRandomAnswerer, filter_rows
 from egoqa.core import (
     PredictionSet,
     QASample,
@@ -351,14 +352,31 @@ def test_closeqa_protocol():
         TemporalWindow(1.0, 3.0),
         ("a plate", "a spoon", "a jar"),
     )
-    n_shuffles = 100_000
+    n_shuffles = 240_000
     orders = choice_orders(choice_seeds(sample, choice_heads(range(n_shuffles))))
-    correct_index = np.argmax(orders == 0, axis=1)
+    correct_index = np.argmax(np.array(orders) == 0, axis=1)
     assert [shuffled_choices(sample, seed)[1] for seed in range(100)] == (
         correct_index[:100].tolist()
     )
     for c in np.bincount(correct_index, minlength=4):
         assert abs(c / n_shuffles - 0.25) <= 0.01
+    # Each of the 24 orders, not just the answer's position, is uniform.
+    per_order = Counter(orders)
+    assert set(per_order) == set(itertools.permutations(range(4)))
+    for c in per_order.values():
+        assert abs(c / (n_shuffles / 24) - 1) <= 0.05
+    # So is the frequency prior's tie-break: training answers seen once
+    # each tie the first n_tied choices, and the others are unseen.
+    choices = ("a", "b", "c", "d")
+    for n_tied in (2, 3, 4):
+        answerer = FrequencyPriorAnswerer(choices[:n_tied])
+        picks = Counter(
+            answerer.answer(f"Which one, {i}?", choices, seed)
+            for i in range(6_000) for seed in range(10)
+        )
+        assert set(picks) == set(choices[:n_tied])
+        for c in picks.values():
+            assert abs(c / (60_000 / n_tied) - 1) <= 0.05
 
     seeds = [derive_seed("blind-trial", 0, t) for t in range(10)]
     uniform = (

@@ -5,13 +5,11 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import egoqa
 import egoqa.blindfilter as blindfilter
 from egoqa.blindfilter import (
-    BLOCK,
     TRIALS,
     FrequencyPriorAnswerer,
     MissingDistractors,
@@ -20,9 +18,9 @@ from egoqa.blindfilter import (
     trial_outcomes,
 )
 from egoqa.core import QASample, TemporalWindow, ValidationError, normalize_answer
-from egoqa.seeding import choice_orders, derive_seed
+from egoqa.seeding import ORDERS, derive_seed
 
-from .oracles import ScriptedAnswerer, oracle_shuffle
+from .oracles import ScriptedAnswerer
 
 SEEDS = list(range(100, 100 + TRIALS))
 
@@ -141,35 +139,6 @@ def test_reshuffle_toggle_changes_choice_order_exposure():
     assert len(set(rec2.seen)) > 1
 
 
-# ------------------------------------------------ choice-order kernel
-
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-# Seeds whose shuffle needs 9, 11, 13 and 15 uint32 draws (5 to 8 PCG64
-# outputs), found by search; a shuffle needs 3 draws or more, and most
-# rows are done after the first 2 outputs.
-DEEP_SEEDS = [57, 188235, 1180610, 11032431]
-RANDOM_SEEDS = np.random.default_rng(20261018).integers(
-    0, 2**64, size=50_000, dtype=np.uint64
-).tolist()
-
-
-def test_choice_orders_match_numpy_on_a_fixed_sweep():
-    seeds = [*range(50_000), *RANDOM_SEEDS, *EDGE_SEEDS, *DEEP_SEEDS]
-    got = choice_orders(seeds)
-    want = np.array([np.random.default_rng(s).permutation(4) for s in seeds])
-    assert got.dtype == want.dtype and got.shape == (len(seeds), 4)
-    assert np.array_equal(got, want)
-
-
-def test_sweep_reaches_rows_that_need_extra_draws():
-    assert [oracle_shuffle(s) for s in DEEP_SEEDS] == [
-        (np.random.default_rng(s).permutation(4).tolist(), n)
-        for s, n in zip(DEEP_SEEDS, (9, 11, 13, 15))
-    ]
-    draws = [oracle_shuffle(s)[1] for s in RANDOM_SEEDS[:2000]]
-    assert {3, 4, 5, 6, 7} <= set(draws)
-
-
 class ChoiceRecorder:
     """Blind answerer that logs every choice tuple it is shown."""
 
@@ -190,12 +159,12 @@ def _corpus(n):
 
 @pytest.mark.parametrize("reshuffle", [True, False])
 def test_filter_rows_equal_per_sample_trials_across_blocks(reshuffle):
-    samples = _corpus(2 * BLOCK + 37)
-    blocked, single = ChoiceRecorder(), ChoiceRecorder()
-    rows = [outcomes for _, outcomes in filter_rows(samples, blocked, SEEDS, reshuffle)]
+    samples = _corpus(549)
+    streamed, single = ChoiceRecorder(), ChoiceRecorder()
+    rows = [outcomes for _, outcomes in filter_rows(samples, streamed, SEEDS, reshuffle)]
     want = [trial_outcomes(s, single, SEEDS, reshuffle) for s in samples]
     assert rows == want
-    assert blocked.seen == single.seen
+    assert streamed.seen == single.seen
 
 
 class OffPoolAnswerer:
@@ -208,14 +177,15 @@ class OffPoolAnswerer:
 
 
 def _naive_outcomes(sample, answerer, seeds, reshuffle):
-    """The protocol as written: each trial's order from numpy, each pick
-    normalized and compared with the normalized answer."""
+    """The protocol as written: each trial's order the permutation its
+    choice seed selects, each pick normalized and compared with the
+    normalized answer."""
     pool = (sample.answer, *sample.wrong_answers)
     outcomes = []
     for seed in seeds:
         order_seed = derive_seed("choices", seed if reshuffle else seeds[0],
                                  sample.clip_uid, sample.question, sample.answer)
-        order = np.random.default_rng(order_seed).permutation(4)
+        order = ORDERS[order_seed % 24]
         pick = answerer.answer(sample.question, tuple(pool[p] for p in order), seed)
         outcomes.append(normalize_answer(pick) == normalize_answer(sample.answer))
     return tuple(outcomes)
@@ -233,7 +203,7 @@ def test_filter_rows_equal_trial_outcomes_and_the_naive_protocol(make_answerer, 
     samples = [
         _sample(f"Q{i}?", f"a{i % 7}", (f"a{(i + 1 + i // 7 % 6) % 7}", f"m{i % 5}", f"n{i}"),
                 uid=f"c{i % 13}")
-        for i in range(BLOCK + 44)
+        for i in range(300)
     ]
     seeds = list(range(-5, 5))
     rows = [outcomes for _, outcomes in filter_rows(
@@ -245,13 +215,13 @@ def test_filter_rows_equal_trial_outcomes_and_the_naive_protocol(make_answerer, 
 
 
 def test_missing_distractors_mid_block_raises_after_earlier_rows():
-    samples = _corpus(BLOCK + 20)
-    samples[BLOCK + 5] = QASample("bad", "Q?", "yes", TemporalWindow(0, 1), split="test")
+    samples = _corpus(276)
+    samples[261] = QASample("bad", "Q?", "yes", TemporalWindow(0, 1), split="test")
     seen = []
     with pytest.raises(MissingDistractors):
         for sample, _ in filter_rows(samples, ChoiceRecorder(), SEEDS):
             seen.append(sample)
-    assert seen == samples[:BLOCK + 5]
+    assert seen == samples[:261]
 
 
 def test_import_leaves_out_synthesis_and_transport():
@@ -288,7 +258,7 @@ def test_trial_seeds_are_encoded_per_run_by_their_text(reshuffle):
     # "True" and "1.0" derive different choice orders, so a cache that
     # outlived its run, or was keyed by seed value, would show one run the
     # orders of another. All runs share this process.
-    samples = _corpus(BLOCK + 3)
+    samples = _corpus(259)
     shown = {}
     for seeds in (SEEDS, list(range(TRIALS)), [1] * TRIALS, [True] * TRIALS,
                   [1.0] * TRIALS, [1, True, 1.0, 0, False, 0.0, 2, 3, 4, 5]):

@@ -167,6 +167,25 @@ class TestIngest:
         assert [r["clip_uid"] for r in rows] == ["ok"]
         assert len(rows[0]["narrations"]) == 1
 
+    def test_null_pass_or_narrations_hold_no_narrations(self, tmp_path):
+        waits = {"narrations": [{"narration_text": "C waits.", "timestamp_sec": 1}]}
+        export = tmp_path / "export.json"
+        export.write_text(json.dumps({
+            "absent": {"duration_sec": 10, "narration_pass_2": waits},
+            "null-pass": {"duration_sec": 10, "narration_pass_1": None,
+                          "narration_pass_2": waits},
+            "null-narrations": {"duration_sec": 10, "narration_pass_1": {"narrations": None},
+                                "narration_pass_2": waits},
+            "no-narrations-key": {"duration_sec": 10, "narration_pass_1": {},
+                                  "narration_pass_2": waits},
+        }))
+        out = str(tmp_path / "n.jsonl")
+        assert cli.main(["ingest", str(export), "--out", out]) == 0
+        rows = [json.loads(l) for l in _read(out).decode().splitlines()[1:]]
+        assert sorted(r["clip_uid"] for r in rows) == [
+            "absent", "no-narrations-key", "null-narrations", "null-pass"]
+        assert all(len(r["narrations"]) == 1 for r in rows)
+
     def test_empty_track_rejected_with_code(self, tmp_path, caplog):
         narrations = _narrations_file(tmp_path, ("a", [1.0, 3.0]), ("b", []))
         out = tmp_path / "out.jsonl"
@@ -260,6 +279,20 @@ class TestSynthesize:
         empty.write_text("")
         code, _ = self._synthesize(tmp_path, str(empty))
         assert code == 2
+
+    @pytest.mark.parametrize("mock, exit_code", [
+        ('{"*": "no json here"}', 0),  # every completion unparseable: no sample
+        ("{}", 3),                     # the first request fails for good
+    ], ids=["exit-0", "exit-3"])
+    def test_run_without_samples_leaves_no_stale_stats(self, tmp_path, mock, exit_code):
+        narrations = _ingest(tmp_path)
+        code, out = self._synthesize(tmp_path, narrations)
+        assert code == 0 and os.path.exists(out + ".stats.json")
+        code = cli.main(["synthesize", narrations, "--out", out, "--seed", "7",
+                         "--mock", _text_file(tmp_path, "mock.json", mock)])
+        assert code == exit_code
+        assert len(_read(out).splitlines()) == 1  # the header alone
+        assert not os.path.exists(out + ".stats.json")
 
     @staticmethod
     def _dying_mock(tmp_path):
@@ -376,6 +409,20 @@ class TestFilterBlind:
         out = str(out_dir / "kept.jsonl")
         assert cli.main(["filter-blind", str(bare), "--out", out, "--seed", "11"]) == 2
         assert os.listdir(out_dir) == []
+
+    def test_uniform_answerer_reproduces_golden_report(self, tmp_path):
+        # Every uniform pick is a seeded draw: the golden pins the choice
+        # orders and draws that the trial seeds derive.
+        out = str(tmp_path / "kept.jsonl")
+        report = str(tmp_path / "report.json")
+        code = cli.main([
+            "filter-blind", FILTER_INPUT, "--out", out,
+            "--report", report, "--seed", "11", "--answerer", "uniform",
+        ])
+        assert code == 0
+        assert _read(report) == _read(
+            os.path.join(DATA_DIR, "golden_filter_report_uniform.json")
+        )
 
     def test_uniform_answerer_accepted(self, tmp_path):
         out = str(tmp_path / "kept.jsonl")
@@ -780,6 +827,27 @@ MALFORMED_INPUTS = {
         }), "--out", str(tmp / "n.jsonl")],
         "bad_narration_pass",
     ),
+    # A pass that is not an object, or pass narrations that are not a list,
+    # reject the clip even when falsy and beside a valid pass.
+    **{
+        f"ingest-{name}": (
+            lambda tmp, bad=bad: ["ingest", _export_file(tmp, {
+                "duration_sec": 10, "narration_pass_1": bad,
+                "narration_pass_2": {"narrations": [
+                    {"narration_text": "C waits.", "timestamp_sec": 1}]},
+            }), "--out", str(tmp / "n.jsonl")],
+            "bad_narration_pass",
+        )
+        for name, bad in {
+            "pass-is-false": False,
+            "pass-is-zero": 0,
+            "pass-is-empty-string": "",
+            "pass-is-empty-list": [],
+            "narrations-is-false": {"narrations": False},
+            "narrations-is-zero": {"narrations": 0},
+            "narrations-is-empty-string": {"narrations": ""},
+        }.items()
+    },
     "ingest-narration-is-string": (
         lambda tmp: ["ingest", _export_file(tmp, {
             "duration_sec": 10, "narration_pass_1": {"narrations": ["C waits."]},

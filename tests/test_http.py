@@ -434,6 +434,24 @@ def test_only_the_commands_that_use_them_load_numpy_and_the_http_stack(tmp_path)
     assert _same_bytes(preds, "golden_preds.jsonl")
 
 
+def test_filter_blind_never_loads_numpy(tmp_path):
+    # Every seeded pick is a digest modulo the option count. A --train whose
+    # one answer is no choice ties all four choices of every trial, so the
+    # tie-break decides each frequency pick; the uniform answerer draws always.
+    filter_input = os.path.join(DATA_DIR, "filter_input.jsonl")
+    with open(filter_input, encoding="utf-8") as f:
+        row = json.loads(f.readline())
+    train = tmp_path / "train.jsonl"
+    train.write_text(json.dumps({**row, "answer": "nothing shown"}) + "\n")
+    steps = _loaded_after_each(tmp_path, [
+        ["filter-blind", filter_input, "--out", str(tmp_path / "tied.jsonl"),
+         "--train", str(train)],
+        ["filter-blind", filter_input, "--out", str(tmp_path / "uniform.jsonl"),
+         "--answerer", "uniform"],
+    ])
+    assert steps == [["import", 0, []], ["filter-blind", 0, []], ["filter-blind", 0, []]]
+
+
 def test_synthesis_pool_threads_never_load_numpy(server, tmp_path):
     """Before Python 3.12 LazyLoader is not thread-safe: the first access to
     numpy must never come from the synthesis pool's threads, so a parallel
