@@ -26,7 +26,6 @@ from .blindfilter import (
     filter_rows,
 )
 from .core import (
-    EgoqaError,
     EvalReport,
     InvariantBreach,
     Narration,
@@ -317,20 +316,10 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
     # Pass 1: corpus timing statistics. compute_stats streams the tracks
     # and keeps one number per clip.
-    seen = 0
-
-    def counted() -> Iterator[NarrationTrack]:
-        nonlocal seen
-        for track in _read_tracks(args.narrations):
-            seen += 1
-            yield track
-
     try:
-        stats = compute_stats(counted())
-    except NoIntervalData:
-        if seen == 0:
-            raise EmptyCorpus(f"{args.narrations} has no clips") from None
-        raise
+        stats = compute_stats(_read_tracks(args.narrations))
+    except NoIntervalData as exc:
+        raise NoIntervalData(f"{args.narrations}: {exc}") from None
 
     hashed_config = {
         "command": "synthesize",
@@ -648,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", help="JSON file with default parameter values")
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse a raw narration export into narrations.jsonl")
@@ -715,7 +703,7 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
@@ -733,9 +721,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except InvariantBreach as exc:
         log.error("internal invariant breach: %s", exc)
-        return EXIT_INTERNAL
-    except EgoqaError as exc:
-        log.error("internal error: %s", exc)
         return EXIT_INTERNAL
     except Exception:
         traceback.print_exc()

@@ -59,8 +59,9 @@ class TrigramEmbedder:
 
 def _unit_vector(reply) -> np.ndarray:
     vec = np.asarray(reply["data"][0]["embedding"], dtype=np.float64)
-    norm = np.linalg.norm(vec)
-    if vec.ndim != 1 or vec.size == 0 or norm == 0:
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if vec.ndim != 1 or not 0 < norm < np.inf:
         raise ValueError("embedding response is not a usable vector")
     return vec / norm
 
@@ -74,7 +75,16 @@ class HttpEmbedder(HttpClient):
     def __init__(self, config: EndpointConfig, api_key: str | None = None):
         super().__init__(config, api_key)
         self.name = config.model
+        self._size: int | None = None  # every vector has the first reply's length
+
+    def _vector(self, reply) -> np.ndarray:
+        vec = _unit_vector(reply)
+        if self._size is None:
+            self._size = vec.size
+        elif vec.size != self._size:
+            raise ValueError(f"embedding has {vec.size} dimensions, the first had {self._size}")
+        return vec
 
     def embed(self, text: str) -> np.ndarray:
         body = {"model": self.config.model, "input": text}
-        return self._post_json("embeddings", body, _unit_vector)
+        return self._post_json("embeddings", body, self._vector)

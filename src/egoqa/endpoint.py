@@ -10,7 +10,6 @@ tested hermetically and deterministically.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import select
@@ -22,6 +21,7 @@ from functools import partial
 from typing import Any, Callable, Mapping, Protocol
 
 from .core import ServiceError, ValidationError
+from .jsonl_io import DECODER, dumps_canonical
 
 log = logging.getLogger(__name__)
 
@@ -157,16 +157,16 @@ class HttpClient:
         return conn
 
     def _post_json(self, route: str, body: Mapping[str, Any], decode: Callable[[Any], Any]):
-        """POST body to {base_url}/{route}; return decode(parsed JSON reply).
+        """POST canonical JSON body to {base_url}/{route}; return decode(reply).
 
         decode raises KeyError, IndexError, TypeError or ValueError on an
         envelope it cannot use, which counts as a failed attempt, as does a
-        reply nested deeper than the JSON decoder can follow.
+        reply that is not UTF-8, repeats a key or nests too deep to decode.
         """
         import http.client
 
         target = self._prefix + route
-        payload = json.dumps(body).encode("utf-8")
+        payload = dumps_canonical(body).encode("utf-8")
         attempts = self.config.max_retries + 1
         # Kept and logged as text: holding the exception (a log handler may
         # keep its record) would keep this frame, and with it the client and
@@ -182,7 +182,7 @@ class HttpClient:
                     raise http.client.HTTPException(
                         f"HTTP {response.status} {response.reason} from {route}"
                     )
-                reply = decode(json.loads(data))
+                reply = decode(DECODER.decode(data.decode("utf-8")))
             except (
                 OSError, http.client.HTTPException, KeyError, IndexError, TypeError, ValueError,
                 RecursionError,

@@ -155,7 +155,7 @@ def write_json(path: str, doc: Mapping[str, Any]) -> None:
         f.write(dumps_canonical(doc) + "\n")
 
 
-class _RepeatedKey(Exception):
+class _RepeatedKey(ValueError):
     """A JSON object names one key twice."""
 
 
@@ -166,17 +166,18 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-# json.loads given a hook would build a decoder per call, costing more than the hook.
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+# The one decoder, for input files, completions and HTTP replies alike. json.loads
+# given a hook would build a decoder per call, costing more than the hook.
+DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def _decode(text: str, where: str) -> Any:
-    """json.loads, raising UnreadableInput for any text the decoder rejects:
+    """DECODER.decode, raising UnreadableInput for any text it rejects:
     syntax errors, integers over the interpreter's digit limit (a plain
     ValueError), nesting deeper than the recursion limit, and an object
-    that repeats a key (json.loads would keep the last value silently)."""
+    that repeats a key."""
     try:
-        return _DECODER.decode(text)
+        return DECODER.decode(text)
     except _RepeatedKey as exc:
         raise UnreadableInput(f"{where}: repeated key {exc.args[0]!r}") from exc
     except (ValueError, RecursionError) as exc:
@@ -239,6 +240,24 @@ def read_first_row(path: str) -> tuple[dict[str, Any] | None, bool]:
             raise
         return None, sole
     return (row if isinstance(row, dict) else None), sole
+
+
+def json_values(raw: str, opener: str) -> Iterator[Any]:
+    """Yield every JSON value (an object that repeats a key is none) that
+    starts at an opener character of raw, up to the first nest deeper than
+    DECODER can follow (retrying each opener inside it would take time
+    quadratic in its depth)."""
+    idx = raw.find(opener)
+    while idx != -1:
+        try:
+            value, _ = DECODER.raw_decode(raw, idx)
+        except RecursionError:
+            return
+        except ValueError:
+            pass
+        else:
+            yield value
+        idx = raw.find(opener, idx + 1)
 
 
 # Exact JSON types: no number is read from a string or a bool, no text from a number.

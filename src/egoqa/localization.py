@@ -83,6 +83,12 @@ class HeadOutputs:
             raise ValidationError(
                 f"offsets must be finite and >= 0, got ({left}, {right})"
             )
+        # A bool among numbers gets a numeric dtype, so only an item read as 0
+        # or 1 can be one. A score of 0 or 1 already failed its range.
+        if not isinstance(self.offsets, np.ndarray):
+            for i, j in zip(*np.nonzero((offsets == 0.0) | (offsets == 1.0))):
+                if isinstance(self.offsets[i][j], (bool, np.bool_)):
+                    raise ValidationError("offsets must be numbers, got a bool")
         scores.flags.writeable = False
         offsets.flags.writeable = False
         object.__setattr__(self, "scores", scores)

@@ -7,12 +7,12 @@ slot-like text inside user data is never re-expanded.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
 from .chunking import NarrationChunk
 from .core import NarrationTrack, ValidationError, normalize_answer
+from .jsonl_io import json_values
 
 TEMPLATE_IDS = ("openqa_llama", "openqa_chat", "closeqa_llama")
 
@@ -110,24 +110,6 @@ class ParsedCompletion:
     reason: str | None = None
 
 
-def _scan_json_values(raw: str, opener: str):
-    """Yield every JSON value parseable starting at an opener character, up
-    to the first nest deeper than the decoder can follow (retrying each
-    opener inside it would take time quadratic in its depth)."""
-    decoder = json.JSONDecoder()
-    idx = raw.find(opener)
-    while idx != -1:
-        try:
-            value, _ = decoder.raw_decode(raw, idx)
-        except RecursionError:
-            return
-        except ValueError:
-            pass
-        else:
-            yield value
-        idx = raw.find(opener, idx + 1)
-
-
 def word_count(text: str) -> int:
     return len(text.split())
 
@@ -139,7 +121,7 @@ def parse_openqa_completion(raw: str) -> ParsedCompletion:
     at most 10 words; the answer has at most 5. Violating pairs are reported
     as constraint_violation and dropped by callers, never truncated.
     """
-    for value in _scan_json_values(raw, "{"):
+    for value in json_values(raw, "{"):
         if (
             isinstance(value, dict)
             and isinstance(value.get("Q"), str)
@@ -174,7 +156,7 @@ def parse_closeqa_completion(raw: str, correct_answer: str) -> ParsedCompletion:
     violation. Lists of the wrong arity are skipped; if none of the right
     shape exists the completion is malformed.
     """
-    for value in _scan_json_values(raw, "["):
+    for value in json_values(raw, "["):
         if (
             isinstance(value, list)
             and len(value) == 3

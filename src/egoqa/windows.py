@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .core import TIME_EPS, NarrationTrack, TemporalWindow, ValidationError
 
 class NoIntervalData(ValidationError):
-    """No track in the corpus has two or more narrations with a positive gap."""
+    """No track, or none with two or more narrations and a positive gap."""
 
 
 class UnknownClip(ValidationError):
@@ -73,6 +73,8 @@ def compute_stats(tracks: Iterable[NarrationTrack]) -> CorpusTimingStats:
         else:
             raw_beta[track.clip_uid] = None
 
+    if not raw_beta:
+        raise NoIntervalData("no clips")
     informative = [b for b in raw_beta.values() if b is not None]
     if not informative:
         raise NoIntervalData(

@@ -854,6 +854,17 @@ MALFORMED_INPUTS = {
         }), "--out", str(tmp / "n.jsonl")],
         "not_an_object",
     ),
+    # Both name the narrations file.
+    "synthesize-no-clips": (
+        lambda tmp: ["synthesize", _text_file(tmp, "narrations.jsonl", ""),
+                     "--out", str(tmp / "qa.jsonl"), "--mock", MOCK],
+        "narrations.jsonl: no clips",
+    ),
+    "synthesize-no-interval-data": (
+        lambda tmp: ["synthesize", _narrations_file(tmp, ("a", [3.0]), ("b", [4.0, 4.0])),
+                     "--out", str(tmp / "qa.jsonl"), "--mock", MOCK],
+        "narrations.jsonl: no clip has >= 2 narrations with a positive mean interval",
+    ),
     "synthesize-mock-missing": (
         lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
                      "--mock", str(tmp / "absent.json")],
@@ -1243,6 +1254,11 @@ MALFORMED_INPUTS = {
                      "--out", str(tmp / "preds.jsonl")],
         "heads.jsonl:1: bad head outputs: scores and offsets must be numbers",
     ),
+    "decode-offsets-bool-among-numbers": (
+        lambda tmp: ["decode", _head_file(tmp, offsets=[[0, True], [1, 0]]),
+                     "--out", str(tmp / "preds.jsonl")],
+        "heads.jsonl:1: bad head outputs: offsets must be numbers, got a bool",
+    ),
     "decode-query-id-is-number": (
         lambda tmp: ["decode", _head_file(tmp, query_id=0), "--out", str(tmp / "preds.jsonl")],
         "heads.jsonl:1: bad head outputs: query_id must be a string, got int",
@@ -1330,6 +1346,12 @@ class TestExitCodes:
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         if case.startswith("config-"):
             assert not os.path.exists(argv[argv.index("--out") + 1])
+
+    def test_unknown_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["-v", "decode", HEADS, "--out", str(tmp_path / "preds.jsonl")])
+        assert exc.value.code == 2
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("argv, reason", [
         pytest.param(["filter-blind", FILTER_INPUT, "--out", "kept.jsonl",

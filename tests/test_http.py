@@ -20,6 +20,7 @@ from egoqa.endpoint import (
     HttpChatEndpoint,
     MockChatEndpoint,
 )
+from egoqa.jsonl_io import dumps_canonical
 
 from .conftest import DATA_DIR
 
@@ -36,11 +37,11 @@ class ScriptedServer:
     """Replies to each POST with the next (status, JSON body) of a script.
 
     A body given as bytes is sent as it is. The last reply repeats once the
-    script runs out. Every request's path, headers and JSON body are
-    recorded. Connections are HTTP/1.1 keep-alive and counted as accepted;
-    with hang_up set, the server closes each one after its first reply
-    without announcing it, and `closed` is released once per connection
-    closed. With tls it serves HTTPS as localhost and 127.0.0.1 with the
+    script runs out. Every request's path, headers, raw body bytes and
+    parsed JSON body are recorded. Connections are HTTP/1.1 keep-alive and
+    counted as accepted; with hang_up set, the server closes each one after
+    its first reply without announcing it, and `closed` is released once
+    per connection closed. With tls it serves HTTPS as localhost and 127.0.0.1 with the
     self-signed certificate in KEYCERT. With `mock` set to a
     MockChatEndpoint, each chat request is answered from it by prompt
     instead, and a prompt it has no completion for gets a 500.
@@ -63,11 +64,12 @@ class ScriptedServer:
                 owner.connections += 1
 
             def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
+                raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 owner.requests.append({
                     "path": self.path,
                     "headers": dict(self.headers),
-                    "body": json.loads(self.rfile.read(length)),
+                    "raw": raw,
+                    "body": json.loads(raw),
                 })
                 i = min(len(owner.requests), len(owner.replies)) - 1
                 status, body = owner.replies[i]
@@ -138,6 +140,10 @@ def _config(server, retries=2):
     {"choices": []},
     {"choices": [{"message": {"content": None}}]},
     ["not", "an", "object"],
+    # ambiguous, not resolved to its last value
+    pytest.param(b'{"choices": [], "choices": [{"message": {"content": "hello"}}]}',
+                 id="repeated-key"),
+    pytest.param(json.dumps(CHAT_OK).encode("utf-16-le"), id="utf-16"),
 ])
 def test_chat_retries_malformed_envelope_then_succeeds(server, envelope):
     server.replies = [(200, envelope), (200, CHAT_OK)]
@@ -147,13 +153,39 @@ def test_chat_retries_malformed_envelope_then_succeeds(server, envelope):
     assert server.requests[0]["body"]["messages"] == [{"role": "user", "content": "hi"}]
 
 
+# Embedding replies no client can use: not an envelope, a NaN, a norm that
+# overflows, and (after a first reply of EMBED_OK's 2) 3 dimensions.
+UNUSABLE_EMBEDDINGS = [
+    ["not", "an", "envelope"],
+    b'{"data": [{"embedding": [NaN, 1.0]}]}',
+    {"data": [{"embedding": [1e200, 1e200]}]},
+    {"data": [{"embedding": [3.0, 4.0, 0.0]}]},
+]
+
+
 def test_embedder_retries_malformed_envelope_then_succeeds(server):
-    server.replies = [(200, ["not", "an", "envelope"]), (200, EMBED_OK)]
-    vec = HttpEmbedder(_config(server)).embed("hi")
-    np.testing.assert_allclose(vec, [0.6, 0.8])
-    assert len(server.requests) == 2
-    assert server.requests[1]["path"] == "/v1/embeddings"
-    assert server.requests[1]["body"] == {"model": "mock", "input": "hi"}
+    for envelope in UNUSABLE_EMBEDDINGS:
+        server.replies = [(200, EMBED_OK), (200, envelope), (200, EMBED_OK)]
+        server.requests = []
+        embedder = HttpEmbedder(_config(server))
+        np.testing.assert_allclose(embedder.embed("first"), [0.6, 0.8])
+        np.testing.assert_allclose(embedder.embed("hi"), [0.6, 0.8])
+        assert len(server.requests) == 3, envelope
+        assert server.requests[2]["path"] == "/v1/embeddings"
+        assert server.requests[2]["body"] == {"model": "mock", "input": "hi"}
+
+
+@pytest.mark.parametrize("client, reply", [
+    (HttpChatEndpoint, CHAT_OK),
+    (HttpEmbedder, EMBED_OK),
+])
+def test_request_bodies_are_canonical_json(server, client, reply):
+    server.replies = [(200, reply)]
+    call = "complete" if client is HttpChatEndpoint else "embed"
+    getattr(client(_config(server)), call)("Wo ist der Kaffee? \u2615")
+    (request,) = server.requests
+    assert request["raw"] == dumps_canonical(request["body"]).encode("utf-8")
+    assert "\u2615".encode("utf-8") in request["raw"]
 
 
 def test_chat_raises_unavailable_after_every_attempt_fails(server):
@@ -258,7 +290,6 @@ def test_loopback_endpoint_death_partial_output_same_at_any_parallelism(server, 
 
 
 def test_openqa_eval_exits_3_when_embedder_keeps_failing(server, tmp_path):
-    server.replies = [(200, {"data": []})]
     preds = tmp_path / "preds.jsonl"
     per_clip: dict[str, int] = {}
     with open(GT_VLG) as src, open(preds, "w") as dst:
@@ -270,12 +301,15 @@ def test_openqa_eval_exits_3_when_embedder_keeps_failing(server, tmp_path):
                 "clip_uid": row["clip_uid"], "query_id": f"{row['clip_uid']}::{k}",
                 "windows": [], "answer_text": row["answer"],
             }) + "\n")
-    code = cli.main([
-        "eval", str(preds), "--gt", GT_VLG, "--task", "openqa",
-        "--out", str(tmp_path / "report.json"), "--embed-url", server.url,
-    ])
-    assert code == 3
-    assert not (tmp_path / "report.json").exists()
+    for replies in [[{"data": []}], *([EMBED_OK, e] for e in UNUSABLE_EMBEDDINGS)]:
+        server.replies = [(200, reply) for reply in replies]
+        server.requests = []
+        code = cli.main([
+            "eval", str(preds), "--gt", GT_VLG, "--task", "openqa",
+            "--out", str(tmp_path / "report.json"), "--embed-url", server.url,
+        ])
+        assert code == 3, replies
+        assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("client, reply", [

@@ -314,6 +314,11 @@ class TestHeadOutputs:
             HeadOutputs([0.5, 0.6], [[0, 1], ["1", "0"]])
         with pytest.raises(ValidationError, match="must be numbers"):
             HeadOutputs([0.5, 0.6], [[False, True], [True, False]])
+        # a bool among numbers gets a numeric dtype; it is still not a number
+        with pytest.raises(ValidationError, match="must be numbers, got a bool"):
+            HeadOutputs([0.5, 0.6], [[0, True], [1, 0]])
+        with pytest.raises(ValidationError, match="must be numbers, got a bool"):
+            HeadOutputs([0.5, 0.6], [[0.5, True], [1, 0]])
         # an object array holds what numpy cannot type; each item must be a number
         with pytest.raises(ValidationError, match="must be numbers"):
             HeadOutputs([0.5, None], [[0, 1], [1, 0]])

@@ -132,6 +132,10 @@ class TestParseOpenqa:
         raw = '{"notes": 1} {"Q": "Who sang?", "A": "the choir"} {"Q": "later?", "A": "no"}'
         p = parse_openqa_completion(raw)
         assert p.answer == "the choir"
+        # an object that repeats a key is not a value, so the clean one after it wins
+        raw = ('{"Q": "What did I cut?", "A": "a leek", "A": "an onion"} '
+               '{"Q": "What did I cut?", "A": "a leek"}')
+        assert parse_openqa_completion(raw).answer == "a leek"
 
     def test_missing_question_mark_is_constraint(self):
         p = parse_openqa_completion('{"Q": "Where is it", "A": "here"}')
@@ -160,6 +164,11 @@ class TestParseOpenqa:
 
     def test_non_string_fields_are_malformed(self):
         p = parse_openqa_completion('{"Q": 5, "A": "x"}')
+        assert p.status == PARSE_MALFORMED
+
+    def test_repeated_key_is_malformed(self):
+        # ambiguous, not resolved to its last value
+        p = parse_openqa_completion('{"Q": "What did I cut?", "A": "a leek", "A": "an onion"}')
         assert p.status == PARSE_MALFORMED
 
     def test_nesting_deeper_than_the_decoder_is_malformed(self):
