@@ -5,7 +5,11 @@ every one of ten seeded trials: such questions are answerable without the
 video. Choices are reshuffled per trial by default (configurable), and the
 whole procedure is a pure function of the seed list. `filter_rows` is the
 one trial loop; `seeding.choice_orders` gives its choice orders, and a
-seeded pick among n choices is a derived seed modulo n.
+seeded pick among n choices is a derived seed modulo n. A frequency prior
+whose top count is held by one choice picks it in every order and under
+every seed, so `filter_rows` decides such a sample's ten trials at once,
+with the same outcomes; choice seeds are derived only for samples without
+such a sure pick.
 """
 from __future__ import annotations
 
@@ -56,6 +60,13 @@ class FrequencyPriorAnswerer:
             return choices[tied[0]]
         return choices[tied[derive_seed("freq-prior", seed, question) % len(tied)]]
 
+    def sure_pick(self, pool: Sequence[str]) -> str | None:
+        """The choice `answer` picks from pool in any order and under any
+        seed: the one with the unique top count, or None when top counts tie."""
+        scores = [self._count(c) for c in pool]
+        best = max(scores)
+        return pool[scores.index(best)] if scores.count(best) == 1 else None
+
 
 class UniformRandomAnswerer:
     """Picks choice `derive_seed("uniform", seed, question) % len(choices)`."""
@@ -81,16 +92,16 @@ def trial_outcomes(
 
 def _trials(
     sample: QASample,
+    pool: tuple[str, ...],
     answerer: BlindAnswerer,
     seeds: Sequence[int],
     orders: Sequence[Sequence[int]],
 ) -> tuple[bool, ...]:
-    """The answerer's trials for one sample, trial t showing the choices in orders[t].
+    """The answerer's trials for one sample, trial t showing pool in orders[t].
 
     Each choice is normalized once; only a pick outside the choices is
     normalized on its own.
     """
-    pool = (sample.answer, *sample.wrong_answers)
     target = normalize_answer(sample.answer)
     correct = {choice: normalize_answer(choice) == target for choice in pool}
     outcomes = []
@@ -115,7 +126,9 @@ def filter_rows(
     A sample is removed when every outcome is True. The seed count is
     checked before the first sample is read. A sample without distractors
     raises MissingDistractors once the pairs before it are yielded; an
-    error from `samples` itself propagates as it is read.
+    error from `samples` itself propagates as it is read. An answerer with a
+    `sure_pick(pool)` method (FrequencyPriorAnswerer) is asked it once per
+    sample; a pick it returns is that sample's pick in every trial.
     """
     seeds = list(seeds)
     if len(seeds) != TRIALS:
@@ -123,10 +136,18 @@ def filter_rows(
     # Each trial's choice order comes from its own seed, or every trial's from the first.
     heads = choice_heads(seeds if reshuffle_per_trial else seeds[:1])
     repeat = TRIALS // len(heads)
+    sure_pick = getattr(answerer, "sure_pick", None)
     for sample in samples:
         if sample.wrong_answers is None:
             raise MissingDistractors(
                 f"sample {sample.clip_uid!r}/{sample.question!r} has no distractors"
             )
+        pool = (sample.answer, *sample.wrong_answers)
+        pick = sure_pick(pool) if sure_pick else None
+        if pick is not None:
+            # The distractors differ from the answer after normalization (a
+            # QASample invariant), so the pick is correct exactly when it is the answer.
+            yield sample, (pick == sample.answer,) * TRIALS
+            continue
         orders = choice_orders(choice_seeds(sample, heads)) * repeat
-        yield sample, _trials(sample, answerer, seeds, orders)
+        yield sample, _trials(sample, pool, answerer, seeds, orders)

@@ -406,9 +406,10 @@ def cmd_filter_blind(args: argparse.Namespace) -> int:
     samples = read_qa(args.qa)
     if args.answerer == "uniform":
         answerer = UniformRandomAnswerer()
-    elif args.train in (None, args.qa):
-        # The training answers are the test set's own: read the file once,
-        # and let each sample go once the filter has passed it.
+    elif args.train is None or os.path.realpath(args.train) == os.path.realpath(args.qa):
+        # The training answers are the test set's own, under whatever path
+        # spelling: read the file once, and let each sample go once the
+        # filter has passed it.
         held = deque(samples)
         answerer = FrequencyPriorAnswerer(s.answer for s in held)
         samples = (held.popleft() for _ in range(len(held)))

@@ -48,8 +48,11 @@ class UnwritableOutput(ValidationError):
     """An output path that cannot be created or replaced."""
 
 
-def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+# Canonical JSON: sorted keys, compact separators, raw UTF-8. One encoder
+# serves every writer; json.dumps with these options builds one per call.
+dumps_canonical: Callable[[Any], str] = json.JSONEncoder(
+    ensure_ascii=False, sort_keys=True, separators=(",", ":")
+).encode
 
 
 def config_hash(config: Mapping[str, Any]) -> str:

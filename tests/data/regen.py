@@ -152,6 +152,12 @@ def run_pipeline() -> None:
             "--report", os.path.join(HERE, "golden_filter_report_uniform.json"),
             "--seed", "11", "--answerer", "uniform",
         )
+        _cli(
+            "filter-blind", os.path.join(HERE, "filter_input.jsonl"),
+            "--out", os.path.join(tmp, "filtered-tied.jsonl"),
+            "--report", os.path.join(HERE, "golden_filter_report_tied.json"),
+            "--seed", "11", "--train", os.path.join(HERE, "golden_qa.jsonl"),
+        )
 
 
 def run_scoring() -> None:

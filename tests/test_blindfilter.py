@@ -214,6 +214,33 @@ def test_filter_rows_equal_trial_outcomes_and_the_naive_protocol(make_answerer, 
     assert any(any(r) for r in rows) and not all(all(r) for r in rows)
 
 
+@pytest.mark.parametrize("reshuffle", [True, False])
+def test_choice_seeds_are_derived_only_without_a_sure_pick(monkeypatch, reshuffle):
+    # Training counts: common 3, rare 2, tie1 and tie2 1, anything else 0.
+    answerer = FrequencyPriorAnswerer(["common"] * 3 + ["rare"] * 2 + ["tie1", "tie2"])
+    samples = []
+    for i in range(4):
+        samples += [
+            _sample(f"S{i}?", "common", ("rare", f"x{i}", "tie1")),  # sure pick, correct
+            _sample(f"T{i}?", "tie1", ("tie2", f"z{i}", "x")),  # 2-way tie
+            _sample(f"W{i}?", "rare", ("Common.", "tie2", f"y{i}")),  # sure pick, wrong
+            _sample(f"U{i}?", "never seen", (f"u{i}", "v", "w")),  # 4-way tie
+        ]
+    derived = []
+    choice_seeds = blindfilter.choice_seeds
+    monkeypatch.setattr(
+        blindfilter, "choice_seeds",
+        lambda sample, heads: derived.append(sample.question) or choice_seeds(sample, heads),
+    )
+    rows = list(filter_rows(samples, answerer, SEEDS, reshuffle))
+    assert derived == [s.question for s in samples if s.question[0] in "TU"]
+    assert [s for s, _ in rows] == samples
+    assert [o for _, o in rows] == [_naive_outcomes(s, answerer, SEEDS, reshuffle) for s in samples]
+    assert {s.question[0]: o for s, o in rows if s.question[0] in "SW"} == {
+        "S": (True,) * TRIALS, "W": (False,) * TRIALS,
+    }
+
+
 def test_missing_distractors_mid_block_raises_after_earlier_rows():
     samples = _corpus(276)
     samples[261] = QASample("bad", "Q?", "yes", TemporalWindow(0, 1), split="test")

@@ -424,6 +424,44 @@ class TestFilterBlind:
             os.path.join(DATA_DIR, "golden_filter_report_uniform.json")
         )
 
+    def test_tied_frequency_prior_reproduces_golden_report(self, tmp_path):
+        # None of golden_qa.jsonl's answers is a choice in the input, so every
+        # trial is a seeded 4-way tie-break: the golden pins the prior's
+        # ordered trial loop, which a unique favourite skips.
+        out = str(tmp_path / "kept.jsonl")
+        report = str(tmp_path / "report.json")
+        code = cli.main([
+            "filter-blind", FILTER_INPUT, "--out", out, "--report", report,
+            "--seed", "11", "--train", os.path.join(DATA_DIR, "golden_qa.jsonl"),
+        ])
+        assert code == 0
+        assert _read(report) == _read(
+            os.path.join(DATA_DIR, "golden_filter_report_tied.json")
+        )
+
+    @pytest.mark.parametrize("spelling", ["dot-relative", "absolute", "symlink"])
+    def test_train_naming_the_input_reads_it_once(self, tmp_path, monkeypatch, spelling):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "qa.jsonl").write_bytes(_read(FILTER_INPUT))
+        train = {
+            "dot-relative": "./qa.jsonl",
+            "absolute": str(tmp_path / "qa.jsonl"),
+            "symlink": "link.jsonl",
+        }[spelling]
+        if spelling == "symlink":
+            os.symlink("qa.jsonl", "link.jsonl")
+        assert cli.main(["filter-blind", "qa.jsonl", "--out", "plain.jsonl", "--seed", "11"]) == 0
+        reads = []
+        read_jsonl = cli.read_jsonl
+        monkeypatch.setattr(cli, "read_jsonl", lambda path: reads.append(path) or read_jsonl(path))
+        assert cli.main([
+            "filter-blind", "qa.jsonl", "--out", "trained.jsonl", "--seed", "11",
+            "--train", train,
+        ]) == 0
+        assert reads == ["qa.jsonl"]
+        assert _read("trained.jsonl.report.json") == _read("plain.jsonl.report.json")
+        assert _read("trained.jsonl") == _read("plain.jsonl")
+
     def test_uniform_answerer_accepted(self, tmp_path):
         out = str(tmp_path / "kept.jsonl")
         code = cli.main([

@@ -1,7 +1,9 @@
 """Property tests for the decode path (greedy NMS against the scalar oracle,
 the HeadOutputs acceptance rule), the row decoders' and completion parsers'
-error contracts, shuffled choices against the choice-order definition, and
-answer normalization against its first, fixed-point form."""
+error contracts, shuffled choices against the choice-order definition, the
+frequency prior's blind-filter outcomes against the trial-by-trial protocol,
+answer normalization against its first, fixed-point form, and the canonical
+JSON encoder against json.dumps."""
 from __future__ import annotations
 
 import hashlib
@@ -13,14 +15,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from egoqa.core import ValidationError, normalize_answer
-from egoqa.jsonl_io import SchemaMismatch, row_to_head, row_to_pred, row_to_qa, row_to_track
+from egoqa.blindfilter import TRIALS, FrequencyPriorAnswerer, filter_rows
+from egoqa.core import QASample, TemporalWindow, ValidationError, normalize_answer
+from egoqa.jsonl_io import (
+    SchemaMismatch,
+    dumps_canonical,
+    row_to_head,
+    row_to_pred,
+    row_to_qa,
+    row_to_track,
+)
 from egoqa.localization import HeadOutputs, LengthMismatch, decode_windows
 from egoqa.prompts import ParsedCompletion, parse_closeqa_completion, parse_openqa_completion
 from egoqa.seeding import ORDERS, choice_heads, choice_seeds, derive_seed
 from egoqa.synthesis import shuffled_choices
 
 from .oracles import fixed_point_normalize, oracle_nms
+from .test_blindfilter import _naive_outcomes
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -234,6 +245,50 @@ def test_shuffled_choices_equal_numpy_permutation(clip_uid, question, answer, wr
     assert shuffled_choices(sample, seed) == (tuple(pool[p] for p in order), order.index(0))
 
 
+# Answers distinct after normalization, and spellings of them that only
+# match after it.
+VOCAB = ("yes", "no", "red", "a cup", "the bowl", "on the shelf", "green", "it slipped")
+SPELLINGS = st.tuples(
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from([str, str.upper, str.title]),
+    st.sampled_from(["", ".", "?!", " .;", " "]),
+)
+
+
+@st.composite
+def prior_pools(draw):
+    """(training answers, pool, k): k of the pool's four choices share its
+    top training count, each training answer and choice in a drawn spelling."""
+
+    def spell(word):
+        lead, case, tail = draw(SPELLINGS)
+        return lead + case(word) + tail
+
+    words = draw(st.permutations(VOCAB))
+    k = draw(st.integers(1, 4))
+    top = draw(st.integers(0 if k == 4 else 1, 4))
+    counts = [top] * k + [draw(st.integers(0, top - 1)) for _ in range(4 - k)]
+    training = [spell(w) for w, c in zip(words, counts) for _ in range(c)]
+    training += [spell(w) for w in draw(st.lists(st.sampled_from(words[4:]), max_size=6))]
+    pool = draw(st.permutations([spell(w) for w in words[:4]]))
+    return draw(st.permutations(training)), pool, k
+
+
+# A frequency prior whose top count one choice holds is asked once per sample;
+# its outcomes must equal the ten trials run one by one, tied or not.
+@PROPERTY
+@given(drawn=prior_pools(), seeds=st.lists(st.integers(), min_size=TRIALS, max_size=TRIALS))
+def test_frequency_prior_outcomes_equal_the_naive_protocol(drawn, seeds):
+    training, pool, k = drawn
+    answerer = FrequencyPriorAnswerer(training)
+    sample = QASample("c", "Did I?", pool[0], TemporalWindow(0.0, 1.0),
+                      wrong_answers=pool[1:], split="test")
+    assert (answerer.sure_pick(pool) is None) == (k > 1)
+    for reshuffle in (True, False):
+        ((_, outcomes),) = filter_rows([sample], answerer, seeds, reshuffle)
+        assert outcomes == _naive_outcomes(sample, answerer, seeds, reshuffle)
+
+
 # normalize_answer strips its tail in one rstrip; the fixed-point loop it
 # replaced is the definition. Unicode whitespace (ideographic space, the
 # unit separator, NEL) is collapsed by split() before the strip runs.
@@ -251,3 +306,19 @@ def test_normalize_answer_equals_fixed_point_loop(text):
     once = normalize_answer(text)
     assert once == fixed_point_normalize(text)
     assert normalize_answer(once) == once
+
+
+# dumps_canonical is one shared encoder; json.dumps with the same options is
+# the definition.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@PROPERTY
+@given(value=JSON_VALUES)
+def test_dumps_canonical_equals_json_dumps(value):
+    want = json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    assert dumps_canonical(value) == want
