@@ -99,11 +99,11 @@ def _trials(
 ) -> tuple[bool, ...]:
     """The answerer's trials for one sample, trial t showing pool in orders[t].
 
-    Each choice is normalized once; only a pick outside the choices is
-    normalized on its own.
+    The choices' normalized forms are the sample's own; only a pick outside
+    the choices is normalized on its own.
     """
-    target = normalize_answer(sample.answer)
-    correct = {choice: normalize_answer(choice) == target for choice in pool}
+    target = sample.normalized[0]
+    correct = {choice: normed == target for choice, normed in zip(pool, sample.normalized)}
     outcomes = []
     for seed, (a, b, c, d) in zip(seeds, orders):
         pick = answerer.answer(sample.question, (pool[a], pool[b], pool[c], pool[d]), seed)

@@ -508,13 +508,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     task = args.task
     out = args.out or "report.json"
     check_outputs(out, inputs=(args.config, args.gt, *args.predictions))
-    gts = _load_gt(args.gt)
     expected = 5 if task == "closeqa" else 1
     if len(args.predictions) != expected:
         raise ValidationError(
             f"--task {task} needs exactly {expected} prediction file(s), "
             f"got {len(args.predictions)}"
         )
+    gts = _load_gt(args.gt)
 
     hashed_config = {"command": "eval", "task": task}
     meta = make_meta(hashed_config)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import ModuleType
 from typing import Any, Mapping
 
@@ -97,6 +97,8 @@ class QASample:
 
     wrong_answers, when present, holds exactly three distractors that are
     pairwise distinct and distinct from the answer after normalization.
+    normalized then holds the normalized answer and distractors, in that
+    order, as the check computed them; it is None without distractors.
     """
 
     clip_uid: str
@@ -106,6 +108,9 @@ class QASample:
     wrong_answers: tuple[str, str, str] | None = None
     split: str = "train"
     source: str = "synthesized"
+    normalized: tuple[str, str, str, str] | None = field(
+        init=False, default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.clip_uid:
@@ -127,12 +132,13 @@ class QASample:
                 raise ValidationError(
                     f"wrong_answers must hold exactly 3 strings, got {len(wrong)}"
                 )
-            normed = [normalize_answer(w) for w in wrong]
-            if len(set(normed)) != 3 or normalize_answer(self.answer) in normed:
+            normed = (normalize_answer(self.answer), *map(normalize_answer, wrong))
+            if len(set(normed)) != 4:
                 raise ValidationError(
                     "wrong_answers must be pairwise distinct and distinct from "
                     "the answer after normalization"
                 )
+            object.__setattr__(self, "normalized", normed)
 
 
 @dataclass(frozen=True)

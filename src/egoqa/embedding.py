@@ -1,15 +1,17 @@
 """Sentence embedding port with an offline deterministic implementation.
 
-Similarity scoring only needs "text -> unit vector". The offline embedder
-hashes character trigrams into a fixed 256-dim count vector; it is not a
-learned model, but identical text always maps to the identical vector, and
-texts sharing no trigrams are exactly orthogonal, which is what the metric
-tests need. Reports produced with it are labeled "offline-sim".
+Similarity scoring needs "text -> vector", given either as sparse integer
+counts or as a dense float vector. The offline embedder counts character
+trigrams in 256 hashed buckets; it is not a learned model, but identical
+text always maps to identical counts, and texts sharing no bucket are
+exactly orthogonal, which is what the metric tests need. Reports produced
+with it are labeled "offline-sim".
 """
 from __future__ import annotations
 
 import functools
 import hashlib
+from collections import Counter
 from typing import Protocol
 
 from .core import ServiceError, lazy_import
@@ -27,8 +29,9 @@ class EmbedderUnavailable(ServiceError):
 class Embedder(Protocol):
     name: str
 
-    def embed(self, text: str) -> np.ndarray:
-        """Map text to a unit-norm vector; identical text, identical vector."""
+    def embed(self, text: str) -> Counter[int] | np.ndarray:
+        """Map text to bucket counts (a Counter) or to a unit-norm float
+        vector; identical text, identical result."""
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -38,23 +41,21 @@ def _bucket(token: str) -> int:
 
 
 class TrigramEmbedder:
-    """Hashed character-trigram counts, L2-normalized.
+    """Hashed character-trigram counts: bucket -> occurrences, never 0.
 
-    blake2b bucketing, not Python's salted hash(), so vectors are stable
+    blake2b bucketing, not Python's salted hash(), so counts are stable
     across processes. Text shorter than 3 characters hashes whole.
     """
 
     name = "offline-sim"
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, text: str) -> Counter[int]:
         lowered = text.lower()
         if len(lowered) < 3:
             grams = [lowered]
         else:
             grams = [lowered[i : i + 3] for i in range(len(lowered) - 2)]
-        counts = np.bincount([_bucket(g) for g in grams], minlength=TRIGRAM_DIM)
-        vec = counts.astype(np.float64)
-        return vec / np.linalg.norm(vec)
+        return Counter(map(_bucket, grams))
 
 
 def _unit_vector(reply) -> np.ndarray:

@@ -18,6 +18,7 @@ import json
 import os
 from collections import Counter
 from contextlib import contextmanager, suppress
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 from .core import (
@@ -210,6 +211,7 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
         f = open(path, "rb")
     except OSError as exc:
         raise UnreadableInput(f"cannot open {path}: {exc}") from exc
+    scan = DECODER.raw_decode
     with f:
         for lineno, raw in enumerate(f, start=1):
             try:
@@ -218,7 +220,14 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
                 raise UnreadableInput(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if not line:
                 continue
-            row = _decode(line, f"{path}:{lineno}")
+            # One scan of a stripped line, which DECODER.decode would take
+            # whole; a line it rejects is decoded again for its message.
+            try:
+                row, end = scan(line)
+            except (ValueError, RecursionError):
+                end = -1
+            if end != len(line):
+                row = _decode(line, f"{path}:{lineno}")
             if not isinstance(row, dict):
                 raise SchemaMismatch(f"{path}:{lineno}: row is not an object")
             if lineno == 1 and "_meta" in row:
@@ -267,6 +276,13 @@ def json_values(raw: str, opener: str) -> Iterator[Any]:
 _TEXT = (str,)
 _NUMBER = (int, float)
 _KIND = {_TEXT: "a string", _NUMBER: "a number"}
+# Each row decoder first tests all of a row's field types in one expression
+# and builds the value directly. A row that fails the test, or whose values
+# the value types reject, takes the field-by-field path after it, the only
+# one that raises, so every message names the field it always named.
+_STRS, _NUMS, _DICTS = frozenset(_TEXT), frozenset(_NUMBER), frozenset((dict,))
+_LISTS, _THREE = frozenset((list,)), frozenset((3,))
+_FAST_MISS = (LookupError, TypeError, OverflowError, ValidationError)
 
 
 def _need(row: Mapping[str, Any], key: str, where: str, kind=None) -> Any:
@@ -298,6 +314,19 @@ def track_to_row(track: NarrationTrack) -> dict[str, Any]:
 
 def row_to_track(row: Mapping[str, Any], where: str = "row") -> NarrationTrack:
     try:
+        narrations = row["narrations"]
+        texts = [n["text"] for n in narrations]
+        times = [n["t_s"] for n in narrations]
+        clip_uid, duration_s = row["clip_uid"], row["duration_s"]
+        if (type(clip_uid) is str and type(duration_s) in _NUMS
+                and type(narrations) is list and _DICTS.issuperset(map(type, narrations))
+                and _STRS.issuperset(map(type, texts)) and _NUMS.issuperset(map(type, times))):
+            return NarrationTrack(
+                clip_uid, float(duration_s), tuple(map(Narration, texts, map(float, times)))
+            )
+    except _FAST_MISS:
+        pass
+    try:
         narrations = tuple(
             Narration(_need(n, "text", where, _TEXT), float(_need(n, "t_s", where, _NUMBER)))
             for n in _need(row, "narrations", where)
@@ -326,6 +355,18 @@ def qa_to_row(sample: QASample) -> dict[str, Any]:
 
 
 def row_to_qa(row: Mapping[str, Any], where: str = "row") -> QASample:
+    try:
+        window, wrong = row["window"], row.get("wrong_answers")
+        texts = (row["clip_uid"], row["question"], row["answer"])
+        split, source = row["split"], row["source"]
+        if (type(window) is list and len(window) == 2 and _NUMS.issuperset(map(type, window))
+                and (wrong is None or type(wrong) is list and len(wrong) == 3)
+                and _STRS.issuperset(map(type, (*texts, split, source, *(wrong or ()))))):
+            window = TemporalWindow(float(window[0]), float(window[1]))
+            return QASample(*texts, window, wrong if wrong is None else tuple(wrong),
+                            split, source)
+    except _FAST_MISS:
+        pass
     try:
         start, end = map(float, _array(_need(row, "window", where), 2, "window"))
         wrong = row.get("wrong_answers")
@@ -356,6 +397,23 @@ def pred_to_row(pred: PredictionSet) -> dict[str, Any]:
 
 
 def row_to_pred(row: Mapping[str, Any], where: str = "row") -> PredictionSet:
+    try:
+        windows = row["windows"]
+        clip_uid, query_id = row["clip_uid"], row["query_id"]
+        answer_text = row.get("answer_text", "")
+        if (type(windows) is list and type(clip_uid) is str and type(query_id) is str
+                and type(answer_text) is str
+                and (not windows or _LISTS.issuperset(map(type, windows))
+                     and _THREE.issuperset(map(len, windows))
+                     and _NUMS.issuperset(map(type, chain.from_iterable(windows))))):
+            triples = [
+                (TemporalWindow(float(start), float(end)), float(score))
+                for start, end, score in windows
+            ]
+            triples.sort(key=lambda pair: -pair[1])
+            return PredictionSet(clip_uid, query_id, tuple(triples), answer_text)
+    except _FAST_MISS:
+        pass
     try:
         triples = [
             (TemporalWindow(float(start), float(end)), float(score))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .core import InvariantBreach, TemporalWindow, ValidationError, lazy_import
@@ -52,7 +53,7 @@ class HeadOutputs:
 
     def __post_init__(self) -> None:
         scores = np.array(self.scores)
-        offsets = np.array(self.offsets)
+        offsets = _pairs_array(self.offsets)
         # numpy would read strings and bools as numbers; their dtype tells. An
         # object array (ints beyond int64, None, a mix) may convert a numeric
         # string among numbers, so there each item's type must tell.
@@ -93,6 +94,21 @@ class HeadOutputs:
         offsets.flags.writeable = False
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "offsets", offsets)
+
+
+def _pairs_array(pairs) -> np.ndarray:
+    """np.array(pairs), through one flat list when pairs is a list of 2-item
+    sequences whose items make a 1-D numeric array: numpy's discovery of
+    nested sequences costs more than the flattening."""
+    if type(pairs) is list:
+        try:
+            if list(map(len, pairs)).count(2) == len(pairs):
+                flat = np.array(list(chain.from_iterable(pairs)))
+                if flat.ndim == 1 and flat.dtype.kind in "fiu":
+                    return flat.reshape(-1, 2)
+        except (TypeError, ValueError):
+            pass
+    return np.array(pairs)
 
 
 @dataclass(frozen=True)

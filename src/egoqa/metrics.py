@@ -18,7 +18,9 @@ order.
 from __future__ import annotations
 
 import heapq
+import math
 import re
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -103,15 +105,17 @@ def tokenize(text: str) -> list[str]:
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Longest common subsequence length, bit-parallel (Allison & Dix 1986;
+    Hyyro 2004): bit j of v is 0 where the LCS row steps up at b[j]."""
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b):
-            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = (v + u | v - u) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l_f(hypothesis: str, reference: str) -> float:
@@ -315,9 +319,18 @@ def meteor_exact(hypothesis: str, reference: str) -> float:
 
 
 def sentence_similarity(hypothesis: str, reference: str, embedder: Embedder) -> float:
-    """Cosine similarity of the two embedded sentences."""
+    """Cosine similarity of the two embedded sentences, clamped to [-1, 1].
+
+    Counts give dot / sqrt(|a|^2 * |b|^2) in exact integer arithmetic up
+    to the last division, so the value does not depend on the BLAS build;
+    unit vectors give their dot product.
+    """
     v1 = embedder.embed(hypothesis)
     v2 = embedder.embed(reference)
+    if isinstance(v1, Counter):
+        dot = sum(n * v2[k] for k, n in v1.items())
+        norms = sum(n * n for n in v1.values()) * sum(n * n for n in v2.values())
+        return min(max(dot / math.sqrt(norms), -1.0), 1.0)
     return float(np.clip(np.dot(v1, v2), -1.0, 1.0))
 
 

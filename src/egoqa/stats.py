@@ -47,13 +47,13 @@ class StatsBuilder:
         self.clip_uids.add(sample.clip_uid)
         hists["window_duration_s"][int(sample.window.length_s)] += 1
         q_words = normalize_answer(sample.question).split()
-        answer = normalize_answer(sample.answer)
+        answer, *wrongs = sample.normalized or (normalize_answer(sample.answer),)
         hists["question_words"][len(q_words)] += 1
         hists["answer_words"][len(answer.split())] += 1
         self.prefixes[" ".join(q_words[:PREFIX_WORDS])] += 1
         self.answers[answer] += 1
-        for wrong in sample.wrong_answers or ():
-            hists["distractor_words"][len(normalize_answer(wrong).split())] += 1
+        for wrong in wrongs:
+            hists["distractor_words"][len(wrong.split())] += 1
 
     def add_narration_stats(self, narration_count: int, duration_s: float) -> None:
         self.narration_count += narration_count

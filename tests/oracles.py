@@ -8,10 +8,25 @@ outcomes, not a reference implementation.
 """
 from __future__ import annotations
 
+import hashlib
+import math
+from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from egoqa.core import TemporalWindow, normalize_answer
+import numpy as np
+
+from egoqa.core import (
+    Narration,
+    NarrationTrack,
+    PredictionSet,
+    QASample,
+    TemporalWindow,
+    ValidationError,
+    normalize_answer,
+)
+from egoqa.jsonl_io import SchemaMismatch
+from egoqa.localization import LengthMismatch
 
 
 def interval_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -221,3 +236,158 @@ class ScriptedAnswerer:
             if correct is None or normalize_answer(choice) != normalize_answer(correct):
                 return choice
         return choices[0]
+
+
+# ------------------------------------------------- row decoders, field by field
+# The JSONL row decoders and the HeadOutputs conversion as they were before
+# each tested a whole row's field types in one check. Every field is read and
+# checked in turn, so the first bad field names the error.
+
+_TEXT = (str,)
+_NUMBER = (int, float)
+_KIND = {_TEXT: "a string", _NUMBER: "a number"}
+
+
+def _need(row: Mapping[str, Any], key: str, where: str, kind=None) -> Any:
+    if key not in row:
+        raise SchemaMismatch(f"{where}: missing field {key!r}")
+    value = row[key]
+    if kind is not None and type(value) not in kind:
+        raise TypeError(f"{key} must be {_KIND[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _array(value: Any, size: int, name: str, kind=_NUMBER) -> list:
+    if type(value) is not list or len(value) != size:
+        raise TypeError(f"{name} must be an array of {size} items")
+    for item in value:
+        if type(item) not in kind:
+            raise TypeError(f"each {name} item must be {_KIND[kind]}, got {type(item).__name__}")
+    return value
+
+
+def field_row_to_track(row: Mapping[str, Any], where: str = "row") -> NarrationTrack:
+    try:
+        narrations = tuple(
+            Narration(_need(n, "text", where, _TEXT), float(_need(n, "t_s", where, _NUMBER)))
+            for n in _need(row, "narrations", where)
+        )
+        return NarrationTrack(
+            clip_uid=_need(row, "clip_uid", where, _TEXT),
+            duration_s=float(_need(row, "duration_s", where, _NUMBER)),
+            narrations=narrations,
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaMismatch(f"{where}: bad narration track: {exc}") from exc
+
+
+def field_row_to_qa(row: Mapping[str, Any], where: str = "row") -> QASample:
+    try:
+        start, end = map(float, _array(_need(row, "window", where), 2, "window"))
+        wrong = row.get("wrong_answers")
+        return QASample(
+            clip_uid=_need(row, "clip_uid", where, _TEXT),
+            question=_need(row, "question", where, _TEXT),
+            answer=_need(row, "answer", where, _TEXT),
+            window=TemporalWindow(start, end),
+            wrong_answers=(
+                None if wrong is None else tuple(_array(wrong, 3, "wrong_answers", _TEXT))
+            ),
+            split=_need(row, "split", where, _TEXT),
+            source=_need(row, "source", where, _TEXT),
+        )
+    except (TypeError, ValueError, OverflowError, LookupError, ValidationError) as exc:
+        if isinstance(exc, SchemaMismatch):
+            raise
+        raise SchemaMismatch(f"{where}: bad qa sample: {exc}") from exc
+
+
+def field_row_to_pred(row: Mapping[str, Any], where: str = "row") -> PredictionSet:
+    try:
+        triples = [
+            (TemporalWindow(float(start), float(end)), float(score))
+            for start, end, score in (
+                _array(w, 3, "prediction window") for w in _need(row, "windows", where)
+            )
+        ]
+        triples.sort(key=lambda pair: -pair[1])
+        return PredictionSet(
+            clip_uid=_need(row, "clip_uid", where, _TEXT),
+            query_id=_need(row, "query_id", where, _TEXT),
+            windows=tuple(triples),
+            answer_text=_need(row, "answer_text", where, _TEXT) if "answer_text" in row else "",
+        )
+    except (TypeError, ValueError, OverflowError, LookupError, ValidationError) as exc:
+        if isinstance(exc, SchemaMismatch):
+            raise
+        raise SchemaMismatch(f"{where}: bad prediction set: {exc}") from exc
+
+
+def nested_head_arrays(scores_in: Any, offsets_in: Any) -> tuple[np.ndarray, np.ndarray]:
+    """HeadOutputs' fields, converted by np.array of the nested lists as they
+    are; raises what HeadOutputs raises for inputs it rejects."""
+    scores = np.array(scores_in)
+    offsets = np.array(offsets_in)
+    if any(a.dtype.kind in "bUS" or a.dtype.kind == "O" and {*map(type, a.flat)} - {int, float}
+           for a in (scores, offsets)):
+        raise ValidationError(
+            f"scores and offsets must be numbers, got {scores.dtype} and {offsets.dtype}"
+        )
+    scores = scores.astype(np.float64, copy=False)
+    offsets = offsets.astype(np.float64, copy=False)
+    if offsets.shape == (0,):
+        offsets = offsets.reshape(0, 2)
+    if scores.ndim != 1 or offsets.ndim != 2 or offsets.shape[1] != 2:
+        raise ValidationError(
+            "scores must be a list of numbers and offsets a list of "
+            f"[left, right] pairs, got shapes {scores.shape} and {offsets.shape}"
+        )
+    if len(scores) != len(offsets):
+        raise LengthMismatch(f"{len(scores)} scores vs {len(offsets)} offsets")
+    bad = ~((scores > 0.0) & (scores < 1.0))
+    if bad.any():
+        raise ValidationError(f"scores must lie strictly in (0, 1), got {float(scores[bad][0])}")
+    bad = ~(np.isfinite(offsets) & (offsets >= 0.0)).all(axis=1)
+    if bad.any():
+        left, right = offsets[bad][0].tolist()
+        raise ValidationError(f"offsets must be finite and >= 0, got ({left}, {right})")
+    if not isinstance(offsets_in, np.ndarray):
+        for i, j in zip(*np.nonzero((offsets == 0.0) | (offsets == 1.0))):
+            if isinstance(offsets_in[i][j], (bool, np.bool_)):
+                raise ValidationError("offsets must be numbers, got a bool")
+    return scores, offsets
+
+
+# ------------------------------------------------------------- text metrics
+
+
+def dp_lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
+    """Longest common subsequence length by the row-by-row dynamic programme."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b):
+            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
+def trigram_counts(text: str, buckets: int = 256) -> Counter:
+    """Occurrences of each blake2b bucket of the lowercased text's character
+    trigrams (of the whole text when it is shorter than 3 characters)."""
+    text = text.lower()
+    grams = [text[i : i + 3] for i in range(len(text) - 2)] or [text]
+    out: Counter = Counter()
+    for gram in grams:
+        digest = hashlib.blake2b(gram.encode(), digest_size=8).digest()
+        out[int.from_bytes(digest, "big") % buckets] += 1
+    return out
+
+
+def count_cosine(a: Mapping[int, int], b: Mapping[int, int]) -> float:
+    """Cosine of two count vectors: dot / sqrt(|a|^2 * |b|^2), at most 1."""
+    dot = sum(n * b.get(k, 0) for k, n in a.items())
+    norms = sum(n * n for n in a.values()) * sum(n * n for n in b.values())
+    return min(dot / math.sqrt(norms), 1.0)

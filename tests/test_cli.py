@@ -1068,6 +1068,11 @@ MALFORMED_INPUTS = {
                      "--out", str(tmp / "report.json")],
         "preds.jsonl: no predictions for queries: ['clip-e::0']",
     ),
+    "eval-closeqa-one-file-gt-missing": (
+        lambda tmp: ["eval", _pred_file(tmp, []), "--gt", str(tmp / "absent.jsonl"),
+                     "--task", "closeqa", "--out", str(tmp / "report.json")],
+        "--task closeqa needs exactly 5 prediction file(s), got 1",
+    ),
     "config-nested-too-deep": (
         lambda tmp: ["--config", _text_file(tmp, "config.json", DEEP),
                      "stats", FILTER_INPUT, "--out", str(tmp / "stats.json")],
