@@ -14,15 +14,12 @@ such a sure pick.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from .core import QASample, ValidationError, normalize_answer
 from .seeding import choice_heads, choice_orders, choice_seeds, derive_seed
 
 TRIALS = 10
-# Distinct choice strings whose training count FrequencyPriorAnswerer keeps.
-COUNT_MEMO = 4096
 
 
 class MissingDistractors(ValidationError):
@@ -43,29 +40,26 @@ class FrequencyPriorAnswerer:
 
     A strong no-video baseline: rare distractors lose to common answers.
     Ties (including all-unseen choices) break by a seeded draw: tied choice
-    `derive_seed("freq-prior", seed, question) % len(tied)`. Counts are
-    memoized by raw choice text (at most COUNT_MEMO), so the same choices
-    shown in a sample's ten trials are normalized once.
+    `derive_seed("freq-prior", seed, question) % len(tied)`.
     """
 
     def __init__(self, training_answers: Iterable[str]):
-        counts = Counter(map(normalize_answer, training_answers))
-        self._count = lru_cache(COUNT_MEMO)(lambda choice: counts[normalize_answer(choice)])
+        self._counts = Counter(map(normalize_answer, training_answers))
 
     def answer(self, question: str, choices: Sequence[str], seed: int) -> str:
-        scores = [self._count(c) for c in choices]
+        scores = [self._counts[normalize_answer(c)] for c in choices]
         best = max(scores)
         tied = [i for i, s in enumerate(scores) if s == best]
         if len(tied) == 1:
             return choices[tied[0]]
         return choices[tied[derive_seed("freq-prior", seed, question) % len(tied)]]
 
-    def sure_pick(self, pool: Sequence[str]) -> str | None:
-        """The choice `answer` picks from pool in any order and under any
-        seed: the one with the unique top count, or None when top counts tie."""
-        scores = [self._count(c) for c in pool]
+    def sure_pick(self, normalized: Sequence[str]) -> str | None:
+        """Of normalized choices, the one `answer` picks in any order and
+        under any seed: the unique top count, or None when top counts tie."""
+        scores = [self._counts[n] for n in normalized]
         best = max(scores)
-        return pool[scores.index(best)] if scores.count(best) == 1 else None
+        return normalized[scores.index(best)] if scores.count(best) == 1 else None
 
 
 class UniformRandomAnswerer:
@@ -127,8 +121,8 @@ def filter_rows(
     checked before the first sample is read. A sample without distractors
     raises MissingDistractors once the pairs before it are yielded; an
     error from `samples` itself propagates as it is read. An answerer with a
-    `sure_pick(pool)` method (FrequencyPriorAnswerer) is asked it once per
-    sample; a pick it returns is that sample's pick in every trial.
+    `sure_pick` method (FrequencyPriorAnswerer) gets each sample's normalized
+    choices once; a pick it returns is that sample's pick in every trial.
     """
     seeds = list(seeds)
     if len(seeds) != TRIALS:
@@ -142,12 +136,12 @@ def filter_rows(
             raise MissingDistractors(
                 f"sample {sample.clip_uid!r}/{sample.question!r} has no distractors"
             )
-        pool = (sample.answer, *sample.wrong_answers)
-        pick = sure_pick(pool) if sure_pick else None
+        pick = sure_pick(sample.normalized) if sure_pick else None
         if pick is not None:
             # The distractors differ from the answer after normalization (a
             # QASample invariant), so the pick is correct exactly when it is the answer.
-            yield sample, (pick == sample.answer,) * TRIALS
+            yield sample, (pick == sample.normalized[0],) * TRIALS
             continue
+        pool = (sample.answer, *sample.wrong_answers)
         orders = choice_orders(choice_seeds(sample, heads)) * repeat
         yield sample, _trials(sample, pool, answerer, seeds, orders)

@@ -1,23 +1,22 @@
 """Sentence embedding port with an offline deterministic implementation.
 
-Similarity scoring needs "text -> vector", given either as sparse integer
-counts or as a dense float vector. The offline embedder counts character
-trigrams in 256 hashed buckets; it is not a learned model, but identical
-text always maps to identical counts, and texts sharing no bucket are
-exactly orthogonal, which is what the metric tests need. Reports produced
-with it are labeled "offline-sim".
+Similarity scoring needs "text -> vector", given as an index -> number
+mapping: sparse integer counts, or the components of a unit vector. The
+offline embedder counts character trigrams in 256 hashed buckets; it is
+not a learned model, but identical text always maps to identical counts,
+and texts sharing no bucket are exactly orthogonal, which is what the
+metric tests need. Reports produced with it are labeled "offline-sim".
 """
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from collections import Counter
-from typing import Protocol
+from typing import Mapping, Protocol
 
-from .core import ServiceError, lazy_import
+from .core import ServiceError
 from .endpoint import EndpointConfig, HttpClient
-
-np = lazy_import("numpy")
 
 TRIGRAM_DIM = 256
 
@@ -29,9 +28,9 @@ class EmbedderUnavailable(ServiceError):
 class Embedder(Protocol):
     name: str
 
-    def embed(self, text: str) -> Counter[int] | np.ndarray:
-        """Map text to bucket counts (a Counter) or to a unit-norm float
-        vector; identical text, identical result."""
+    def embed(self, text: str) -> Mapping[int, float]:
+        """Map text to an index -> number mapping: bucket counts (a Counter)
+        or a unit-norm vector's components; identical text, identical result."""
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -58,15 +57,6 @@ class TrigramEmbedder:
         return Counter(map(_bucket, grams))
 
 
-def _unit_vector(reply) -> np.ndarray:
-    vec = np.asarray(reply["data"][0]["embedding"], dtype=np.float64)
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(vec)
-    if vec.ndim != 1 or not 0 < norm < np.inf:
-        raise ValueError("embedding response is not a usable vector")
-    return vec / norm
-
-
 class HttpEmbedder(HttpClient):
     """Client for a remote embedding endpoint at {base_url}/embeddings."""
 
@@ -78,14 +68,26 @@ class HttpEmbedder(HttpClient):
         self.name = config.model
         self._size: int | None = None  # every vector has the first reply's length
 
-    def _vector(self, reply) -> np.ndarray:
-        vec = _unit_vector(reply)
+    def _vector(self, reply) -> dict[int, float]:
+        """The reply's vector over its norm. Every item must be an exact JSON
+        number (no bool, no numeric string) within float range, the norm
+        finite and nonzero, and the length that of the first reply."""
+        vec = reply["data"][0]["embedding"]
+        if type(vec) is not list or not all(type(x) in (int, float) for x in vec):
+            raise ValueError("embedding response is not a list of numbers")
+        try:
+            vec = [float(x) for x in vec]
+            norm = math.sqrt(math.fsum(x * x for x in vec))
+        except OverflowError as exc:
+            raise ValueError(f"embedding response overflows: {exc}") from None
+        if not 0 < norm < math.inf:
+            raise ValueError("embedding response is not a usable vector")
         if self._size is None:
-            self._size = vec.size
-        elif vec.size != self._size:
-            raise ValueError(f"embedding has {vec.size} dimensions, the first had {self._size}")
-        return vec
+            self._size = len(vec)
+        elif len(vec) != self._size:
+            raise ValueError(f"embedding has {len(vec)} dimensions, the first had {self._size}")
+        return {i: x / norm for i, x in enumerate(vec)}
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, text: str) -> dict[int, float]:
         body = {"model": self.config.model, "input": text}
         return self._post_json("embeddings", body, self._vector)

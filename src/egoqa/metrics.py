@@ -20,8 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from collections import Counter
 from functools import lru_cache
+from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -31,12 +31,9 @@ from .core import (
     PredictionSet,
     TemporalWindow,
     ValidationError,
-    lazy_import,
     normalize_answer,
 )
 from .embedding import Embedder
-
-np = lazy_import("numpy")
 
 K_VALUES = (1, 5)
 M_VALUES = (0.3, 0.5)
@@ -321,17 +318,15 @@ def meteor_exact(hypothesis: str, reference: str) -> float:
 def sentence_similarity(hypothesis: str, reference: str, embedder: Embedder) -> float:
     """Cosine similarity of the two embedded sentences, clamped to [-1, 1].
 
-    Counts give dot / sqrt(|a|^2 * |b|^2) in exact integer arithmetic up
-    to the last division, so the value does not depend on the BLAS build;
-    unit vectors give their dot product.
+    dot / sqrt(|a|^2 * |b|^2) over the two index -> number mappings, each
+    sum exact (math.fsum), so the value does not depend on the machine. For
+    counts the sums are the exact integers, rounded once.
     """
-    v1 = embedder.embed(hypothesis)
-    v2 = embedder.embed(reference)
-    if isinstance(v1, Counter):
-        dot = sum(n * v2[k] for k, n in v1.items())
-        norms = sum(n * n for n in v1.values()) * sum(n * n for n in v2.values())
-        return min(max(dot / math.sqrt(norms), -1.0), 1.0)
-    return float(np.clip(np.dot(v1, v2), -1.0, 1.0))
+    a = embedder.embed(hypothesis)
+    b = embedder.embed(reference)
+    dot = math.fsum(x * b.get(k, 0) for k, x in a.items())
+    norms = math.fsum(x * x for x in a.values()) * math.fsum(x * x for x in b.values())
+    return min(max(dot / math.sqrt(norms), -1.0), 1.0)
 
 
 def closeqa_accuracy(runs: Sequence[Sequence[tuple[str, str]]]) -> EvalReport:
@@ -339,7 +334,9 @@ def closeqa_accuracy(runs: Sequence[Sequence[tuple[str, str]]]) -> EvalReport:
 
     Each run is a sequence of (predicted, correct) pairs over the same
     question set; a prediction counts when the normalized strings match.
-    Each distinct correct answer is normalized once, not once per run.
+    Each distinct correct answer is normalized once, not once per run. The
+    mean is statistics.fmean (the exact sum, rounded once, over n); the
+    deviation is the two-pass sqrt(fsum((a - mean)^2) / 4).
     """
     if len(runs) != 5:
         raise RunLengthMismatch(f"exactly 5 runs required, got {len(runs)}")
@@ -354,24 +351,25 @@ def closeqa_accuracy(runs: Sequence[Sequence[tuple[str, str]]]) -> EvalReport:
         / len(run)
         for run in runs
     ]
+    mean = fmean(accuracies)
+    std = math.sqrt(math.fsum((a - mean) * (a - mean) for a in accuracies) / 4)
     return EvalReport(
         metadata={"queries": len(runs[0]), "runs": 5},
-        metrics={"accuracy": MetricValue(
-            float(np.mean(accuracies)), float(np.std(accuracies, ddof=1))
-        )},
+        metrics={"accuracy": MetricValue(mean, std)},
     )
 
 
 def openqa_report(
     pairs: Sequence[tuple[str, str]], embedder: Embedder
 ) -> EvalReport:
-    """Mean similarity, ROUGE-L and METEOR over (hypothesis, reference) pairs."""
+    """Mean similarity, ROUGE-L and METEOR over (hypothesis, reference)
+    pairs; each mean is statistics.fmean, the exact sum rounded once over n."""
     pairs = list(pairs)
     if not pairs:
         raise EmptyEvaluation("no hypothesis/reference pairs")
-    sim = float(np.mean([sentence_similarity(h, r, embedder) for h, r in pairs]))
-    rouge = float(np.mean([rouge_l_f(h, r) for h, r in pairs]))
-    meteor = float(np.mean([meteor_exact(h, r) for h, r in pairs]))
+    sim = fmean([sentence_similarity(h, r, embedder) for h, r in pairs])
+    rouge = fmean([rouge_l_f(h, r) for h, r in pairs])
+    meteor = fmean([meteor_exact(h, r) for h, r in pairs])
     return EvalReport(
         metadata={"embedder": getattr(embedder, "name", type(embedder).__name__),
                   "pairs": len(pairs)},

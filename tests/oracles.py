@@ -391,3 +391,17 @@ def count_cosine(a: Mapping[int, int], b: Mapping[int, int]) -> float:
     dot = sum(n * b.get(k, 0) for k, n in a.items())
     norms = sum(n * n for n in a.values()) * sum(n * n for n in b.values())
     return min(dot / math.sqrt(norms), 1.0)
+
+
+def dense_cosine(a: Sequence[float], b: Sequence[float]) -> float:
+    """Cosine of two equal-length vectors with every sum exact (math.fsum):
+    fsum(a_i b_i) / sqrt(fsum(a_i^2) * fsum(b_i^2)), clamped to [-1, 1]."""
+    dot = math.fsum(x * y for x, y in zip(a, b))
+    norms = math.fsum(x * x for x in a) * math.fsum(y * y for y in b)
+    return min(max(dot / math.sqrt(norms), -1.0), 1.0)
+
+
+def mean_and_sample_std(xs: Sequence[float]) -> tuple[float, float]:
+    """fsum(xs) / n and the two-pass sample deviation about that mean."""
+    mean = math.fsum(xs) / len(xs)
+    return mean, math.sqrt(math.fsum((x - mean) * (x - mean) for x in xs) / (len(xs) - 1))

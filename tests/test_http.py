@@ -9,7 +9,6 @@ import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
 import pytest
 
 import egoqa.cli as cli
@@ -28,6 +27,7 @@ GT_VLG = os.path.join(DATA_DIR, "gt_vlg.jsonl")
 EXPORT = os.path.join(DATA_DIR, "narration_export.json")
 MOCK = os.path.join(DATA_DIR, "mock_completions.json")
 KEYCERT = os.path.join(DATA_DIR, "localhost_keycert.pem")
+ANSWERS = [os.path.join(DATA_DIR, f"pred_answers_{r}.jsonl") for r in range(5)]
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CHAT_OK = {"choices": [{"message": {"content": "hello"}}]}
 EMBED_OK = {"data": [{"embedding": [3.0, 4.0]}]}
@@ -154,12 +154,16 @@ def test_chat_retries_malformed_envelope_then_succeeds(server, envelope):
 
 
 # Embedding replies no client can use: not an envelope, a NaN, a norm that
-# overflows, and (after a first reply of EMBED_OK's 2) 3 dimensions.
+# overflows, (after a first reply of EMBED_OK's 2) 3 dimensions, numeric
+# strings, a bool and an integer beyond float range.
 UNUSABLE_EMBEDDINGS = [
     ["not", "an", "envelope"],
     b'{"data": [{"embedding": [NaN, 1.0]}]}',
     {"data": [{"embedding": [1e200, 1e200]}]},
     {"data": [{"embedding": [3.0, 4.0, 0.0]}]},
+    {"data": [{"embedding": ["3", "4"]}]},
+    {"data": [{"embedding": [True, 1.0]}]},
+    {"data": [{"embedding": [10**399, 1.0]}]},
 ]
 
 
@@ -168,8 +172,8 @@ def test_embedder_retries_malformed_envelope_then_succeeds(server):
         server.replies = [(200, EMBED_OK), (200, envelope), (200, EMBED_OK)]
         server.requests = []
         embedder = HttpEmbedder(_config(server))
-        np.testing.assert_allclose(embedder.embed("first"), [0.6, 0.8])
-        np.testing.assert_allclose(embedder.embed("hi"), [0.6, 0.8])
+        assert embedder.embed("first") == {0: 0.6, 1: 0.8}
+        assert embedder.embed("hi") == {0: 0.6, 1: 0.8}
         assert len(server.requests) == 3, envelope
         assert server.requests[2]["path"] == "/v1/embeddings"
         assert server.requests[2]["body"] == {"model": "mock", "input": "hi"}
@@ -455,6 +459,11 @@ def test_only_the_commands_that_use_them_load_numpy_and_the_http_stack(tmp_path)
         ["ingest", EXPORT, "--out", narrations],
         ["synthesize", narrations, "--out", qa, "--mock", MOCK, "--seed", "7", "--split", "test"],
         ["stats", qa, "--out", str(tmp_path / "stats.json")],
+        *(["eval", *task_preds, "--gt", GT_VLG, "--task", task,
+           "--out", str(tmp_path / f"report_{task}.json")]
+          for task, task_preds in [
+              ("vlg", [os.path.join(DATA_DIR, "golden_preds.jsonl")]),
+              ("openqa", ANSWERS[:1]), ("closeqa", ANSWERS)]),
         ["decode", os.path.join(DATA_DIR, "head_outputs.jsonl"), "--out", preds],
     ])
     assert steps == [
@@ -462,8 +471,13 @@ def test_only_the_commands_that_use_them_load_numpy_and_the_http_stack(tmp_path)
         ["ingest", 0, []],
         ["synthesize", 0, []],
         ["stats", 0, []],
+        ["eval", 0, []],
+        ["eval", 0, []],
+        ["eval", 0, []],
         ["decode", 0, ["numpy.linalg"]],
     ]
+    for task in ("vlg", "openqa", "closeqa"):
+        assert _same_bytes(str(tmp_path / f"report_{task}.json"), f"golden_report_{task}.json")
     assert _same_bytes(qa, "golden_qa.jsonl")
     assert _same_bytes(preds, "golden_preds.jsonl")
 

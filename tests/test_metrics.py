@@ -1,12 +1,14 @@
 """Grounding recall, text metrics, and seeded accuracy."""
 from __future__ import annotations
 
+import math
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from egoqa import metrics
@@ -26,7 +28,18 @@ from egoqa.metrics import (
     vlg_recall,
 )
 
-from .oracles import capped_search_align, oracle_align, oracle_meteor, trigram_counts
+from .oracles import (
+    capped_search_align,
+    dense_cosine,
+    mean_and_sample_std,
+    oracle_align,
+    oracle_meteor,
+    trigram_counts,
+)
+
+# A dense embedding component: 0, or a magnitude whose square neither
+# underflows nor overflows.
+COMPONENT = st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
 
 
 class TestIou:
@@ -296,6 +309,19 @@ class TestSentenceSimilarity:
         e = TrigramEmbedder()
         assert sentence_similarity("The Cup", "the cup", e) == pytest.approx(1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(COMPONENT, COMPONENT), min_size=1, max_size=12))
+    def test_dense_vectors_score_their_exact_sum_cosine(self, pairs):
+        a, b = ([p[i] for p in pairs] for i in (0, 1))
+        assume(any(a) and any(b))
+        # Zero components stay out of the maps: a missing index reads as 0.
+        vectors = {"h": {i: x for i, x in enumerate(a) if x},
+                   "r": {i: x for i, x in enumerate(b) if x}}
+        got = sentence_similarity("h", "r", SimpleNamespace(embed=vectors.__getitem__))
+        assert got == dense_cosine(a, b)
+        assert got == pytest.approx(np.dot(a, b) / np.linalg.norm(a) / np.linalg.norm(b),
+                                    abs=1e-12)
+
     def test_embedding_counts_every_trigram_occurrence(self):
         e = TrigramEmbedder()
         for text in ("aaaaaaa", "the cup and the cup", "ab", "", "x"):
@@ -348,9 +374,16 @@ class TestCloseqaAccuracy:
         accuracy = closeqa_accuracy(runs).metrics["accuracy"]
         assert len(calls) == 5 * 30 + 30
         want = [sum(1 for q in range(30) if (q + r) % 3) / 30 for r in range(5)]
-        assert (accuracy.value, accuracy.dispersion) == (
-            float(np.mean(want)), float(np.std(want, ddof=1))
-        )
+        assert (accuracy.value, accuracy.dispersion) == mean_and_sample_std(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hits=st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n), min_size=5, max_size=5)))
+    def test_mean_and_std_are_the_stdlib_aggregates(self, hits):
+        runs = [[("yes" if hit else "no", "yes") for hit in run] for run in hits]
+        accuracy = closeqa_accuracy(runs).metrics["accuracy"]
+        want = mean_and_sample_std([sum(run) / len(run) for run in hits])
+        assert (accuracy.value, accuracy.dispersion) == want
 
 
 class TestOpenqaReport:
@@ -372,3 +405,16 @@ class TestOpenqaReport:
     def test_empty_rejected(self):
         with pytest.raises(EmptyEvaluation):
             openqa_report([], TrigramEmbedder())
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(*[st.text(st.sampled_from("ab cd."), max_size=20)] * 2),
+                          min_size=1, max_size=9))
+    def test_each_mean_is_the_exact_sum_over_n(self, pairs):
+        e = TrigramEmbedder()
+        report = openqa_report(pairs, e)
+        for name, metric in [
+            ("similarity", lambda h, r: sentence_similarity(h, r, e)),
+            ("rouge_l", rouge_l_f), ("meteor", meteor_exact),
+        ]:
+            xs = [metric(h, r) for h, r in pairs]
+            assert report.metrics[name].value == math.fsum(xs) / len(xs)

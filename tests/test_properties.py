@@ -283,7 +283,7 @@ def test_frequency_prior_outcomes_equal_the_naive_protocol(drawn, seeds):
     answerer = FrequencyPriorAnswerer(training)
     sample = QASample("c", "Did I?", pool[0], TemporalWindow(0.0, 1.0),
                       wrong_answers=pool[1:], split="test")
-    assert (answerer.sure_pick(pool) is None) == (k > 1)
+    assert (answerer.sure_pick(sample.normalized) is None) == (k > 1)
     for reshuffle in (True, False):
         ((_, outcomes),) = filter_rows([sample], answerer, seeds, reshuffle)
         assert outcomes == _naive_outcomes(sample, answerer, seeds, reshuffle)
