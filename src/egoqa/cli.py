@@ -6,6 +6,10 @@ validation failure, 3 endpoint failure, 4 internal invariant breach.
 
 Commands stream their inputs row by row; only per-clip state and small
 aggregates are held in memory.
+
+Importing this module executes only core and jsonl_io of the package; every
+other package module executes when a command first uses it, so a command
+pays start-up only for the modules it runs.
 """
 from __future__ import annotations
 
@@ -19,12 +23,6 @@ import traceback
 from collections import Counter, deque
 from typing import Any, Iterator, Mapping
 
-from .blindfilter import (
-    TRIALS,
-    FrequencyPriorAnswerer,
-    UniformRandomAnswerer,
-    filter_rows,
-)
 from .core import (
     EvalReport,
     InvariantBreach,
@@ -34,10 +32,9 @@ from .core import (
     QASample,
     ServiceError,
     ValidationError,
+    lazy_import,
     validate_track,
 )
-from .embedding import HttpEmbedder, TrigramEmbedder
-from .endpoint import EndpointConfig, HttpChatEndpoint, MockChatEndpoint
 from .jsonl_io import (
     EmptyCorpus,
     SchemaMismatch,
@@ -60,13 +57,22 @@ from .jsonl_io import (
     write_json,
     write_jsonl,
 )
-from .localization import decode_windows
-from .metrics import MissingQuery, closeqa_accuracy, openqa_report, vlg_recall
-from .prompts import PARSE_OK, load_template
-from .seeding import derive_seed
-from .stats import HISTOGRAMS, StatsBuilder
-from .synthesis import GenerationRecord, synthesize
-from .windows import NoIntervalData, compute_stats
+
+# Executed on first use; build_parser and COMMANDS touch none, or --help
+# would run it. chunking is registered so that every module is in
+# sys.modules, numpy so that a missing numpy fails at import.
+blindfilter = lazy_import("egoqa.blindfilter")
+embedding = lazy_import("egoqa.embedding")
+endpoint = lazy_import("egoqa.endpoint")
+localization = lazy_import("egoqa.localization")
+metrics = lazy_import("egoqa.metrics")
+prompts = lazy_import("egoqa.prompts")
+seeding = lazy_import("egoqa.seeding")
+stats = lazy_import("egoqa.stats")
+synthesis = lazy_import("egoqa.synthesis")
+windows = lazy_import("egoqa.windows")
+lazy_import("egoqa.chunking")
+lazy_import("numpy")
 
 log = logging.getLogger(__name__)
 
@@ -262,7 +268,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------ synthesize
 
 
-def _record_to_row(record: GenerationRecord) -> dict[str, Any]:
+def _record_to_row(record: synthesis.GenerationRecord) -> dict[str, Any]:
     """Every field of the audit record; optional fields only when set."""
     return {k: v for k, v in vars(record).items() if v is not None}
 
@@ -294,21 +300,21 @@ def _read_tracks(path: str) -> Iterator[NarrationTrack]:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     # The mock sends no request, so no address may enter the config hash.
-    config = EndpointConfig(
+    config = endpoint.EndpointConfig(
         base_url="" if args.mock else args.base_url, model=args.model,
         temperature=args.temperature, max_tokens=args.max_tokens,
         request_timeout_s=args.timeout, max_retries=args.max_retries,
         parallelism=args.parallelism,
     )
     if args.mock:
-        endpoint = MockChatEndpoint(read_json_object(args.mock, "mock fixture"))
+        chat = endpoint.MockChatEndpoint(read_json_object(args.mock, "mock fixture"))
     elif config.base_url:
-        endpoint = HttpChatEndpoint(config, api_key=os.environ.get("EGOQA_API_KEY"))
+        chat = endpoint.HttpChatEndpoint(config, api_key=os.environ.get("EGOQA_API_KEY"))
     else:
         raise ValidationError("no endpoint configured: pass --base-url / EGOQA_BASE_URL or --mock")
-    openqa_template = load_template(args.openqa_template)
+    openqa_template = prompts.load_template(args.openqa_template)
     with_distractors = not args.no_distractors
-    closeqa_template = load_template("closeqa_llama") if with_distractors else None
+    closeqa_template = prompts.load_template("closeqa_llama") if with_distractors else None
     records_path = args.records or args.out + ".records.jsonl"
     stats_path = args.stats_out or args.out + ".stats.json"
     check_outputs(records_path, args.out, stats_path,
@@ -317,9 +323,9 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     # Pass 1: corpus timing statistics. compute_stats streams the tracks
     # and keeps one number per clip.
     try:
-        stats = compute_stats(_read_tracks(args.narrations))
-    except NoIntervalData as exc:
-        raise NoIntervalData(f"{args.narrations}: {exc}") from None
+        timing = windows.compute_stats(_read_tracks(args.narrations))
+    except windows.NoIntervalData as exc:
+        raise windows.NoIntervalData(f"{args.narrations}: {exc}") from None
 
     hashed_config = {
         "command": "synthesize",
@@ -337,22 +343,22 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     }
     meta = make_meta(hashed_config, args.seed)
 
-    builder = StatsBuilder()
+    builder = stats.StatsBuilder()
     sent: Counter[str] = Counter()
     parsed: Counter[str] = Counter()
     failure = None
 
     def iter_sample_rows(write_record):
         nonlocal failure
-        clips = synthesize(
-            _read_tracks(args.narrations), stats, config, openqa_template,
-            closeqa_template, endpoint, args.split, args.max_sentences, args.max_span_s,
+        clips = synthesis.synthesize(
+            _read_tracks(args.narrations), timing, config, openqa_template,
+            closeqa_template, chat, args.split, args.max_sentences, args.max_span_s,
         )
         for track, records, samples, failure in clips:
             builder.add_narration_stats(len(track.narrations), track.duration_s)
             for record in records:
                 sent[record.kind] += 1
-                parsed[record.kind] += record.parse_status == PARSE_OK
+                parsed[record.kind] += record.parse_status == prompts.PARSE_OK
                 write_record(_record_to_row(record))
             for sample in samples:
                 builder.add(sample)
@@ -396,7 +402,8 @@ def cmd_filter_blind(args: argparse.Namespace) -> int:
                 f"--seeds must be comma-separated integers, got {args.seeds!r}"
             ) from None
     else:
-        seeds = [derive_seed("blind-trial", args.seed, t) for t in range(TRIALS)]
+        seeds = [seeding.derive_seed("blind-trial", args.seed, t)
+                 for t in range(blindfilter.TRIALS)]
     report_path = args.report or args.out + ".report.json"
     check_outputs(args.out, report_path, inputs=(args.config, args.qa, args.train))
 
@@ -405,17 +412,17 @@ def cmd_filter_blind(args: argparse.Namespace) -> int:
 
     samples = read_qa(args.qa)
     if args.answerer == "uniform":
-        answerer = UniformRandomAnswerer()
+        answerer = blindfilter.UniformRandomAnswerer()
     elif args.train is None or os.path.realpath(args.train) == os.path.realpath(args.qa):
         # The training answers are the test set's own, under whatever path
         # spelling: read the file once, and let each sample go once the
         # filter has passed it.
         held = deque(samples)
-        answerer = FrequencyPriorAnswerer(s.answer for s in held)
+        answerer = blindfilter.FrequencyPriorAnswerer(s.answer for s in held)
         samples = (held.popleft() for _ in range(len(held)))
     else:
-        answerer = FrequencyPriorAnswerer(s.answer for s in read_qa(args.train))
-    pairs = filter_rows(samples, answerer, seeds, not args.no_reshuffle)
+        answerer = blindfilter.FrequencyPriorAnswerer(s.answer for s in read_qa(args.train))
+    pairs = blindfilter.filter_rows(samples, answerer, seeds, not args.no_reshuffle)
 
     hashed_config = {
         "command": "filter-blind",
@@ -484,7 +491,7 @@ def _answers(gts: Mapping[str, QASample], path: str) -> list[tuple[str, str]]:
     preds = _load_preds(path)
     missing = sorted(set(gts) - set(preds))
     if missing:
-        raise MissingQuery(f"{path}: no predictions for queries: {missing}")
+        raise metrics.MissingQuery(f"{path}: no predictions for queries: {missing}")
     return [(preds[qid].answer_text, gts[qid].answer) for qid in sorted(gts)]
 
 
@@ -521,19 +528,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if task == "vlg":
         preds = _load_preds(args.predictions[0])
-        report = vlg_recall(preds, {qid: s.window for qid, s in gts.items()})
+        report = metrics.vlg_recall(preds, {qid: s.window for qid, s in gts.items()})
     elif task == "openqa":
         pairs = _answers(gts, args.predictions[0])
         if args.embed_url:
-            embedder = HttpEmbedder(
-                EndpointConfig(base_url=args.embed_url, model="remote-embedding"),
+            embedder = embedding.HttpEmbedder(
+                endpoint.EndpointConfig(base_url=args.embed_url, model="remote-embedding"),
                 api_key=os.environ.get("EGOQA_API_KEY"),
             )
         else:
-            embedder = TrigramEmbedder()
-        report = openqa_report(pairs, embedder)
+            embedder = embedding.TrigramEmbedder()
+        report = metrics.openqa_report(pairs, embedder)
     else:
-        report = closeqa_accuracy([_answers(gts, path) for path in args.predictions])
+        report = metrics.closeqa_accuracy([_answers(gts, path) for path in args.predictions])
 
     write_json(out, _report_doc(report, meta, task))
     for name in report.metrics:
@@ -546,11 +553,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     out = args.out or "stats.json"
-    tsvs = [os.path.join(args.tsv_dir, f"{name}.tsv") for name in HISTOGRAMS if args.tsv_dir]
+    tsvs = [os.path.join(args.tsv_dir, f"{name}.tsv") for name in stats.HISTOGRAMS if args.tsv_dir]
     # A --tsv-dir still to be made (below) holds no file a TSV could replace.
     checked = tsvs if tsvs and os.path.isdir(args.tsv_dir) else []
     check_outputs(out, *checked, inputs=(args.config, args.qa, args.narrations))
-    builder = StatsBuilder()
+    builder = stats.StatsBuilder()
     for lineno, row in read_jsonl(args.qa):
         builder.add(row_to_qa(row, f"{args.qa}:{lineno}"))
     if builder.sample_count == 0:
@@ -569,7 +576,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             ) from None
     meta = make_meta({"command": "stats"})
     write_json(out, {"_meta": meta["_meta"], **doc})
-    for name, path in zip(HISTOGRAMS, tsvs):
+    for name, path in zip(stats.HISTOGRAMS, tsvs):
         with staged_writer(path) as f:
             f.write("\n".join(builder.tsv_lines(name)) + "\n")
     log.info(
@@ -603,14 +610,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
             clip_uid, query_id, duration_s, heads = row_to_head(
                 row, f"{args.head_outputs}:{lineno}"
             )
-            windows = decode_windows(
+            ranked = localization.decode_windows(
                 heads, duration_s, args.score_threshold, args.nms_iou, args.top_k
             )
             yield pred_to_row(
                 PredictionSet(
                     clip_uid=clip_uid,
                     query_id=query_id,
-                    windows=windows,
+                    windows=ranked,
                     answer_text="",
                 )
             )

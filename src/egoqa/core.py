@@ -256,9 +256,14 @@ def lazy_import(name: str) -> ModuleType:
     The `importlib.util.LazyLoader` recipe of the importlib docs; a module
     already in sys.modules is returned as it is. A module that cannot be
     found, or that sys.modules blocks with None, raises ModuleNotFoundError
-    here, at import. Before Python 3.12 LazyLoader is not thread-safe, so
-    the first attribute access must not race: no worker thread of this
-    package (the synthesis pool's) touches a lazily imported module.
+    here, at import. It takes this package's modules too (cli registers
+    them), and binds a submodule on its parent package as the import system
+    does: `import egoqa.synthesis` then `egoqa.synthesis.synthesize` works.
+
+    Before Python 3.12 LazyLoader is not thread-safe, so a first attribute
+    access must not race: every module a worker thread (the synthesis
+    pool's) touches must have executed on the main thread before the pool
+    starts. synthesis executes there, and its imports execute the rest.
     """
     module = sys.modules.get(name)
     if module is not None:
@@ -270,4 +275,7 @@ def lazy_import(name: str) -> ModuleType:
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
     return module

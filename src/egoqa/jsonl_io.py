@@ -28,8 +28,11 @@ from .core import (
     QASample,
     TemporalWindow,
     ValidationError,
+    lazy_import,
 )
-from .localization import HeadOutputs, check_duration
+
+# Only decode's head rows need the decoder module (and numpy with it).
+localization = lazy_import("egoqa.localization")
 
 TOOL_NAME = "egoqa"
 
@@ -437,15 +440,15 @@ def row_to_pred(row: Mapping[str, Any], where: str = "row") -> PredictionSet:
 
 def row_to_head(
     row: Mapping[str, Any], where: str = "row"
-) -> tuple[str, str, float, HeadOutputs]:
+) -> tuple[str, str, float, localization.HeadOutputs]:
     try:
-        heads = HeadOutputs(
+        heads = localization.HeadOutputs(
             scores=_need(row, "scores", where), offsets=_need(row, "offsets", where)
         )
         clip_uid = _need(row, "clip_uid", where, _TEXT)
         query_id = _need(row, "query_id", where, _TEXT)
         duration_s = float(_need(row, "duration_s", where, _NUMBER))
-        check_duration(duration_s)
+        localization.check_duration(duration_s)
         return clip_uid, query_id, duration_s, heads
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         if isinstance(exc, SchemaMismatch):

@@ -21,8 +21,7 @@ import heapq
 import math
 import re
 from functools import lru_cache
-from statistics import fmean
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .core import (
     EvalReport,
@@ -33,7 +32,9 @@ from .core import (
     ValidationError,
     normalize_answer,
 )
-from .embedding import Embedder
+
+if TYPE_CHECKING:
+    from .embedding import Embedder
 
 K_VALUES = (1, 5)
 M_VALUES = (0.3, 0.5)
@@ -335,8 +336,9 @@ def closeqa_accuracy(runs: Sequence[Sequence[tuple[str, str]]]) -> EvalReport:
     Each run is a sequence of (predicted, correct) pairs over the same
     question set; a prediction counts when the normalized strings match.
     Each distinct correct answer is normalized once, not once per run. The
-    mean is statistics.fmean (the exact sum, rounded once, over n); the
-    deviation is the two-pass sqrt(fsum((a - mean)^2) / 4).
+    mean is fsum(accuracies) / 5, the exact sum rounded once, over n (what
+    statistics.fmean computes); the deviation is the two-pass
+    sqrt(fsum((a - mean)^2) / 4).
     """
     if len(runs) != 5:
         raise RunLengthMismatch(f"exactly 5 runs required, got {len(runs)}")
@@ -351,7 +353,7 @@ def closeqa_accuracy(runs: Sequence[Sequence[tuple[str, str]]]) -> EvalReport:
         / len(run)
         for run in runs
     ]
-    mean = fmean(accuracies)
+    mean = math.fsum(accuracies) / 5
     std = math.sqrt(math.fsum((a - mean) * (a - mean) for a in accuracies) / 4)
     return EvalReport(
         metadata={"queries": len(runs[0]), "runs": 5},
@@ -363,16 +365,18 @@ def openqa_report(
     pairs: Sequence[tuple[str, str]], embedder: Embedder
 ) -> EvalReport:
     """Mean similarity, ROUGE-L and METEOR over (hypothesis, reference)
-    pairs; each mean is statistics.fmean, the exact sum rounded once over n."""
+    pairs; each mean is fsum(values) / n, the exact sum rounded once, over
+    n (what statistics.fmean computes)."""
     pairs = list(pairs)
     if not pairs:
         raise EmptyEvaluation("no hypothesis/reference pairs")
-    sim = fmean([sentence_similarity(h, r, embedder) for h, r in pairs])
-    rouge = fmean([rouge_l_f(h, r) for h, r in pairs])
-    meteor = fmean([meteor_exact(h, r) for h, r in pairs])
+    n = len(pairs)
+    sim = math.fsum(sentence_similarity(h, r, embedder) for h, r in pairs) / n
+    rouge = math.fsum(rouge_l_f(h, r) for h, r in pairs) / n
+    meteor = math.fsum(meteor_exact(h, r) for h, r in pairs) / n
     return EvalReport(
         metadata={"embedder": getattr(embedder, "name", type(embedder).__name__),
-                  "pairs": len(pairs)},
+                  "pairs": n},
         metrics={
             "similarity": MetricValue(sim),
             "rouge_l": MetricValue(rouge),

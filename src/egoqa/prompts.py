@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from .chunking import NarrationChunk
 from .core import NarrationTrack, ValidationError, normalize_answer
 from .jsonl_io import json_values
+
+if TYPE_CHECKING:
+    from .chunking import NarrationChunk
 
 TEMPLATE_IDS = ("openqa_llama", "openqa_chat", "closeqa_llama")
 

@@ -420,30 +420,83 @@ def _fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 # Imports egoqa.cli, runs each argv of the JSON list argv[1] in-process and
-# writes to argv[2], after the import and after each command, its exit code
-# and which of numpy (its numpy.linalg executes with it), http.client and ssl
-# are loaded.
+# writes to argv[2] what sys.modules held:
+# - "registered": every egoqa module in it right after the import;
+# - "steps": after the import and after each command, the command's name and
+#   exit code, which of numpy (its numpy.linalg executes with it),
+#   http.client, ssl and statistics are loaded, and which egoqa modules have
+#   executed (one that lazy_import registered stays a _LazyModule until its
+#   first use);
+# - "at_jobs": each distinct list of egoqa modules still unexecuted when a
+#   thread pool job started.
 _LOADED_AFTER_EACH = """
-import json, sys
+import importlib.util, json, sys
+from concurrent.futures import ThreadPoolExecutor
+
 import egoqa.cli as cli
 
 def loaded():
-    return [m for m in ("numpy.linalg", "http.client", "ssl") if m in sys.modules]
+    return [m for m in ("numpy.linalg", "http.client", "ssl", "statistics") if m in sys.modules]
 
-steps = [["import", 0, loaded()]]
+def package(executed):
+    # list() copies sys.modules in one step, so a pool thread may call this too
+    return sorted(name for name, m in list(sys.modules.items())
+                  if name.partition(".")[0] == "egoqa"
+                  and (type(m) is not importlib.util._LazyModule) == executed)
+
+at_jobs = {}
+submit = ThreadPoolExecutor.submit
+
+def noting_submit(self, fn, *args, **kwargs):
+    def job(*a, **kw):
+        at_jobs[tuple(package(False))] = True
+        return fn(*a, **kw)
+    return submit(self, job, *args, **kwargs)
+
+ThreadPoolExecutor.submit = noting_submit
+
+def run(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # --help
+        return exc.code
+
+registered = sorted(package(True) + package(False))
+steps = [["import", 0, loaded(), package(True)]]
 for argv in json.loads(sys.argv[1]):
-    steps.append([argv[0], cli.main(argv), loaded()])
+    steps.append([argv[0], run(argv), loaded(), package(True)])
 with open(sys.argv[2], "w") as f:
-    json.dump(steps, f)
+    json.dump({"registered": registered, "steps": steps,
+               "at_jobs": sorted(map(list, at_jobs))}, f)
 """
 
+# Every module of the package, from its files.
+MODULES = sorted(["egoqa"] + [
+    "egoqa." + name[:-3] for name in os.listdir(os.path.join(SRC_DIR, "egoqa"))
+    if name.endswith(".py") and name != "__init__.py"
+])
+# The only ones `import egoqa.cli` executes.
+AT_IMPORT = ["egoqa", "egoqa.cli", "egoqa.core", "egoqa.jsonl_io"]
 
-def _loaded_after_each(tmp_path, argvs: list[list[str]]) -> list:
-    steps = str(tmp_path / "steps.json")
-    out = _fresh_interpreter(_LOADED_AFTER_EACH, json.dumps(argvs), steps)
+
+def _executes(*modules: str) -> list[str]:
+    return sorted(AT_IMPORT + [f"egoqa.{m}" for m in modules])
+
+
+SYNTHESIZE_EXECUTES = _executes(
+    "chunking", "endpoint", "prompts", "seeding", "stats", "synthesis", "windows"
+)
+FILTER_EXECUTES = _executes("blindfilter", "seeding")
+
+
+def _loaded_after_each(tmp_path, argvs: list[list[str]]) -> dict:
+    result = str(tmp_path / "steps.json")
+    out = _fresh_interpreter(_LOADED_AFTER_EACH, json.dumps(argvs), result)
     assert out.returncode == 0, out.stderr
-    with open(steps, encoding="utf-8") as f:
-        return json.load(f)
+    with open(result, encoding="utf-8") as f:
+        run = json.load(f)
+    assert run["registered"] == MODULES
+    return run
 
 
 def _same_bytes(path: str, golden: str) -> bool:
@@ -452,34 +505,45 @@ def _same_bytes(path: str, golden: str) -> bool:
 
 
 def test_only_the_commands_that_use_them_load_numpy_and_the_http_stack(tmp_path):
-    narrations, qa, preds = (
-        str(tmp_path / name) for name in ("narrations.jsonl", "qa.jsonl", "preds.jsonl")
+    """Each command runs in a fresh interpreter of its own: the table row is
+    what that command alone executes of the package and loads of numpy, the
+    HTTP stack and statistics. Every package module is registered at import,
+    and only four execute."""
+    narrations, qa, preds, stats = (
+        str(tmp_path / name)
+        for name in ("narrations.jsonl", "qa.jsonl", "preds.jsonl", "stats.json")
     )
-    steps = _loaded_after_each(tmp_path, [
-        ["ingest", EXPORT, "--out", narrations],
-        ["synthesize", narrations, "--out", qa, "--mock", MOCK, "--seed", "7", "--split", "test"],
-        ["stats", qa, "--out", str(tmp_path / "stats.json")],
-        *(["eval", *task_preds, "--gt", GT_VLG, "--task", task,
-           "--out", str(tmp_path / f"report_{task}.json")]
-          for task, task_preds in [
-              ("vlg", [os.path.join(DATA_DIR, "golden_preds.jsonl")]),
-              ("openqa", ANSWERS[:1]), ("closeqa", ANSWERS)]),
-        ["decode", os.path.join(DATA_DIR, "head_outputs.jsonl"), "--out", preds],
-    ])
-    assert steps == [
-        ["import", 0, []],
-        ["ingest", 0, []],
-        ["synthesize", 0, []],
-        ["stats", 0, []],
-        ["eval", 0, []],
-        ["eval", 0, []],
-        ["eval", 0, []],
-        ["decode", 0, ["numpy.linalg"]],
+    table = [
+        (["--help"], _executes(), []),
+        (["ingest", EXPORT, "--out", narrations], _executes(), []),
+        (["synthesize", narrations, "--out", qa, "--mock", MOCK, "--seed", "7",
+          "--split", "test"], SYNTHESIZE_EXECUTES, []),
+        (["filter-blind", os.path.join(DATA_DIR, "filter_input.jsonl"),
+          "--out", str(tmp_path / "kept.jsonl"), "--report", str(tmp_path / "report.json"),
+          "--seed", "11"], FILTER_EXECUTES, []),
+        (["stats", qa, "--out", stats, "--narrations", narrations], _executes("stats"), []),
+        *((["eval", *task_preds, "--gt", GT_VLG, "--task", task,
+            "--out", str(tmp_path / f"report_{task}.json")], _executes(*modules), [])
+          for task, task_preds, modules in [
+              ("vlg", [os.path.join(DATA_DIR, "golden_preds.jsonl")], ["metrics"]),
+              ("openqa", ANSWERS[:1], ["embedding", "endpoint", "metrics"]),
+              ("closeqa", ANSWERS, ["metrics"])]),
+        (["decode", os.path.join(DATA_DIR, "head_outputs.jsonl"), "--out", preds],
+         _executes("localization"), ["numpy.linalg"]),
     ]
+    for argv, executes, loads in table:
+        steps = _loaded_after_each(tmp_path, [argv])["steps"]
+        assert steps == [["import", 0, [], AT_IMPORT], [argv[0], 0, loads, executes]], argv
     for task in ("vlg", "openqa", "closeqa"):
         assert _same_bytes(str(tmp_path / f"report_{task}.json"), f"golden_report_{task}.json")
     assert _same_bytes(qa, "golden_qa.jsonl")
+    assert _same_bytes(qa + ".records.jsonl", "golden_records.jsonl")
+    assert _same_bytes(qa + ".stats.json", "golden_stats.json")
+    assert _same_bytes(str(tmp_path / "report.json"), "golden_filter_report.json")
     assert _same_bytes(preds, "golden_preds.jsonl")
+    with open(stats, encoding="utf-8") as f, \
+            open(os.path.join(DATA_DIR, "golden_stats.json"), encoding="utf-8") as g:
+        assert {**json.load(f), "_meta": None} == {**json.load(g), "_meta": None}
 
 
 def test_filter_blind_never_loads_numpy(tmp_path):
@@ -496,24 +560,40 @@ def test_filter_blind_never_loads_numpy(tmp_path):
          "--train", str(train)],
         ["filter-blind", filter_input, "--out", str(tmp_path / "uniform.jsonl"),
          "--answerer", "uniform"],
-    ])
-    assert steps == [["import", 0, []], ["filter-blind", 0, []], ["filter-blind", 0, []]]
+    ])["steps"]
+    assert steps == [
+        ["import", 0, [], AT_IMPORT],
+        ["filter-blind", 0, [], FILTER_EXECUTES],
+        ["filter-blind", 0, [], FILTER_EXECUTES],
+    ]
 
 
 def test_synthesis_pool_threads_never_load_numpy(server, tmp_path):
-    """Before Python 3.12 LazyLoader is not thread-safe: the first access to
-    numpy must never come from the synthesis pool's threads, so a parallel
-    HTTP run must leave it unexecuted."""
+    """Before Python 3.12 LazyLoader is not thread-safe: no first access to a
+    lazily imported module may come from the synthesis pool's threads. So a
+    parallel HTTP run must leave numpy unexecuted, and every package module
+    the command executes must have executed before the first pool job."""
     with open(MOCK, encoding="utf-8") as f:
         server.mock = MockChatEndpoint(json.load(f))
     narrations, qa = str(tmp_path / "narrations.jsonl"), str(tmp_path / "qa.jsonl")
     assert cli.main(["ingest", EXPORT, "--out", narrations]) == 0
-    steps = _loaded_after_each(tmp_path, [[
+    run = _loaded_after_each(tmp_path, [[
         "synthesize", narrations, "--out", qa, "--base-url", server.url,
         "--seed", "7", "--split", "test", "--parallelism", "4",
     ]])
-    assert steps == [["import", 0, []], ["synthesize", 0, ["http.client", "ssl"]]]
+    assert run["steps"] == [
+        ["import", 0, [], AT_IMPORT],
+        ["synthesize", 0, ["http.client", "ssl"], SYNTHESIZE_EXECUTES],
+    ]
+    assert run["at_jobs"] == [sorted(set(MODULES) - set(SYNTHESIZE_EXECUTES))]
     assert server.connections > 1
+
+
+def test_lazy_import_binds_a_package_module_on_its_package():
+    out = _fresh_interpreter(
+        "import egoqa.cli; import egoqa.synthesis; egoqa.synthesis.synthesize"
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_missing_numpy_fails_at_import():
