@@ -45,9 +45,14 @@ SCRIPTED = {
 }
 
 
+def reject(unit: str, clip_uid: str, code: str, detail: str = "") -> None:
+    """The fixture export is clean: a reject is a bug in it."""
+    raise ValueError(f"fixture export: {unit} {clip_uid} rejected: {code} {detail}")
+
+
 def build_mock_fixture(export: dict) -> dict:
     """Key each scripted completion by the digest of its exact prompt."""
-    tracks = {t.clip_uid: t for t in _iter_export_tracks(export, "merge")}
+    tracks = {t.clip_uid: t for t in _iter_export_tracks(export, "merge", reject)}
     stats = compute_stats(list(tracks.values()))
     openqa_t, closeqa_t = load_template("openqa_llama"), load_template("closeqa_llama")
     fixture = {}

@@ -21,7 +21,8 @@ import sys
 import time
 import traceback
 from collections import Counter, deque
-from typing import Any, Iterator, Mapping
+from contextlib import closing
+from typing import Any, Callable, Iterator, Mapping
 
 from .core import (
     EvalReport,
@@ -171,14 +172,8 @@ def _float(value: Any) -> float | None:
         return None
 
 
-def _log_reject(unit: str, clip_uid: str, code: str, detail: str = "") -> None:
-    log.warning(
-        "ingest reject %s %s: %s%s", unit, clip_uid, code, f" ({detail})" if detail else ""
-    )
-
-
 def _iter_export_tracks(
-    export: Mapping[str, Any], which_pass: str, reject=_log_reject
+    export: Mapping[str, Any], which_pass: str, reject: Callable[..., None]
 ) -> Iterator[NarrationTrack]:
     """Parse a raw narration export: {clip_uid: {duration_sec, narration_pass_*}}.
 
@@ -233,7 +228,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     def reject(unit: str, clip_uid: str, code: str, detail: str = "") -> None:
         rejects[code] += 1
-        _log_reject(unit, clip_uid, code, detail)
+        log.warning(
+            "ingest reject %s %s: %s%s", unit, clip_uid, code, f" ({detail})" if detail else ""
+        )
 
     first, sole = read_first_row(args.input)
     keys = set(first or ())
@@ -266,11 +263,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 # ------------------------------------------------------------ synthesize
-
-
-def _record_to_row(record: synthesis.GenerationRecord) -> dict[str, Any]:
-    """Every field of the audit record; optional fields only when set."""
-    return {k: v for k, v in vars(record).items() if v is not None}
 
 
 def _iter_tracks(path: str) -> Iterator[tuple[str, NarrationTrack]]:
@@ -348,24 +340,26 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     parsed: Counter[str] = Counter()
     failure = None
 
+    clips = synthesis.synthesize(
+        _read_tracks(args.narrations), timing, config, openqa_template,
+        closeqa_template, chat, args.split, args.max_sentences, args.max_span_s,
+    )
+
     def iter_sample_rows(write_record):
         nonlocal failure
-        clips = synthesis.synthesize(
-            _read_tracks(args.narrations), timing, config, openqa_template,
-            closeqa_template, chat, args.split, args.max_sentences, args.max_span_s,
-        )
         for track, records, samples, failure in clips:
             builder.add_narration_stats(len(track.narrations), track.duration_s)
             for record in records:
                 sent[record.kind] += 1
                 parsed[record.kind] += record.parse_status == prompts.PARSE_OK
-                write_record(_record_to_row(record))
+                write_record({k: v for k, v in vars(record).items() if v is not None})
             for sample in samples:
                 builder.add(sample)
                 yield qa_to_row(sample)
 
     start = time.monotonic()
-    with jsonl_writer(records_path, meta) as write_record:
+    # clips alone uses chat; it closes first (its pool too), also when a write fails.
+    with closing(chat), closing(clips), jsonl_writer(records_path, meta) as write_record:
         count = write_jsonl(args.out, iter_sample_rows(write_record), meta)
     elapsed = max(time.monotonic() - start, 1e-9)
     if count:
@@ -394,7 +388,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_filter_blind(args: argparse.Namespace) -> int:
-    if args.seeds:
+    if args.seeds is not None:
         try:
             seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError:
@@ -538,7 +532,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         else:
             embedder = embedding.TrigramEmbedder()
-        report = metrics.openqa_report(pairs, embedder)
+        with closing(embedder):
+            report = metrics.openqa_report(pairs, embedder)
     else:
         report = metrics.closeqa_accuracy([_answers(gts, path) for path in args.predictions])
 
@@ -554,8 +549,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     out = args.out or "stats.json"
     tsvs = [os.path.join(args.tsv_dir, f"{name}.tsv") for name in stats.HISTOGRAMS if args.tsv_dir]
-    # A --tsv-dir still to be made (below) holds no file a TSV could replace.
-    checked = tsvs if tsvs and os.path.isdir(args.tsv_dir) else []
+    # A --tsv-dir still to be made (below) is checked as the top directory it adds.
+    top = args.tsv_dir
+    while top and not os.path.isdir(os.path.dirname(top) or "."):
+        top = os.path.dirname(top)
+    checked = tsvs if tsvs and os.path.isdir(args.tsv_dir) else [top] if top else []
     check_outputs(out, *checked, inputs=(args.config, args.qa, args.narrations))
     builder = stats.StatsBuilder()
     for lineno, row in read_jsonl(args.qa):
@@ -720,9 +718,6 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](args)
     except ServiceError as exc:
         log.error("endpoint failure: %s", exc)
-        # The traceback's frames hold the failed command's client; kept, they
-        # would leave its idle connections open until the cyclic GC runs.
-        exc.__traceback__ = None
         return EXIT_ENDPOINT
     except ValidationError as exc:
         log.error("invalid input: %s", exc)

@@ -56,6 +56,9 @@ class TrigramEmbedder:
             grams = [lowered[i : i + 3] for i in range(len(lowered) - 2)]
         return Counter(map(_bucket, grams))
 
+    def close(self) -> None:
+        """Nothing to close; a command closes every embedder it builds."""
+
 
 class HttpEmbedder(HttpClient):
     """Client for a remote embedding endpoint at {base_url}/embeddings."""

@@ -73,23 +73,20 @@ class HttpClient:
     Idle keep-alive connections sit on one stack the client owns: a request
     pops one (reopened, without spending an attempt, if the server dropped
     it while idle) or opens one, and pushes it back once its reply decodes,
-    so no more are open than requests in flight. Proxies come from the
-    environment (HTTP(S)_PROXY, NO_PROXY), read once here; HTTPS verifies
-    certificates against ssl.create_default_context(). Transport failures,
-    non-2xx replies and malformed envelopes are retried at once, up to
-    config.max_retries times, then raised as `unavailable`; a failed attempt
-    closes its connection and drops it. The HTTP and TLS modules
-    (http.client, ssl, urllib.request) are imported by the constructor, so a
-    command that builds no client never loads them.
+    so no more are open than requests in flight; close() closes the idle
+    ones. Proxies come from the environment (HTTP(S)_PROXY, NO_PROXY), read
+    once here; HTTPS verifies certificates against
+    ssl.create_default_context(). Transport failures, non-2xx replies and
+    malformed envelopes are retried at once, up to config.max_retries times,
+    then raised as `unavailable`; a failed attempt closes its connection.
+    The HTTP and TLS modules (http.client, ssl, urllib.request) are imported
+    by the constructor, so a command that builds no client never loads them.
     """
 
     unavailable: type[ServiceError]  # raised when every attempt failed
     service: str  # names the service in logs and errors
 
     def __init__(self, config: EndpointConfig, api_key: str | None = None):
-        # Set first, so __del__ finds it even when a check below raises. Its
-        # pop and append are atomic, so the threads share it without a lock.
-        self._idle: list[http.client.HTTPConnection] = []
         import http.client
         import ssl
         import urllib.request
@@ -103,6 +100,8 @@ class HttpClient:
                 f"got {config.base_url!r}"
             )
         self.config = config
+        # Its pop and append are atomic, so the threads share it without a lock.
+        self._idle: list[http.client.HTTPConnection] = []
         self._headers = {"Content-Type": "application/json", "User-Agent": "egoqa"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
@@ -135,9 +134,10 @@ class HttpClient:
                 self._tunnel = (*self._address, auth)
             self._address = (via.hostname, _port(via))
 
-    def __del__(self):
-        for conn in self._idle:
-            conn.close()
+    def close(self) -> None:
+        """Close and drop every idle connection; a later request opens a new one."""
+        while self._idle:
+            self._idle.pop().close()
 
     def _connection(self) -> http.client.HTTPConnection:
         """The most recently pushed idle connection, closed first if the
@@ -168,9 +168,6 @@ class HttpClient:
         target = self._prefix + route
         payload = dumps_canonical(body).encode("utf-8")
         attempts = self.config.max_retries + 1
-        # Kept and logged as text: holding the exception (a log handler may
-        # keep its record) would keep this frame, and with it the client and
-        # its idle connections, alive.
         last_error = ""
         for attempt in range(attempts):
             conn = self._connection()
@@ -288,3 +285,6 @@ class MockChatEndpoint:
             i = self._cursor.get(key, 0)
             self._cursor[key] = i + 1
             return entry[min(i, len(entry) - 1)]
+
+    def close(self) -> None:
+        """Nothing to close; a command closes every endpoint it builds."""

@@ -11,16 +11,15 @@ whole corpus through one _run_jobs call and yields each clip's records and
 samples as its last chunk completes. generate_openqa and
 attach_distractors run one batch of units each.
 
-Only an endpoint that waits on a socket (an HttpClient) gets the pool: an
-in-process endpoint such as MockChatEndpoint runs its jobs inline, one at
-a time, whatever config.parallelism says. Under the GIL, worker threads
-would only add hand-offs to CPU-bound jobs, and the output is the same
-either way.
+Only an endpoint that waits on a socket (an HttpClient) gets the pool, and
+only then is concurrent.futures imported: an in-process endpoint such as
+MockChatEndpoint runs its jobs inline, one at a time, whatever
+config.parallelism says. Under the GIL, worker threads would only add
+hand-offs to CPU-bound jobs, and the output is the same either way.
 """
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import groupby
@@ -125,19 +124,20 @@ def _run_jobs(jobs: Iterable, worker: Callable, parallelism: int) -> Iterator:
         for job in jobs:
             yield worker(job)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     window = WINDOW_PER_WORKER * parallelism
-    pending: deque[Future] = deque()
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        try:
-            for job in jobs:
-                pending.append(pool.submit(worker, job))
-                if len(pending) == window:
-                    yield pending.popleft().result()
-            while pending:
+    pending = deque()
+    pool = ThreadPoolExecutor(max_workers=parallelism)
+    try:
+        for job in jobs:
+            pending.append(pool.submit(worker, job))
+            if len(pending) == window:
                 yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _parallelism(config: EndpointConfig, endpoint: ChatEndpoint) -> int:

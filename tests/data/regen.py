@@ -76,9 +76,14 @@ SINK_NARRATIONS = (
 )
 
 
+def reject(unit: str, clip_uid: str, code: str, detail: str = "") -> None:
+    """The fixture export is clean: a reject is a bug in it."""
+    raise ValueError(f"fixture export: {unit} {clip_uid} rejected: {code} {detail}")
+
+
 def write_mock_completions() -> str:
     export = read_json_object(os.path.join(HERE, "narration_export.json"), "narration export")
-    tracks = {t.clip_uid: t for t in _iter_export_tracks(export, "merge")}
+    tracks = {t.clip_uid: t for t in _iter_export_tracks(export, "merge", reject)}
     stats = compute_stats(list(tracks.values()))
     openqa_template = load_template("openqa_llama")
     closeqa_template = load_template("closeqa_llama")

@@ -706,6 +706,20 @@ class TestStats:
         empty.write_text("")
         assert cli.main(["stats", str(empty)]) == 2
 
+    def test_tsv_dir_at_or_below_a_named_file_exits_2_before_anything_is_made(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "qa.jsonl").write_bytes(_read(FILTER_INPUT))
+        monkeypatch.chdir(tmp_path)
+        for tsv_dir in ("s.json", os.path.join("s.json", "plots"), "qa.jsonl"):
+            assert cli.main(["stats", "qa.jsonl", "--out", "s.json", "--tsv-dir", tsv_dir]) == 2
+            assert os.listdir(".") == ["qa.jsonl"]
+            assert _read("qa.jsonl") == _read(FILTER_INPUT)
+        # A new TSV directory, nested or not, is still made.
+        tsv_dir = os.path.join("plots", "by", "kind")
+        assert cli.main(["stats", "qa.jsonl", "--out", "s.json", "--tsv-dir", tsv_dir]) == 0
+        assert os.path.isfile(os.path.join(tsv_dir, "question_words.tsv"))
+
 
 class TestConfigPrecedence:
     def _base_url(self, tmp_path, config, *flags):
@@ -948,6 +962,12 @@ MALFORMED_INPUTS = {
         lambda tmp: ["filter-blind", FILTER_INPUT, "--out", str(tmp / "kept.jsonl"),
                      "--seeds", "1,x"],
         "--seeds",
+    ),
+    # An empty --seeds is given, not absent: it is not replaced by derived seeds.
+    "filter-blind-seeds-empty": (
+        lambda tmp: ["filter-blind", FILTER_INPUT, "--out", str(tmp / "kept.jsonl"),
+                     "--seeds", ""],
+        "--seeds must be comma-separated integers, got ''",
     ),
     "stats-qa-not-utf8": (
         lambda tmp: ["stats", _bytes_file(tmp, "qa.jsonl", QA_ROW + b"\n\xff\xfe\n"),

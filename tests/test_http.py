@@ -7,6 +7,7 @@ import ssl
 import subprocess
 import sys
 import threading
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -147,7 +148,8 @@ def _config(server, retries=2):
 ])
 def test_chat_retries_malformed_envelope_then_succeeds(server, envelope):
     server.replies = [(200, envelope), (200, CHAT_OK)]
-    assert HttpChatEndpoint(_config(server)).complete("hi") == "hello"
+    with closing(HttpChatEndpoint(_config(server))) as endpoint:
+        assert endpoint.complete("hi") == "hello"
     assert len(server.requests) == 2
     assert server.requests[0]["path"] == "/v1/chat/completions"
     assert server.requests[0]["body"]["messages"] == [{"role": "user", "content": "hi"}]
@@ -171,9 +173,9 @@ def test_embedder_retries_malformed_envelope_then_succeeds(server):
     for envelope in UNUSABLE_EMBEDDINGS:
         server.replies = [(200, EMBED_OK), (200, envelope), (200, EMBED_OK)]
         server.requests = []
-        embedder = HttpEmbedder(_config(server))
-        assert embedder.embed("first") == {0: 0.6, 1: 0.8}
-        assert embedder.embed("hi") == {0: 0.6, 1: 0.8}
+        with closing(HttpEmbedder(_config(server))) as embedder:
+            assert embedder.embed("first") == {0: 0.6, 1: 0.8}
+            assert embedder.embed("hi") == {0: 0.6, 1: 0.8}
         assert len(server.requests) == 3, envelope
         assert server.requests[2]["path"] == "/v1/embeddings"
         assert server.requests[2]["body"] == {"model": "mock", "input": "hi"}
@@ -186,7 +188,8 @@ def test_embedder_retries_malformed_envelope_then_succeeds(server):
 def test_request_bodies_are_canonical_json(server, client, reply):
     server.replies = [(200, reply)]
     call = "complete" if client is HttpChatEndpoint else "embed"
-    getattr(client(_config(server)), call)("Wo ist der Kaffee? \u2615")
+    with closing(client(_config(server))) as built:
+        getattr(built, call)("Wo ist der Kaffee? \u2615")
     (request,) = server.requests
     assert request["raw"] == dumps_canonical(request["body"]).encode("utf-8")
     assert "\u2615".encode("utf-8") in request["raw"]
@@ -194,15 +197,17 @@ def test_request_bodies_are_canonical_json(server, client, reply):
 
 def test_chat_raises_unavailable_after_every_attempt_fails(server):
     server.replies = [(500, {"error": "down"})]
-    with pytest.raises(EndpointUnavailable, match="3 attempts"):
-        HttpChatEndpoint(_config(server)).complete("hi")
+    with closing(HttpChatEndpoint(_config(server))) as endpoint, \
+            pytest.raises(EndpointUnavailable, match="3 attempts"):
+        endpoint.complete("hi")
     assert len(server.requests) == 3
 
 
 def test_embedder_raises_unavailable_after_every_attempt_fails(server):
     server.replies = [(200, {"data": [{"embedding": [0.0, 0.0]}]})]
-    with pytest.raises(EmbedderUnavailable, match="2 attempts"):
-        HttpEmbedder(_config(server, retries=1)).embed("hi")
+    with closing(HttpEmbedder(_config(server, retries=1))) as embedder, \
+            pytest.raises(EmbedderUnavailable, match="2 attempts"):
+        embedder.embed("hi")
     assert len(server.requests) == 2
 
 
@@ -221,8 +226,9 @@ def test_synthesize_exits_3_when_chat_endpoint_keeps_failing(server, tmp_path):
 
 def test_reply_nested_deeper_than_the_decoder_is_a_failed_attempt(server, tmp_path):
     server.replies = [(200, b"[" * 100_000 + b"]" * 100_000)]
-    with pytest.raises(EndpointUnavailable, match="2 attempts"):
-        HttpChatEndpoint(_config(server, retries=1)).complete("hi")
+    with closing(HttpChatEndpoint(_config(server, retries=1))) as endpoint, \
+            pytest.raises(EndpointUnavailable, match="2 attempts"):
+        endpoint.complete("hi")
     assert len(server.requests) == 2
     narrations = str(tmp_path / "narrations.jsonl")
     export = os.path.join(DATA_DIR, "narration_export.json")
@@ -293,7 +299,8 @@ def test_loopback_endpoint_death_partial_output_same_at_any_parallelism(server, 
     assert len(outputs) == 1
 
 
-def test_openqa_eval_exits_3_when_embedder_keeps_failing(server, tmp_path):
+def _ground_truth_answers(tmp_path) -> str:
+    """A predictions file that answers each query of GT_VLG with its answer."""
     preds = tmp_path / "preds.jsonl"
     per_clip: dict[str, int] = {}
     with open(GT_VLG) as src, open(preds, "w") as dst:
@@ -305,15 +312,75 @@ def test_openqa_eval_exits_3_when_embedder_keeps_failing(server, tmp_path):
                 "clip_uid": row["clip_uid"], "query_id": f"{row['clip_uid']}::{k}",
                 "windows": [], "answer_text": row["answer"],
             }) + "\n")
+    return str(preds)
+
+
+def test_write_failing_mid_run_stops_the_pool_and_closes_every_connection(
+    server, tmp_path, monkeypatch
+):
+    """A qa write that fails while the pool runs (a full disk, say) exits 4.
+    The pool has stopped when the endpoint closes, so no job can return a
+    connection to it afterwards."""
+    with open(MOCK, encoding="utf-8") as f:
+        server.mock = MockChatEndpoint(json.load(f))
+    narrations, out = str(tmp_path / "narrations.jsonl"), str(tmp_path / "qa.jsonl")
+    assert cli.main(["ingest", EXPORT, "--out", narrations]) == 0
+
+    def write_one_then_fail(path, rows, meta=None):
+        next(iter(rows))
+        raise OSError(28, "No space left on device")
+
+    workers_at_close, close = [], HttpChatEndpoint.close
+
+    def noting_close(self):
+        workers_at_close.append(
+            [t.name for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+        )
+        close(self)
+
+    monkeypatch.setattr(cli, "write_jsonl", write_one_then_fail)
+    monkeypatch.setattr(HttpChatEndpoint, "close", noting_close)
+    code = cli.main([
+        "synthesize", narrations, "--out", out, "--base-url", server.url,
+        "--seed", "7", "--split", "test", "--parallelism", "4",
+    ])
+    assert code == 4
+    assert workers_at_close == [[]]
+    assert server.connections >= 1
+    for _ in range(server.connections):
+        assert server.closed.acquire(timeout=5)
+    assert sorted(os.listdir(tmp_path)) == ["narrations.jsonl"]
+
+
+def test_openqa_eval_exits_3_when_embedder_keeps_failing(server, tmp_path):
+    preds = _ground_truth_answers(tmp_path)
     for replies in [[{"data": []}], *([EMBED_OK, e] for e in UNUSABLE_EMBEDDINGS)]:
         server.replies = [(200, reply) for reply in replies]
         server.requests = []
         code = cli.main([
-            "eval", str(preds), "--gt", GT_VLG, "--task", "openqa",
+            "eval", preds, "--gt", GT_VLG, "--task", "openqa",
             "--out", str(tmp_path / "report.json"), "--embed-url", server.url,
         ])
         assert code == 3, replies
         assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("replies, want_code", [
+    pytest.param([EMBED_OK], 0, id="exit-0"),
+    pytest.param([EMBED_OK, {"data": []}], 3, id="exit-3"),
+])
+def test_openqa_eval_closes_every_connection_it_opened(server, tmp_path, replies, want_code):
+    server.replies = [(200, reply) for reply in replies]
+    report = tmp_path / "report.json"
+    code = cli.main([
+        "eval", _ground_truth_answers(tmp_path), "--gt", GT_VLG, "--task", "openqa",
+        "--out", str(report), "--embed-url", server.url,
+    ])
+    assert code == want_code
+    assert report.exists() == (want_code == 0)
+    assert server.connections >= 1
+    for _ in range(server.connections):
+        assert server.closed.acquire(timeout=5)
 
 
 @pytest.mark.parametrize("client, reply", [
@@ -323,8 +390,10 @@ def test_openqa_eval_exits_3_when_embedder_keeps_failing(server, tmp_path):
 def test_bearer_header_sent_only_with_api_key(server, client, reply):
     server.replies = [(200, reply)]
     call = "complete" if client is HttpChatEndpoint else "embed"
-    getattr(client(_config(server)), call)("hi")
-    getattr(client(_config(server), api_key="sk-test"), call)("hi")
+    with closing(client(_config(server))) as without, \
+            closing(client(_config(server), api_key="sk-test")) as with_key:
+        getattr(without, call)("hi")
+        getattr(with_key, call)("hi")
     without, with_key = (r["headers"] for r in server.requests)
     assert "Authorization" not in without
     assert with_key["Authorization"] == "Bearer sk-test"
@@ -332,9 +401,9 @@ def test_bearer_header_sent_only_with_api_key(server, client, reply):
 
 def test_sequential_requests_share_one_keep_alive_connection(server):
     server.replies = [(200, CHAT_OK)]
-    endpoint = HttpChatEndpoint(_config(server))
-    for _ in range(20):
-        assert endpoint.complete("hi") == "hello"
+    with closing(HttpChatEndpoint(_config(server))) as endpoint:
+        for _ in range(20):
+            assert endpoint.complete("hi") == "hello"
     assert len(server.requests) == 20
     assert server.connections == 1
 
@@ -342,39 +411,53 @@ def test_sequential_requests_share_one_keep_alive_connection(server):
 def test_threads_share_the_idle_stack_without_losing_or_sharing_a_connection(server):
     """Every connection opened is back on the idle stack exactly once after
     concurrent requests, and none served two requests at once (with no
-    retries, that would fail a request)."""
+    retries, that would fail a request). Closing the client closes them all."""
     server.replies = [(200, CHAT_OK)]
-    endpoint = HttpChatEndpoint(_config(server, retries=0))
-    opened, open_connection = [], endpoint._open
-    endpoint._open = lambda *a, **kw: opened.append(open_connection(*a, **kw)) or opened[-1]
-    threads, per_thread, replies = 8, 25, []
+    with closing(HttpChatEndpoint(_config(server, retries=0))) as endpoint:
+        opened, open_connection = [], endpoint._open
+        endpoint._open = lambda *a, **kw: opened.append(open_connection(*a, **kw)) or opened[-1]
+        threads, per_thread, replies = 8, 25, []
 
-    def work():
-        replies.append([endpoint.complete("hi") for _ in range(per_thread)])
+        def work():
+            replies.append([endpoint.complete("hi") for _ in range(per_thread)])
 
-    workers = [threading.Thread(target=work) for _ in range(threads)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    assert replies == [["hello"] * per_thread] * threads
-    assert 1 <= len(opened) <= threads
-    assert sorted(map(id, endpoint._idle)) == sorted(map(id, opened))
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert replies == [["hello"] * per_thread] * threads
+        assert 1 <= len(opened) <= threads
+        assert sorted(map(id, endpoint._idle)) == sorted(map(id, opened))
+    assert all(conn.sock is None for conn in opened)
+
+
+def test_close_is_safe_twice_and_a_later_request_opens_a_new_connection(server):
+    server.replies = [(200, CHAT_OK)]
+    with closing(HttpChatEndpoint(_config(server, retries=0))) as endpoint:
+        assert endpoint.complete("hi") == "hello"
+        endpoint.close()
+        assert server.closed.acquire(timeout=5)
+        endpoint.close()
+        assert endpoint.complete("again") == "hello"
+        assert server.connections == 2
+    assert server.closed.acquire(timeout=5)
+    assert endpoint._idle == []
 
 
 def test_connection_closed_while_idle_is_reopened_without_spending_an_attempt(server):
     server.replies = [(200, CHAT_OK)]
     server.hang_up = True
-    endpoint = HttpChatEndpoint(_config(server, retries=0))
-    assert endpoint.complete("hi") == "hello"
-    assert server.closed.acquire(timeout=5)
-    assert endpoint.complete("again") == "hello"
+    with closing(HttpChatEndpoint(_config(server, retries=0))) as endpoint:
+        assert endpoint.complete("hi") == "hello"
+        assert server.closed.acquire(timeout=5)
+        assert endpoint.complete("again") == "hello"
     assert [r["body"]["messages"][0]["content"] for r in server.requests] == ["hi", "again"]
     assert server.connections == 2
 
@@ -385,7 +468,8 @@ def test_http_proxy_from_environment_gets_absolute_form_request(server, monkeypa
     server.replies = [(200, CHAT_OK)]
     target = "http://chat.example.invalid:8080/v1"
     config = EndpointConfig(base_url=target, max_retries=0, request_timeout_s=5.0)
-    assert HttpChatEndpoint(config).complete("hi") == "hello"
+    with closing(HttpChatEndpoint(config)) as endpoint:
+        assert endpoint.complete("hi") == "hello"
     (request,) = server.requests
     assert request["path"] == target + "/chat/completions"
     assert request["headers"]["Host"] == "chat.example.invalid:8080"
@@ -397,12 +481,13 @@ def test_https_verifies_with_the_default_context(monkeypatch):
     try:
         server.replies = [(200, CHAT_OK)]
         monkeypatch.setenv("SSL_CERT_FILE", KEYCERT)
-        endpoint = HttpChatEndpoint(_config(server, retries=0))
-        assert [endpoint.complete("hi") for _ in range(3)] == ["hello"] * 3
+        with closing(HttpChatEndpoint(_config(server, retries=0))) as endpoint:
+            assert [endpoint.complete("hi") for _ in range(3)] == ["hello"] * 3
         assert server.connections == 1
         monkeypatch.delenv("SSL_CERT_FILE")
-        with pytest.raises(EndpointUnavailable, match="CERTIFICATE_VERIFY_FAILED"):
-            HttpChatEndpoint(_config(server, retries=0)).complete("hi")
+        with closing(HttpChatEndpoint(_config(server, retries=0))) as endpoint, \
+                pytest.raises(EndpointUnavailable, match="CERTIFICATE_VERIFY_FAILED"):
+            endpoint.complete("hi")
         assert len(server.requests) == 3
     finally:
         server.close()
@@ -423,20 +508,22 @@ def _fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
 # writes to argv[2] what sys.modules held:
 # - "registered": every egoqa module in it right after the import;
 # - "steps": after the import and after each command, the command's name and
-#   exit code, which of numpy (its numpy.linalg executes with it),
-#   http.client, ssl and statistics are loaded, and which egoqa modules have
-#   executed (one that lazy_import registered stays a _LazyModule until its
-#   first use);
+#   exit code, which of concurrent.futures, numpy (its numpy.linalg executes
+#   with it), http.client, ssl and statistics are loaded, and which egoqa
+#   modules have executed (one that lazy_import registered stays a
+#   _LazyModule until its first use);
 # - "at_jobs": each distinct list of egoqa modules still unexecuted when a
-#   thread pool job started.
+#   thread pool job started. The script itself never imports
+#   concurrent.futures: the first import statement that leaves its thread
+#   pool loaded patches the pool's submit.
 _LOADED_AFTER_EACH = """
-import importlib.util, json, sys
-from concurrent.futures import ThreadPoolExecutor
+import builtins, importlib.util, json, sys
 
 import egoqa.cli as cli
 
 def loaded():
-    return [m for m in ("numpy.linalg", "http.client", "ssl", "statistics") if m in sys.modules]
+    return [m for m in ("concurrent.futures", "numpy.linalg", "http.client", "ssl", "statistics")
+            if m in sys.modules]
 
 def package(executed):
     # list() copies sys.modules in one step, so a pool thread may call this too
@@ -445,15 +532,30 @@ def package(executed):
                   and (type(m) is not importlib.util._LazyModule) == executed)
 
 at_jobs = {}
-submit = ThreadPoolExecutor.submit
 
-def noting_submit(self, fn, *args, **kwargs):
-    def job(*a, **kw):
-        at_jobs[tuple(package(False))] = True
-        return fn(*a, **kw)
-    return submit(self, job, *args, **kwargs)
+def note_jobs(pool_class):
+    submit = pool_class.submit
 
-ThreadPoolExecutor.submit = noting_submit
+    def noting_submit(self, fn, *args, **kwargs):
+        def job(*a, **kw):
+            at_jobs[tuple(package(False))] = True
+            return fn(*a, **kw)
+        return submit(self, job, *args, **kwargs)
+
+    pool_class.submit = noting_submit
+
+import_module = builtins.__import__
+
+def noting_import(*args, **kwargs):
+    module = import_module(*args, **kwargs)
+    # None until the pool's module has executed as far as the class
+    pool_class = getattr(sys.modules.get("concurrent.futures.thread"), "ThreadPoolExecutor", None)
+    if pool_class is not None and builtins.__import__ is noting_import:
+        builtins.__import__ = import_module
+        note_jobs(pool_class)
+    return module
+
+builtins.__import__ = noting_import
 
 def run(argv):
     try:
@@ -506,8 +608,8 @@ def _same_bytes(path: str, golden: str) -> bool:
 
 def test_only_the_commands_that_use_them_load_numpy_and_the_http_stack(tmp_path):
     """Each command runs in a fresh interpreter of its own: the table row is
-    what that command alone executes of the package and loads of numpy, the
-    HTTP stack and statistics. Every package module is registered at import,
+    what that command alone executes of the package and loads of the thread
+    pool, numpy, the HTTP stack and statistics. Every package module is registered at import,
     and only four execute."""
     narrations, qa, preds, stats = (
         str(tmp_path / name)
@@ -583,7 +685,7 @@ def test_synthesis_pool_threads_never_load_numpy(server, tmp_path):
     ]])
     assert run["steps"] == [
         ["import", 0, [], AT_IMPORT],
-        ["synthesize", 0, ["http.client", "ssl"], SYNTHESIZE_EXECUTES],
+        ["synthesize", 0, ["concurrent.futures", "http.client", "ssl"], SYNTHESIZE_EXECUTES],
     ]
     assert run["at_jobs"] == [sorted(set(MODULES) - set(SYNTHESIZE_EXECUTES))]
     assert server.connections > 1
