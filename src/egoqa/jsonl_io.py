@@ -276,20 +276,31 @@ def json_values(raw: str, opener: str) -> Iterator[Any]:
 
 
 # Exact JSON types: no number is read from a string or a bool, no text from a number.
-_TEXT = (str,)
-_NUMBER = (int, float)
-_KIND = {_TEXT: "a string", _NUMBER: "a number"}
+_TEXT, _NUMBER, _LIST = frozenset((str,)), frozenset((int, float)), frozenset((list,))
+_OBJECT, _THREE = frozenset((dict,)), frozenset((3,))
+_KIND = {_TEXT: "a string", _NUMBER: "a number", _LIST: "an array"}
 # Each row decoder first tests all of a row's field types in one expression
 # and builds the value directly. A row that fails the test, or whose values
 # the value types reject, takes the field-by-field path after it, the only
-# one that raises, so every message names the field it always named.
-_STRS, _NUMS, _DICTS = frozenset(_TEXT), frozenset(_NUMBER), frozenset((dict,))
-_LISTS, _THREE = frozenset((list,)), frozenset((3,))
-_FAST_MISS = (LookupError, TypeError, OverflowError, ValidationError)
+# one that raises, so every message names the field it always named. Both
+# paths meet a bad field as one of _FIELD_ERRORS.
+_FIELD_ERRORS = (LookupError, TypeError, ValueError, OverflowError, ValidationError)
+
+
+@contextmanager
+def _bad(where: str, what: str) -> Iterator[None]:
+    """Raise a field error of the block as SchemaMismatch '<where>: bad
+    <what>: <error>'; a SchemaMismatch (a missing field) passes unchanged."""
+    try:
+        yield
+    except SchemaMismatch:
+        raise
+    except _FIELD_ERRORS as exc:
+        raise SchemaMismatch(f"{where}: bad {what}: {exc}") from exc
 
 
 def _need(row: Mapping[str, Any], key: str, where: str, kind=None) -> Any:
-    """row[key], which must be of kind (_TEXT or _NUMBER) when it is given."""
+    """row[key], which must be of kind (_TEXT, _NUMBER or _LIST) when it is given."""
     if key not in row:
         raise SchemaMismatch(f"{where}: missing field {key!r}")
     value = row[key]
@@ -321,26 +332,24 @@ def row_to_track(row: Mapping[str, Any], where: str = "row") -> NarrationTrack:
         texts = [n["text"] for n in narrations]
         times = [n["t_s"] for n in narrations]
         clip_uid, duration_s = row["clip_uid"], row["duration_s"]
-        if (type(clip_uid) is str and type(duration_s) in _NUMS
-                and type(narrations) is list and _DICTS.issuperset(map(type, narrations))
-                and _STRS.issuperset(map(type, texts)) and _NUMS.issuperset(map(type, times))):
+        if (type(clip_uid) is str and type(duration_s) in _NUMBER
+                and type(narrations) is list and _OBJECT.issuperset(map(type, narrations))
+                and _TEXT.issuperset(map(type, texts)) and _NUMBER.issuperset(map(type, times))):
             return NarrationTrack(
                 clip_uid, float(duration_s), tuple(map(Narration, texts, map(float, times)))
             )
-    except _FAST_MISS:
+    except _FIELD_ERRORS:
         pass
-    try:
+    with _bad(where, "narration track"):
         narrations = tuple(
             Narration(_need(n, "text", where, _TEXT), float(_need(n, "t_s", where, _NUMBER)))
-            for n in _need(row, "narrations", where)
+            for n in _need(row, "narrations", where, _LIST)
         )
         return NarrationTrack(
             clip_uid=_need(row, "clip_uid", where, _TEXT),
             duration_s=float(_need(row, "duration_s", where, _NUMBER)),
             narrations=narrations,
         )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaMismatch(f"{where}: bad narration track: {exc}") from exc
 
 
 def qa_to_row(sample: QASample) -> dict[str, Any]:
@@ -362,15 +371,15 @@ def row_to_qa(row: Mapping[str, Any], where: str = "row") -> QASample:
         window, wrong = row["window"], row.get("wrong_answers")
         texts = (row["clip_uid"], row["question"], row["answer"])
         split, source = row["split"], row["source"]
-        if (type(window) is list and len(window) == 2 and _NUMS.issuperset(map(type, window))
+        if (type(window) is list and len(window) == 2 and _NUMBER.issuperset(map(type, window))
                 and (wrong is None or type(wrong) is list and len(wrong) == 3)
-                and _STRS.issuperset(map(type, (*texts, split, source, *(wrong or ()))))):
+                and _TEXT.issuperset(map(type, (*texts, split, source, *(wrong or ()))))):
             window = TemporalWindow(float(window[0]), float(window[1]))
             return QASample(*texts, window, wrong if wrong is None else tuple(wrong),
                             split, source)
-    except _FAST_MISS:
+    except _FIELD_ERRORS:
         pass
-    try:
+    with _bad(where, "qa sample"):
         start, end = map(float, _array(_need(row, "window", where), 2, "window"))
         wrong = row.get("wrong_answers")
         return QASample(
@@ -384,10 +393,6 @@ def row_to_qa(row: Mapping[str, Any], where: str = "row") -> QASample:
             split=_need(row, "split", where, _TEXT),
             source=_need(row, "source", where, _TEXT),
         )
-    except (TypeError, ValueError, OverflowError, LookupError, ValidationError) as exc:
-        if isinstance(exc, SchemaMismatch):
-            raise
-        raise SchemaMismatch(f"{where}: bad qa sample: {exc}") from exc
 
 
 def pred_to_row(pred: PredictionSet) -> dict[str, Any]:
@@ -406,22 +411,22 @@ def row_to_pred(row: Mapping[str, Any], where: str = "row") -> PredictionSet:
         answer_text = row.get("answer_text", "")
         if (type(windows) is list and type(clip_uid) is str and type(query_id) is str
                 and type(answer_text) is str
-                and (not windows or _LISTS.issuperset(map(type, windows))
+                and (not windows or _LIST.issuperset(map(type, windows))
                      and _THREE.issuperset(map(len, windows))
-                     and _NUMS.issuperset(map(type, chain.from_iterable(windows))))):
+                     and _NUMBER.issuperset(map(type, chain.from_iterable(windows))))):
             triples = [
                 (TemporalWindow(float(start), float(end)), float(score))
                 for start, end, score in windows
             ]
             triples.sort(key=lambda pair: -pair[1])
             return PredictionSet(clip_uid, query_id, tuple(triples), answer_text)
-    except _FAST_MISS:
+    except _FIELD_ERRORS:
         pass
-    try:
+    with _bad(where, "prediction set"):
         triples = [
             (TemporalWindow(float(start), float(end)), float(score))
             for start, end, score in (
-                _array(w, 3, "prediction window") for w in _need(row, "windows", where)
+                _array(w, 3, "prediction window") for w in _need(row, "windows", where, _LIST)
             )
         ]
         # Tolerate unranked exports: order by score descending, stable.
@@ -432,16 +437,12 @@ def row_to_pred(row: Mapping[str, Any], where: str = "row") -> PredictionSet:
             windows=tuple(triples),
             answer_text=_need(row, "answer_text", where, _TEXT) if "answer_text" in row else "",
         )
-    except (TypeError, ValueError, OverflowError, LookupError, ValidationError) as exc:
-        if isinstance(exc, SchemaMismatch):
-            raise
-        raise SchemaMismatch(f"{where}: bad prediction set: {exc}") from exc
 
 
 def row_to_head(
     row: Mapping[str, Any], where: str = "row"
 ) -> tuple[str, str, float, localization.HeadOutputs]:
-    try:
+    with _bad(where, "head outputs"):
         heads = localization.HeadOutputs(
             scores=_need(row, "scores", where), offsets=_need(row, "offsets", where)
         )
@@ -450,10 +451,6 @@ def row_to_head(
         duration_s = float(_need(row, "duration_s", where, _NUMBER))
         localization.check_duration(duration_s)
         return clip_uid, query_id, duration_s, heads
-    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
-        if isinstance(exc, SchemaMismatch):
-            raise
-        raise SchemaMismatch(f"{where}: bad head outputs: {exc}") from exc
 
 
 def query_id_for(clip_uid: str, ordinal: int) -> str:

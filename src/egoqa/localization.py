@@ -3,8 +3,8 @@
 Pure numpy kernels: binary focal loss and 1D DIoU loss with analytic
 gradients (checked against central finite differences in the tests), token
 cross-entropy, the 0.5/0.5 grounding/answering loss combination, label
-assignment for a per-timestep classification + regression head, greedy NMS
-decoding, temporal jittering, and uniform feature resampling.
+assignment for a per-timestep classification + regression head, and greedy
+NMS decoding.
 
 HeadOutputs validation and NMS decoding run as array operations that
 repeat the scalar definitions' arithmetic in the same order, so decoded
@@ -364,39 +364,3 @@ def decode_windows(
         live = ~(iou >= nms_iou)
         score, start, end = score[live], start[live], end[live]
     return tuple(taken)
-
-
-def jitter_window(
-    w: TemporalWindow,
-    duration_s: float,
-    rng_seed: int,
-    scale_range: tuple[float, float] = (0.8, 1.25),
-    shift_frac_range: tuple[float, float] = (-0.25, 0.25),
-) -> TemporalWindow:
-    """Randomly rescale and shift a window, clamped to the clip.
-
-    Draws scale then shift from one seeded generator: the half-length is
-    scaled by U[scale_range] and the center moves by U[shift_frac_range]
-    window lengths. A zero-length window is a fixed point.
-    """
-    check_duration(duration_s)
-    rng = np.random.default_rng(rng_seed)
-    sigma = rng.uniform(*scale_range)
-    delta = rng.uniform(*shift_frac_range)
-    length = w.length_s
-    half = sigma * length / 2.0
-    center = w.center_s + delta * length
-    start = min(max(0.0, center - half), duration_s)
-    end = min(max(0.0, center + half), duration_s)
-    return TemporalWindow(start, end)
-
-
-def resample_indices(n_in: int, n_out: int = 1200) -> tuple[int, ...]:
-    """Uniformly spread n_out source indices over [0, n_in).
-
-    index_k = floor(k * n_in / n_out), computed in integer arithmetic so no
-    float rounding leaks in. Monotone non-decreasing.
-    """
-    if n_in < 1 or n_out < 1:
-        raise ValidationError(f"n_in and n_out must be >= 1, got {n_in}, {n_out}")
-    return tuple((k * n_in) // n_out for k in range(n_out))

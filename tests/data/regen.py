@@ -4,6 +4,9 @@ Run from the repository root after intentional pipeline changes:
 
     python3 tests/data/regen.py
 
+(`python3 tests/data/regen.py --digests SEED` prints one seed's output
+digests instead, as JSON, and writes nothing.)
+
 Produces:
   - mock_completions.json: prompt-hash -> completion map covering every
     prompt the 3-clip narration_export.json pipeline renders.
@@ -22,24 +25,34 @@ Produces:
   - golden_report_{vlg,openqa,closeqa}.json: eval reports against
     gt_vlg.jsonl, of golden_preds.jsonl (vlg), pred_answers_0.jsonl (openqa)
     and pred_answers_0..4.jsonl (closeqa).
+  - output_digests.json: {workload: {seed: {file: sha256}}} of every output
+    of the curate-local and score benchmark workloads on bench seeds 1-10.
+    Each seed's inputs come from bench/gen.py; the command sequence of
+    bench/run.py's plan then runs in-process, and on curate-local so do the
+    filter-blind variants of digest_variants. Every JSONL and report header
+    carries the package version and the config hash, so a version bump or a
+    change to a hashed setting moves every digest.
 
 Review diffs before committing: these files are goldens, and tests compare
 against them byte-for-byte.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.join(HERE, "..", "..", "bench")
 
 sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
 
 from egoqa.chunking import chunk_track  # noqa: E402
-from egoqa.cli import _iter_export_tracks  # noqa: E402
+from egoqa.cli import _iter_export_tracks, main  # noqa: E402
 from egoqa.endpoint import prompt_digest  # noqa: E402
 from egoqa.jsonl_io import read_json_object  # noqa: E402
 from egoqa.prompts import (  # noqa: E402
@@ -176,9 +189,83 @@ def run_scoring() -> None:
         )
 
 
+DIGEST_WORKLOADS = ("curate-local", "score")
+DIGEST_SEEDS = range(1, 11)
+
+
+def digest_variants(seed: int) -> list[list[str]]:
+    """filter-blind runs beside the plan's: each answerer and option whose
+    output has no other check on the bench inputs."""
+    base = ["filter-blind", "qa.jsonl", "--seed", str(seed + 1)]
+    return [
+        [*base, "--out", "kept-no-reshuffle.jsonl", "--no-reshuffle"],
+        [*base, "--out", "kept-uniform.jsonl", "--answerer", "uniform"],
+        [*base, "--out", "kept-train-is-input.jsonl", "--train", "qa.jsonl"],
+    ]
+
+
+def _bench_run():
+    """bench/run.py, with the bench/gen.py it generates inputs with, imported
+    without writing a bytecode cache beside them."""
+    sys.path.insert(0, BENCH)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import gen  # noqa: F401  (run.generate imports it by name)
+        import run
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(BENCH)
+    return run
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def output_digests(workload: str, seed: int) -> dict[str, str]:
+    """sha256 of each output of one bench workload and seed, by file name."""
+    run = _bench_run()
+    plan = run.plan(workload, seed, None)
+    sequence, files = plan["sequence"], list(plan["digest"])
+    if workload == "curate-local":
+        variants = digest_variants(seed)
+        sequence = [*sequence, *variants]
+        files += [f"{out}{suffix}" for out in (v[v.index("--out") + 1] for v in variants)
+                  for suffix in ("", ".report.json")]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        run.generate(workload, seed, Path(work))
+        os.chdir(work)
+        try:
+            for argv in sequence:
+                if main(argv) != 0:
+                    raise SystemExit(f"{workload} seed {seed}: {' '.join(argv)} failed")
+            return {name: _sha256(name) for name in files}
+        finally:
+            os.chdir(cwd)
+
+
+def write_output_digests() -> None:
+    digests = {
+        workload: {str(seed): output_digests(workload, seed) for seed in DIGEST_SEEDS}
+        for workload in DIGEST_WORKLOADS
+    }
+    with open(os.path.join(HERE, "output_digests.json"), "w", encoding="utf-8") as f:
+        json.dump(digests, f, indent=1)
+        f.write("\n")
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--digests"]:
+        # One seed's digests of every workload, printed rather than written:
+        # the tier-1 test recomputes seeds side by side, one process each.
+        seed = int(sys.argv[2])
+        print(json.dumps({w: output_digests(w, seed) for w in DIGEST_WORKLOADS}))
+        raise SystemExit
     write_mock_completions()
     write_golden_prompts()
     run_pipeline()
     run_scoring()
+    write_output_digests()
     print("fixtures regenerated in", HERE)

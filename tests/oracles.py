@@ -245,7 +245,8 @@ class ScriptedAnswerer:
 
 _TEXT = (str,)
 _NUMBER = (int, float)
-_KIND = {_TEXT: "a string", _NUMBER: "a number"}
+_LIST = (list,)
+_KIND = {_TEXT: "a string", _NUMBER: "a number", _LIST: "an array"}
 
 
 def _need(row: Mapping[str, Any], key: str, where: str, kind=None) -> Any:
@@ -270,7 +271,7 @@ def field_row_to_track(row: Mapping[str, Any], where: str = "row") -> NarrationT
     try:
         narrations = tuple(
             Narration(_need(n, "text", where, _TEXT), float(_need(n, "t_s", where, _NUMBER)))
-            for n in _need(row, "narrations", where)
+            for n in _need(row, "narrations", where, _LIST)
         )
         return NarrationTrack(
             clip_uid=_need(row, "clip_uid", where, _TEXT),
@@ -307,7 +308,7 @@ def field_row_to_pred(row: Mapping[str, Any], where: str = "row") -> PredictionS
         triples = [
             (TemporalWindow(float(start), float(end)), float(score))
             for start, end, score in (
-                _array(w, 3, "prediction window") for w in _need(row, "windows", where)
+                _array(w, 3, "prediction window") for w in _need(row, "windows", where, _LIST)
             )
         ]
         triples.sort(key=lambda pair: -pair[1])

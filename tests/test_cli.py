@@ -1083,6 +1083,19 @@ MALFORMED_INPUTS = {
                      "--gt", GT_VLG, "--task", "vlg", "--out", str(tmp / "report.json")],
         "preds.jsonl:1: bad prediction set",
     ),
+    # An object where narrations or windows belong is not an empty array.
+    "ingest-track-narrations-is-object": (
+        lambda tmp: ["ingest", _text_file(tmp, "narrations.jsonl", "".join(
+            json.dumps({"clip_uid": uid, "duration_s": 10.0, "narrations": narrations}) + "\n"
+            for uid, narrations in (("a", [{"text": "C waits.", "t_s": 1.0}]), ("b", {})))),
+            "--out", str(tmp / "n.jsonl")],
+        "narrations.jsonl:2: bad narration track: narrations must be an array, got dict",
+    ),
+    "eval-vlg-windows-is-object": (
+        lambda tmp: ["eval", _pred_file(tmp, {}), "--gt", GT_VLG, "--task", "vlg",
+                     "--out", str(tmp / "report.json")],
+        "preds.jsonl:1: bad prediction set: windows must be an array, got dict",
+    ),
     "eval-openqa-query-missing": (
         lambda tmp: ["eval", _pred_file(tmp, []), "--gt", GT_VLG, "--task", "openqa",
                      "--out", str(tmp / "report.json")],

@@ -17,8 +17,6 @@ from egoqa.localization import (
     decode_windows,
     diou_loss_1d,
     focal_loss,
-    jitter_window,
-    resample_indices,
     token_cross_entropy,
 )
 
@@ -345,58 +343,3 @@ class TestHeadOutputs:
     def test_first_bad_offset_pair_is_named(self, offsets, message):
         with pytest.raises(ValidationError, match=message):
             HeadOutputs([0.5, 0.6], offsets)
-
-
-class TestJitterWindow:
-    def test_deterministic_per_seed(self):
-        w = TemporalWindow(10.0, 20.0)
-        assert jitter_window(w, 60.0, 5) == jitter_window(w, 60.0, 5)
-
-    def test_stays_inside_clip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            start = float(rng.uniform(0, 50))
-            length = float(rng.uniform(0, 10))
-            w = TemporalWindow(start, start + length)
-            out = jitter_window(w, 60.0, int(rng.integers(0, 10**6)))
-            assert 0.0 <= out.start_s <= out.end_s <= 60.0
-
-    def test_scale_and_shift_ranges_respected(self):
-        w = TemporalWindow(20.0, 30.0)
-        for seed in range(300):
-            out = jitter_window(w, 100.0, seed)
-            # no clamping can trigger here: center moves <= 2.5, half <= 6.25
-            assert out.length_s == pytest.approx(out.length_s, abs=0)
-            assert 0.8 * 10 - 1e-9 <= out.length_s <= 1.25 * 10 + 1e-9
-            assert abs(out.center_s - w.center_s) <= 2.5 + 1e-9
-
-    def test_zero_length_fixed_point(self):
-        w = TemporalWindow(5.0, 5.0)
-        assert jitter_window(w, 10.0, 99) == w
-
-    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_duration_must_be_finite_and_positive(self, duration):
-        # a NaN passed `duration_s <= 0` and returned the window unclamped
-        with pytest.raises(ValidationError, match="finite and > 0"):
-            jitter_window(TemporalWindow(10.0, 20.0), duration, 1)
-
-
-class TestResampleIndices:
-    def test_worked_example(self):
-        assert resample_indices(7, 3) == (0, 2, 4)
-
-    def test_identity_when_sizes_match(self):
-        assert resample_indices(5, 5) == (0, 1, 2, 3, 4)
-
-    def test_monotone_and_in_range(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            n_in = int(rng.integers(1, 5000))
-            n_out = int(rng.integers(1, 2000))
-            idx = resample_indices(n_in, n_out)
-            assert len(idx) == n_out
-            assert all(0 <= i < n_in for i in idx)
-            assert all(a <= b for a, b in zip(idx, idx[1:]))
-
-    def test_default_output_length(self):
-        assert len(resample_indices(3000)) == 1200
