@@ -48,7 +48,7 @@ from .jsonl_io import (
     query_id_for,
     read_first_row,
     read_json_object,
-    read_jsonl,
+    read_rows,
     row_to_head,
     row_to_pred,
     row_to_qa,
@@ -235,7 +235,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     first, sole = read_first_row(args.input)
     keys = set(first or ())
     if "_meta" in keys or {"clip_uid", "narrations"} <= keys:
-        tracks = (track for _, track in _iter_tracks(args.input))
+        tracks = (track for _, track in read_rows(args.input, row_to_track, "clip_uid"))
     else:
         # A one-line export was parsed whole by the sniff; anything else
         # (a pretty-printed export, say) is loaded as one document.
@@ -265,22 +265,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------ synthesize
 
 
-def _iter_tracks(path: str) -> Iterator[tuple[str, NarrationTrack]]:
-    """(file:line, track) for each row of a narrations file; a clip_uid seen
-    on an earlier row is a SchemaMismatch."""
-    seen: set[str] = set()
-    for lineno, row in read_jsonl(path):
-        where = f"{path}:{lineno}"
-        track = row_to_track(row, where)
-        if track.clip_uid in seen:
-            raise SchemaMismatch(f"{where}: duplicate clip_uid {track.clip_uid!r}")
-        seen.add(track.clip_uid)
-        yield where, track
-
-
 def _read_tracks(path: str) -> Iterator[NarrationTrack]:
-    """The tracks of a narrations file; an invalid track is a ValidationError."""
-    for where, track in _iter_tracks(path):
+    """The tracks of a narrations file; a repeated clip_uid or an invalid
+    track is a ValidationError."""
+    for where, track in read_rows(path, row_to_track, "clip_uid"):
         violations = validate_track(track)
         if violations:
             raise ValidationError(
@@ -401,10 +389,7 @@ def cmd_filter_blind(args: argparse.Namespace) -> int:
     report_path = args.report or args.out + ".report.json"
     check_outputs(args.out, report_path, inputs=(args.config, args.qa, args.train))
 
-    def read_qa(path: str) -> Iterator[QASample]:
-        return (row_to_qa(row, f"{path}:{n}") for n, row in read_jsonl(path))
-
-    samples = read_qa(args.qa)
+    samples = (sample for _, sample in read_rows(args.qa, row_to_qa))
     if args.answerer == "uniform":
         answerer = blindfilter.UniformRandomAnswerer()
     elif args.train is None or os.path.realpath(args.train) == os.path.realpath(args.qa):
@@ -415,7 +400,8 @@ def cmd_filter_blind(args: argparse.Namespace) -> int:
         answerer = blindfilter.FrequencyPriorAnswerer(s.answer for s in held)
         samples = (held.popleft() for _ in range(len(held)))
     else:
-        answerer = blindfilter.FrequencyPriorAnswerer(s.answer for s in read_qa(args.train))
+        train = read_rows(args.train, row_to_qa)
+        answerer = blindfilter.FrequencyPriorAnswerer(s.answer for _, s in train)
     pairs = blindfilter.filter_rows(samples, answerer, seeds, not args.no_reshuffle)
 
     hashed_config = {
@@ -460,8 +446,7 @@ def _load_gt(path: str) -> dict[str, QASample]:
     """Ground truth keyed by positional query id (clip_uid::ordinal)."""
     gts: dict[str, QASample] = {}
     per_clip: dict[str, int] = {}
-    for lineno, row in read_jsonl(path):
-        sample = row_to_qa(row, f"{path}:{lineno}")
+    for _, sample in read_rows(path, row_to_qa):
         ordinal = per_clip.get(sample.clip_uid, 0)
         per_clip[sample.clip_uid] = ordinal + 1
         gts[query_id_for(sample.clip_uid, ordinal)] = sample
@@ -470,19 +455,24 @@ def _load_gt(path: str) -> dict[str, QASample]:
     return gts
 
 
-def _load_preds(path: str) -> dict[str, PredictionSet]:
+def _load_preds(path: str, gts: Mapping[str, QASample]) -> dict[str, PredictionSet]:
+    """Predictions keyed by query id. One for a ground-truth query must name
+    that query's clip; one for a query the ground truth lacks goes unscored."""
     preds: dict[str, PredictionSet] = {}
-    for lineno, row in read_jsonl(path):
-        pred = row_to_pred(row, f"{path}:{lineno}")
-        if pred.query_id in preds:
-            raise SchemaMismatch(f"{path}:{lineno}: duplicate query_id {pred.query_id!r}")
+    for where, pred in read_rows(path, row_to_pred, "query_id"):
+        gt = gts.get(pred.query_id)
+        if gt is not None and gt.clip_uid != pred.clip_uid:
+            raise SchemaMismatch(
+                f"{where}: query_id {pred.query_id!r} is a query of clip "
+                f"{gt.clip_uid!r}, not {pred.clip_uid!r}"
+            )
         preds[pred.query_id] = pred
     return preds
 
 
 def _answers(gts: Mapping[str, QASample], path: str) -> list[tuple[str, str]]:
     """(predicted, ground-truth) answers in query-id order; every query must be answered."""
-    preds = _load_preds(path)
+    preds = _load_preds(path, gts)
     missing = sorted(set(gts) - set(preds))
     if missing:
         raise metrics.MissingQuery(f"{path}: no predictions for queries: {missing}")
@@ -521,7 +511,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     meta = make_meta(hashed_config)
 
     if task == "vlg":
-        preds = _load_preds(args.predictions[0])
+        preds = _load_preds(args.predictions[0], gts)
         report = metrics.vlg_recall(preds, {qid: s.window for qid, s in gts.items()})
     elif task == "openqa":
         pairs = _answers(gts, args.predictions[0])
@@ -556,8 +546,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     checked = tsvs if tsvs and os.path.isdir(args.tsv_dir) else [top] if top else []
     check_outputs(out, *checked, inputs=(args.config, args.qa, args.narrations))
     builder = stats.StatsBuilder()
-    for lineno, row in read_jsonl(args.qa):
-        builder.add(row_to_qa(row, f"{args.qa}:{lineno}"))
+    for _, sample in read_rows(args.qa, row_to_qa):
+        builder.add(sample)
     if builder.sample_count == 0:
         raise EmptyCorpus(f"{args.qa} has no samples")
     if args.narrations:
@@ -604,10 +594,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     meta = make_meta(hashed_config)
 
     def iter_rows():
-        for lineno, row in read_jsonl(args.head_outputs):
-            clip_uid, query_id, duration_s, heads = row_to_head(
-                row, f"{args.head_outputs}:{lineno}"
-            )
+        for _, (clip_uid, query_id, duration_s, heads) in read_rows(
+            args.head_outputs, row_to_head
+        ):
             ranked = localization.decode_windows(
                 heads, duration_s, args.score_threshold, args.nms_iou, args.top_k
             )

@@ -238,6 +238,24 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, row
 
 
+def read_rows(
+    path: str, decode: Callable[[dict[str, Any], str], Any], unique: str | None = None
+) -> Iterator[tuple[str, Any]]:
+    """Yield ('<path>:<line>', decode(row, that location)) for each payload
+    row. With unique, a value whose attribute of that name repeats an earlier
+    row's is a SchemaMismatch."""
+    seen: set[Any] = set()
+    for lineno, row in read_jsonl(path):
+        where = f"{path}:{lineno}"
+        value = decode(row, where)
+        if unique is not None:
+            key = getattr(value, unique)
+            if key in seen:
+                raise SchemaMismatch(f"{where}: duplicate {unique} {key!r}")
+            seen.add(key)
+        yield where, value
+
+
 def read_first_row(path: str) -> tuple[dict[str, Any] | None, bool]:
     """The first line as a JSON object (None when it is blank or not one),
     and whether it is the file's only non-blank line. A repeated key is an

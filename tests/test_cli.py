@@ -94,6 +94,14 @@ class TestIngest:
                 ]},
             },
             "no-duration": {"narration_pass_1": {"narrations": []}},
+            "listed": [1, 2],
+            "blank-and-early": {
+                "duration_sec": 10,
+                "narration_pass_1": {"narrations": [
+                    {"narration_text": "   ", "timestamp_sec": 1},
+                    {"narration_text": "C starts.", "timestamp_sec": -0.5},
+                ]},
+            },
             "late-narration": {
                 "duration_sec": 10,
                 "narration_pass_1": {"narrations": [
@@ -108,6 +116,9 @@ class TestIngest:
         assert "bad_duration" in text
         assert "timestamp_after_end" in text
         assert "no_usable_narrations" in text
+        assert "ingest reject clip listed: not_an_object" in text
+        assert "ingest reject narration in blank-and-early: empty_text" in text
+        assert "ingest reject narration in blank-and-early: negative_timestamp (-0.5)" in text
         rows = _read(out).decode().splitlines()
         assert len(rows) == 2  # meta + the one good clip
 
@@ -452,8 +463,10 @@ class TestFilterBlind:
             os.symlink("qa.jsonl", "link.jsonl")
         assert cli.main(["filter-blind", "qa.jsonl", "--out", "plain.jsonl", "--seed", "11"]) == 0
         reads = []
-        read_jsonl = cli.read_jsonl
-        monkeypatch.setattr(cli, "read_jsonl", lambda path: reads.append(path) or read_jsonl(path))
+        read_jsonl = jsonl_io.read_jsonl
+        monkeypatch.setattr(
+            jsonl_io, "read_jsonl", lambda path: reads.append(path) or read_jsonl(path)
+        )
         assert cli.main([
             "filter-blind", "qa.jsonl", "--out", "trained.jsonl", "--seed", "11",
             "--train", train,
@@ -1406,6 +1419,52 @@ MALFORMED_INPUTS = {
                                 '[{"text": "C waits.", "t_s": 1, "t_s": 9}]}\n')],
         "narrations.jsonl:1: repeated key 't_s'",
     ),
+    # A prediction for a ground-truth query names that query's clip.
+    **{
+        f"eval-{task}-prediction-names-another-clip": (
+            lambda tmp, task=task: [
+                "eval", _text_file(tmp, "preds.jsonl", json.dumps({
+                    "clip_uid": "some-other-clip", "query_id": "clip-d::0",
+                    "windows": [[1.0, 2.0, 0.9]], "answer_text": "on the mat"}) + "\n"),
+                "--gt", _qa_file(tmp, clip_uid="clip-d", window=[1, 2]), "--task", task,
+                "--out", str(tmp / "report.json")],
+            "preds.jsonl:1: query_id 'clip-d::0' is a query of clip 'clip-d', "
+            "not 'some-other-clip'",
+        )
+        for task in ("vlg", "openqa")
+    },
+    # Endpoint settings are checked before any request is sent.
+    "synthesize-parallelism-zero": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--mock", MOCK, "--parallelism", "0"],
+        "parallelism must be >= 1, got 0",
+    ),
+    "synthesize-max-retries-negative": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--base-url", "http://127.0.0.1:9", "--max-retries", "-1"],
+        "max_retries must be >= 0, got -1",
+    ),
+    "synthesize-base-url-is-ftp": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--base-url", "ftp://host/v1"],
+        "base_url must be an http(s) URL",
+    ),
+    "synthesize-base-url-port-out-of-range": (
+        lambda tmp: ["synthesize", _ingest(tmp), "--out", str(tmp / "qa.jsonl"),
+                     "--base-url", "http://host:99999/v1"],
+        "bad port in URL",
+    ),
+    "eval-gt-holds-only-a-header": (
+        lambda tmp: ["eval", GOLDEN_PREDS,
+                     "--gt", _text_file(tmp, "gt.jsonl", '{"_meta": {"tool": "egoqa"}}\n'),
+                     "--task", "vlg", "--out", str(tmp / "report.json")],
+        "gt.jsonl has no samples",
+    ),
+    "config-holds-an-array": (
+        lambda tmp: ["--config", _text_file(tmp, "config.json", "[1, 2]"),
+                     "decode", HEADS, "--out", str(tmp / "preds.jsonl")],
+        "config.json must hold a JSON object",
+    ),
 }
 
 
@@ -1422,6 +1481,17 @@ class TestExitCodes:
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         if case.startswith("config-"):
             assert not os.path.exists(argv[argv.index("--out") + 1])
+
+    def test_https_proxy_url_must_be_plain_http(self, tmp_path, monkeypatch, caplog):
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+        monkeypatch.setenv("HTTPS_PROXY", "https://proxy:3128")
+        with caplog.at_level(logging.ERROR):
+            assert cli.main(["synthesize", _ingest(tmp_path), "--out", str(tmp_path / "qa.jsonl"),
+                             "--base-url", "https://chat.example.invalid/v1"]) == 2
+        assert "unsupported https proxy 'https://proxy:3128'" in caplog.text
+        assert not (tmp_path / "qa.jsonl").exists()
 
     def test_unknown_flag_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import ssl
 import subprocess
 import sys
@@ -474,6 +475,79 @@ def test_http_proxy_from_environment_gets_absolute_form_request(server, monkeypa
     assert request["path"] == target + "/chat/completions"
     assert request["headers"]["Host"] == "chat.example.invalid:8080"
     assert request["headers"]["Proxy-Authorization"] == "Basic dXNlcjpwQHNz"
+
+
+class ConnectRelay:
+    """An HTTP proxy that answers each CONNECT with 200, then relays bytes
+    both ways between the client and the host:port it named until both sides
+    have closed, or either has been idle for 5 s. Each CONNECT's target and
+    headers are recorded. close() waits for every relay to end."""
+
+    def __init__(self):
+        self.connects: list[tuple[str, dict]] = []
+        owner = self
+
+        class Handler(BaseHTTPRequestHandler):
+            timeout = 5
+
+            def do_CONNECT(self):
+                owner.connects.append((self.path, dict(self.headers)))
+                host, _, port = self.path.rpartition(":")
+                with socket.create_connection((host, int(port)), timeout=5) as upstream:
+                    self.send_response(200)
+                    self.end_headers()
+                    back = threading.Thread(target=_pump, args=(upstream, self.connection))
+                    back.start()
+                    _pump(self.connection, upstream)
+                    back.join()
+                self.close_connection = True
+
+            def log_message(self, *args):
+                pass
+
+        class Server(ThreadingHTTPServer):
+            daemon_threads = False  # so server_close joins the relays
+
+        self.httpd = Server(("127.0.0.1", 0), Handler)
+        self.port = self.httpd.server_address[1]
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        self.thread.start()
+
+    def close(self):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join()
+
+
+def _pump(src, dst):
+    """Copy bytes from src to dst until src ends, then end dst's writes."""
+    try:
+        while data := src.recv(65536):
+            dst.sendall(data)
+        dst.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
+
+
+def test_https_proxy_from_environment_tunnels_with_one_connect(monkeypatch):
+    server, relay = ScriptedServer(tls=True), ConnectRelay()
+    try:
+        server.replies = [(200, CHAT_OK)]
+        monkeypatch.setenv("SSL_CERT_FILE", KEYCERT)
+        monkeypatch.setenv("HTTPS_PROXY", f"http://user:pw@127.0.0.1:{relay.port}")
+        with closing(HttpChatEndpoint(_config(server, retries=0))) as endpoint:
+            assert [endpoint.complete("hi") for _ in range(2)] == ["hello"] * 2
+        ((target, headers),) = relay.connects
+        assert target == f"127.0.0.1:{server.httpd.server_address[1]}"
+        assert headers["Proxy-Authorization"] == "Basic dXNlcjpwdw=="
+        assert [r["path"] for r in server.requests] == ["/v1/chat/completions"] * 2
+        assert all("Proxy-Authorization" not in r["headers"] for r in server.requests)
+        assert server.connections == 1
+    finally:
+        relay.close()
+        server.close()
 
 
 def test_https_verifies_with_the_default_context(monkeypatch):

@@ -158,6 +158,10 @@ class TestParseOpenqa:
         p = parse_openqa_completion('{"Q": "%s", "A": "%s"}' % (q, a))
         assert p.status == PARSE_OK
 
+    def test_blank_field_is_constraint(self):
+        p = parse_openqa_completion('{"Q": "   ", "A": "a cup"}')
+        assert (p.status, p.reason) == (PARSE_CONSTRAINT, "empty field")
+
     def test_no_object_is_malformed(self):
         p = parse_openqa_completion("I cannot answer that.")
         assert p.status == PARSE_MALFORMED
@@ -199,6 +203,10 @@ class TestParseCloseqa:
     def test_duplicate_distractors_is_constraint(self):
         p = parse_closeqa_completion('["a fork", "A   fork", "a spoon"]', "a cup")
         assert p.status == PARSE_CONSTRAINT
+
+    def test_empty_distractor_is_constraint(self):
+        p = parse_closeqa_completion('["", "a pan", "a lid"]', "a cup")
+        assert (p.status, p.reason) == (PARSE_CONSTRAINT, "empty distractor")
 
     def test_no_list_is_malformed(self):
         p = parse_closeqa_completion("Sorry, no.", "a cup")
