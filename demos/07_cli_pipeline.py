@@ -13,7 +13,7 @@ import sys
 import tempfile
 
 from egoqa.chunking import chunk_track
-from egoqa.cli import _iter_export_tracks
+from egoqa.jsonl_io import export_tracks
 from egoqa.endpoint import prompt_digest
 from egoqa.prompts import load_template, render_closeqa_prompt, render_openqa_prompt
 from egoqa.windows import compute_stats
@@ -52,7 +52,7 @@ def reject(unit: str, clip_uid: str, code: str, detail: str = "") -> None:
 
 def build_mock_fixture(export: dict) -> dict:
     """Key each scripted completion by the digest of its exact prompt."""
-    tracks = {t.clip_uid: t for t in _iter_export_tracks(export, "merge", reject)}
+    tracks = {t.clip_uid: t for t in export_tracks(export, "merge", reject)}
     stats = compute_stats(list(tracks.values()))
     openqa_t, closeqa_t = load_template("openqa_llama"), load_template("closeqa_llama")
     fixture = {}

@@ -4,8 +4,10 @@ Configuration resolves flags over environment variables (EGOQA_API_KEY,
 EGOQA_BASE_URL) over a JSON --config file. Exit codes: 0 success, 2 input
 validation failure, 3 endpoint failure, 4 internal invariant breach.
 
-Commands stream their inputs row by row; only per-clip state and small
-aggregates are held in memory.
+This module keeps the commands, their settings and the exit codes. Every
+input format, and every output header, is jsonl_io's. Commands stream
+their inputs row by row; only per-clip state and small aggregates are held
+in memory.
 
 Importing this module executes only core and jsonl_io of the package; every
 other package module executes when a command first uses it, so a command
@@ -22,12 +24,11 @@ import time
 import traceback
 from collections import Counter, deque
 from contextlib import closing
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .core import (
     EvalReport,
     InvariantBreach,
-    Narration,
     NarrationTrack,
     PredictionSet,
     QASample,
@@ -45,9 +46,9 @@ from .jsonl_io import (
     make_meta,
     pred_to_row,
     qa_to_row,
-    query_id_for,
-    read_first_row,
+    read_ground_truth,
     read_json_object,
+    read_narrations,
     read_rows,
     row_to_head,
     row_to_pred,
@@ -141,87 +142,6 @@ def _settle(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------- ingest
 
 
-def _pass_items(entry: Mapping[str, Any], pass_keys: tuple[str, ...]) -> list | None:
-    """The raw narration items of the selected passes; None if a pass is malformed.
-
-    A pass or its `narrations` that is absent or null holds no items; any
-    other pass must be an object and its `narrations` a list.
-    """
-    items: list = []
-    for key in pass_keys:
-        block = entry.get(key)
-        if block is None:
-            continue
-        if not isinstance(block, dict):
-            return None
-        narrations = block.get("narrations")
-        if narrations is None:
-            continue
-        if not isinstance(narrations, list):
-            return None
-        items.extend(narrations)
-    return items
-
-
-def _float(value: Any) -> float | None:
-    """A finite JSON number as a float; None if it is not one (a bool is
-    not), overflows a float, or is NaN or infinite."""
-    try:
-        return float(value) if type(value) in (int, float) and math.isfinite(value) else None
-    except OverflowError:
-        return None
-
-
-def _iter_export_tracks(
-    export: Mapping[str, Any], which_pass: str, reject: Callable[..., None]
-) -> Iterator[NarrationTrack]:
-    """Parse a raw narration export: {clip_uid: {duration_sec, narration_pass_*}}.
-
-    Narration-level problems reject the narration; clip-level problems
-    reject the clip. Both are reported through reject with a reason code.
-    """
-    pass_keys = tuple(f"narration_pass_{n}" for n in "12" if which_pass in (n, "merge"))
-
-    for clip_uid in sorted(export):
-        entry = export[clip_uid]
-        if not isinstance(entry, dict):
-            reject("clip", clip_uid, "not_an_object")
-            continue
-        duration = _float(entry.get("duration_sec"))
-        if duration is None or duration <= 0:
-            reject("clip", clip_uid, "bad_duration", repr(entry.get("duration_sec")))
-            continue
-        items = _pass_items(entry, pass_keys)
-        if items is None:
-            reject("clip", clip_uid, "bad_narration_pass")
-            continue
-        narrations = []
-        for item in items:
-            if not isinstance(item, dict):
-                reject("narration in", clip_uid, "not_an_object")
-                continue
-            text = item.get("narration_text")
-            t_s = _float(item.get("timestamp_sec"))
-            if not isinstance(text, str) or not text.strip():
-                reject("narration in", clip_uid, "empty_text")
-                continue
-            if t_s is None:
-                reject("narration in", clip_uid, "bad_timestamp")
-                continue
-            if t_s < 0:
-                reject("narration in", clip_uid, "negative_timestamp", str(t_s))
-                continue
-            if t_s > duration:
-                reject("narration in", clip_uid, "timestamp_after_end", f"{t_s} > {duration}")
-                continue
-            narrations.append(Narration(text=text.strip(), t_s=t_s))
-        if not narrations:
-            reject("clip", clip_uid, "no_usable_narrations")
-            continue
-        narrations.sort(key=lambda n: (n.t_s, n.text))
-        yield NarrationTrack(clip_uid, duration, tuple(narrations))
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     check_outputs(args.out, inputs=(args.config, args.input))
     rejects: Counter[str] = Counter()
@@ -232,16 +152,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             "ingest reject %s %s: %s%s", unit, clip_uid, code, f" ({detail})" if detail else ""
         )
 
-    first, sole = read_first_row(args.input)
-    keys = set(first or ())
-    if "_meta" in keys or {"clip_uid", "narrations"} <= keys:
-        tracks = (track for _, track in read_rows(args.input, row_to_track, "clip_uid"))
-    else:
-        # A one-line export was parsed whole by the sniff; anything else
-        # (a pretty-printed export, say) is loaded as one document.
-        if first is None or not sole:
-            first = read_json_object(args.input, "narration export")
-        tracks = _iter_export_tracks(first, args.narration_pass, reject)
+    tracks = read_narrations(args.input, args.narration_pass, reject)
 
     def valid_rows():
         written = 0
@@ -351,7 +262,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         count = write_jsonl(args.out, iter_sample_rows(write_record), meta)
     elapsed = max(time.monotonic() - start, 1e-9)
     if count:
-        write_json(stats_path, {"_meta": meta["_meta"], **builder.finalize()})
+        write_json(stats_path, builder.finalize(), meta)
     else:
         # No sample, no stats: an earlier run's stats file must not stay
         # beside this run's qa file.
@@ -424,12 +335,11 @@ def cmd_filter_blind(args: argparse.Namespace) -> int:
 
     kept = write_jsonl(args.out, iter_kept(), meta)
     write_json(report_path, {
-        "_meta": meta["_meta"],
         "total": len(rows),
         "removed": len(rows) - kept,
         "kept": kept,
         "rows": rows,
-    })
+    }, meta)
     log.info(
         "filter-blind: kept %d/%d samples (%d removed)",
         kept,
@@ -440,19 +350,6 @@ def cmd_filter_blind(args: argparse.Namespace) -> int:
 
 
 # ------------------------------------------------------------------ eval
-
-
-def _load_gt(path: str) -> dict[str, QASample]:
-    """Ground truth keyed by positional query id (clip_uid::ordinal)."""
-    gts: dict[str, QASample] = {}
-    per_clip: dict[str, int] = {}
-    for _, sample in read_rows(path, row_to_qa):
-        ordinal = per_clip.get(sample.clip_uid, 0)
-        per_clip[sample.clip_uid] = ordinal + 1
-        gts[query_id_for(sample.clip_uid, ordinal)] = sample
-    if not gts:
-        raise EmptyCorpus(f"{path} has no samples")
-    return gts
 
 
 def _load_preds(path: str, gts: Mapping[str, QASample]) -> dict[str, PredictionSet]:
@@ -479,9 +376,8 @@ def _answers(gts: Mapping[str, QASample], path: str) -> list[tuple[str, str]]:
     return [(preds[qid].answer_text, gts[qid].answer) for qid in sorted(gts)]
 
 
-def _report_doc(report: EvalReport, meta: Mapping[str, Any], task: str) -> dict[str, Any]:
+def _report_doc(report: EvalReport, task: str) -> dict[str, Any]:
     return {
-        "_meta": dict(meta["_meta"]),
         "task": task,
         "metadata": dict(report.metadata),
         "metrics": {
@@ -505,7 +401,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"--task {task} needs exactly {expected} prediction file(s), "
             f"got {len(args.predictions)}"
         )
-    gts = _load_gt(args.gt)
+    gts = read_ground_truth(args.gt)
 
     hashed_config = {"command": "eval", "task": task}
     meta = make_meta(hashed_config)
@@ -527,7 +423,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         report = metrics.closeqa_accuracy([_answers(gts, path) for path in args.predictions])
 
-    write_json(out, _report_doc(report, meta, task))
+    write_json(out, _report_doc(report, task), meta)
     for name in report.metrics:
         log.info("eval %s: %s = %s", task, name, report.render_percent(name))
     return EXIT_OK
@@ -563,7 +459,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 f"{args.tsv_dir}: cannot create directory: {exc.strerror}"
             ) from None
     meta = make_meta({"command": "stats"})
-    write_json(out, {"_meta": meta["_meta"], **doc})
+    write_json(out, doc, meta)
     for name, path in zip(stats.HISTOGRAMS, tsvs):
         with staged_writer(path) as f:
             f.write("\n".join(builder.tsv_lines(name)) + "\n")

@@ -91,8 +91,6 @@ class HttpClient:
         import ssl
         import urllib.request
 
-        if not config.base_url:
-            raise ValidationError(f"{type(self).__name__} requires a base_url")
         url = urllib.parse.urlsplit(config.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValidationError(

@@ -1,4 +1,4 @@
-"""Streaming JSONL persistence with deterministic metadata headers.
+"""Input formats and streaming JSONL persistence with deterministic headers.
 
 Every dataset file is UTF-8 JSON objects, one per line, preceded by a
 {"_meta": ...} header carrying the tool version, a configuration hash and
@@ -6,15 +6,18 @@ the seed. The header deliberately has no timestamp, and each command
 hashes only the settings that change its payload (never parallelism,
 timeouts or paths), so equal-configuration runs produce byte-identical
 files. Keys are sorted and separators compact, making the encoding
-canonical.
+canonical. The writers place the header and the readers skip it.
 
-Readers are generators: rows are decoded as they stream, so memory stays
-bounded by the largest row, not the corpus.
+Every input-format rule is here: the row decoders, the raw narration export
+(export_tracks), the narrations sniff (read_narrations) and the positional
+query ids of ground truth (read_ground_truth). Readers are generators: rows
+are decoded as they stream, so memory stays bounded by the largest row.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 from contextlib import contextmanager, suppress
@@ -156,10 +159,11 @@ def write_jsonl(
     return count
 
 
-def write_json(path: str, doc: Mapping[str, Any]) -> None:
-    """Write one canonical JSON document (stats, reports) atomically."""
+def write_json(path: str, doc: Mapping[str, Any], meta: Mapping[str, Any] | None = None) -> None:
+    """Write one canonical JSON document (stats, reports) atomically; with
+    meta, the header's key sits beside doc's."""
     with staged_writer(path) as f:
-        f.write(dumps_canonical(doc) + "\n")
+        f.write(dumps_canonical(doc if meta is None else {**meta, **doc}) + "\n")
 
 
 class _RepeatedKey(ValueError):
@@ -254,25 +258,6 @@ def read_rows(
                 raise SchemaMismatch(f"{where}: duplicate {unique} {key!r}")
             seen.add(key)
         yield where, value
-
-
-def read_first_row(path: str) -> tuple[dict[str, Any] | None, bool]:
-    """The first line as a JSON object (None when it is blank or not one),
-    and whether it is the file's only non-blank line. A repeated key is an
-    error in an export and a JSONL row alike, so it raises UnreadableInput."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            first = f.readline()
-            sole = not any(line.strip() for line in f)
-    except (OSError, ValueError) as exc:
-        raise UnreadableInput(f"cannot read {path}: {exc}") from exc
-    try:
-        row = _decode(first, f"{path}:1")
-    except UnreadableInput as exc:
-        if isinstance(exc.__cause__, _RepeatedKey):
-            raise
-        return None, sole
-    return (row if isinstance(row, dict) else None), sole
 
 
 def json_values(raw: str, opener: str) -> Iterator[Any]:
@@ -471,11 +456,127 @@ def row_to_head(
         return clip_uid, query_id, duration_s, heads
 
 
-def query_id_for(clip_uid: str, ordinal: int) -> str:
-    """Positional query id for ground-truth rows: '<clip_uid>::<k>'.
+def read_ground_truth(path: str) -> dict[str, QASample]:
+    """The samples of a ground-truth qa file keyed by positional query id:
+    '<clip_uid>::<k>' for the k-th sample of its clip (0-based, in file
+    order). Ground truth carries no ids, so prediction rows name these."""
+    gts: dict[str, QASample] = {}
+    ordinals: dict[str, int] = {}
+    for _, sample in read_rows(path, row_to_qa):
+        k = ordinals.get(sample.clip_uid, 0)
+        ordinals[sample.clip_uid] = k + 1
+        gts[f"{sample.clip_uid}::{k}"] = sample
+    if not gts:
+        raise EmptyCorpus(f"{path} has no samples")
+    return gts
 
-    Ground-truth files carry no explicit query ids; the k-th sample of a
-    clip (0-based, in file order) gets this id, and prediction files must
-    reference it.
+
+def read_narrations(
+    path: str, which_pass: str, reject: Callable[..., None]
+) -> Iterator[NarrationTrack]:
+    """The tracks of a narrations input in either format, which its first
+    line tells before any track is read: a header or track row makes it
+    narrations JSONL (read_rows, clip_uid unique); anything else makes it a
+    raw export for export_tracks, that line's object if no other line has
+    text, else the whole file (a pretty-printed export, say). A repeated key
+    on that line raises UnreadableInput, as it would in either format."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            first = f.readline()
+            sole = not any(line.strip() for line in f)
+    except (OSError, ValueError) as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = _decode(first, f"{path}:1")
+    except UnreadableInput as exc:
+        if isinstance(exc.__cause__, _RepeatedKey):
+            raise
+        doc = None
+    if isinstance(doc, dict) and ("_meta" in doc or {"clip_uid", "narrations"} <= doc.keys()):
+        return (track for _, track in read_rows(path, row_to_track, "clip_uid"))
+    if not (isinstance(doc, dict) and sole):
+        doc = read_json_object(path, "narration export")
+    return export_tracks(doc, which_pass, reject)
+
+
+def _pass_items(entry: Mapping[str, Any], pass_keys: tuple[str, ...]) -> list | None:
+    """The raw narration items of the selected passes; None if a pass is malformed.
+
+    A pass or its `narrations` that is absent or null holds no items; any
+    other pass must be an object and its `narrations` a list.
     """
-    return f"{clip_uid}::{ordinal}"
+    items: list = []
+    for key in pass_keys:
+        block = entry.get(key)
+        if block is None:
+            continue
+        if not isinstance(block, dict):
+            return None
+        narrations = block.get("narrations")
+        if narrations is None:
+            continue
+        if not isinstance(narrations, list):
+            return None
+        items.extend(narrations)
+    return items
+
+
+def _float(value: Any) -> float | None:
+    """A finite JSON number as a float; None if it is not one (a bool is
+    not), overflows a float, or is NaN or infinite."""
+    try:
+        return float(value) if type(value) in (int, float) and math.isfinite(value) else None
+    except OverflowError:
+        return None
+
+
+def export_tracks(
+    export: Mapping[str, Any], which_pass: str, reject: Callable[..., None]
+) -> Iterator[NarrationTrack]:
+    """Parse a raw narration export: {clip_uid: {duration_sec, narration_pass_*}}.
+
+    Tracks come in clip_uid order, from the passes which_pass ('1', '2' or
+    'merge') names. Narration-level problems reject the narration;
+    clip-level problems reject the clip. Both are reported through
+    reject(unit, clip_uid, reason code[, detail]).
+    """
+    pass_keys = tuple(f"narration_pass_{n}" for n in "12" if which_pass in (n, "merge"))
+
+    for clip_uid in sorted(export):
+        entry = export[clip_uid]
+        if not isinstance(entry, dict):
+            reject("clip", clip_uid, "not_an_object")
+            continue
+        duration = _float(entry.get("duration_sec"))
+        if duration is None or duration <= 0:
+            reject("clip", clip_uid, "bad_duration", repr(entry.get("duration_sec")))
+            continue
+        items = _pass_items(entry, pass_keys)
+        if items is None:
+            reject("clip", clip_uid, "bad_narration_pass")
+            continue
+        narrations = []
+        for item in items:
+            if not isinstance(item, dict):
+                reject("narration in", clip_uid, "not_an_object")
+                continue
+            text = item.get("narration_text")
+            t_s = _float(item.get("timestamp_sec"))
+            if not isinstance(text, str) or not text.strip():
+                reject("narration in", clip_uid, "empty_text")
+                continue
+            if t_s is None:
+                reject("narration in", clip_uid, "bad_timestamp")
+                continue
+            if t_s < 0:
+                reject("narration in", clip_uid, "negative_timestamp", str(t_s))
+                continue
+            if t_s > duration:
+                reject("narration in", clip_uid, "timestamp_after_end", f"{t_s} > {duration}")
+                continue
+            narrations.append(Narration(text=text.strip(), t_s=t_s))
+        if not narrations:
+            reject("clip", clip_uid, "no_usable_narrations")
+            continue
+        narrations.sort(key=lambda n: (n.t_s, n.text))
+        yield NarrationTrack(clip_uid, duration, tuple(narrations))

@@ -141,8 +141,9 @@ def _state_bound(hyp_count: dict, ref_count: dict, n: int, r: int) -> int:
     B(r) counts the subsets of r positions whose runs are all at least 2
     long. A word w found h_w times in the hypothesis and r_w times in the
     reference has S_w = sum of C(r_w, k) over k <= min(h_w - 1, r_w).
-    Past `_ALIGN_BUDGET` the product stops growing, so a value above the
-    budget says only that the bound exceeds it.
+    Each S_w is at most 2^r_w and the r_w sum to at most r, so for the
+    references of at most `_ALIGN_MAX_REF` tokens it is asked about, the
+    product is at most 2^20, below `_ALIGN_BUDGET`.
     """
     per_layer = 1
     for w, h in hyp_count.items():
@@ -150,8 +151,6 @@ def _state_bound(hyp_count: dict, ref_count: dict, n: int, r: int) -> int:
         for k in range(1, min(h - 1, rw) + 1):
             term = term * (rw - k + 1) // k  # C(rw, k)
             s_w += term
-            if per_layer * s_w > _ALIGN_BUDGET:
-                break
         per_layer *= s_w
     blocks = [1, 1, 2]  # B(0), B(1), B(2): subsets with every run >= 2 long
     while len(blocks) <= r:
@@ -375,8 +374,7 @@ def openqa_report(
     rouge = math.fsum(rouge_l_f(h, r) for h, r in pairs) / n
     meteor = math.fsum(meteor_exact(h, r) for h, r in pairs) / n
     return EvalReport(
-        metadata={"embedder": getattr(embedder, "name", type(embedder).__name__),
-                  "pairs": n},
+        metadata={"embedder": embedder.name, "pairs": n},
         metrics={
             "similarity": MetricValue(sim),
             "rouge_l": MetricValue(rouge),

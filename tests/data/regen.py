@@ -52,9 +52,9 @@ BENCH = os.path.join(HERE, "..", "..", "bench")
 sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
 
 from egoqa.chunking import chunk_track  # noqa: E402
-from egoqa.cli import _iter_export_tracks, main  # noqa: E402
+from egoqa.cli import main  # noqa: E402
 from egoqa.endpoint import prompt_digest  # noqa: E402
-from egoqa.jsonl_io import read_json_object  # noqa: E402
+from egoqa.jsonl_io import export_tracks, read_json_object  # noqa: E402
 from egoqa.prompts import (  # noqa: E402
     load_template,
     render_closeqa_prompt,
@@ -96,7 +96,7 @@ def reject(unit: str, clip_uid: str, code: str, detail: str = "") -> None:
 
 def write_mock_completions() -> str:
     export = read_json_object(os.path.join(HERE, "narration_export.json"), "narration export")
-    tracks = {t.clip_uid: t for t in _iter_export_tracks(export, "merge", reject)}
+    tracks = {t.clip_uid: t for t in export_tracks(export, "merge", reject)}
     stats = compute_stats(list(tracks.values()))
     openqa_template = load_template("openqa_llama")
     closeqa_template = load_template("closeqa_llama")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -304,6 +305,28 @@ class TestSynthesize:
         assert code == exit_code
         assert len(_read(out).splitlines()) == 1  # the header alone
         assert not os.path.exists(out + ".stats.json")
+
+    def test_stale_stats_that_cannot_be_removed_exits_2(self, tmp_path, monkeypatch, caplog):
+        narrations = _ingest(tmp_path)
+        code, out = self._synthesize(tmp_path, narrations)
+        stats = out + ".stats.json"
+        assert code == 0 and os.path.exists(stats)
+        remove = os.remove
+
+        def refuse(path):
+            # Root ignores permission bits, so the refusal is patched in.
+            if path == stats:
+                raise PermissionError(13, "Permission denied", path)
+            remove(path)
+
+        monkeypatch.setattr(os, "remove", refuse)
+        with caplog.at_level(logging.ERROR):
+            code = cli.main(["synthesize", narrations, "--out", out, "--seed", "7",
+                             "--mock", _text_file(tmp_path, "mock.json", '{"*": "no json here"}')])
+        assert code == 2
+        assert f"invalid input: {stats}: cannot remove output: Permission denied" in caplog.text
+        assert len(_read(out).splitlines()) == 1  # the header alone
+        assert os.path.exists(stats)
 
     @staticmethod
     def _dying_mock(tmp_path):
@@ -810,6 +833,28 @@ class TestConfigPrecedence:
             choices = tuple(json.loads(v.strip().strip("`")) for v in allowed.split(",") if v)
             assert choices == cli.CHOICES.get(name, ()), row
         assert sorted(names) == sorted(cli.DEFAULTS)
+
+    def test_each_default_is_the_library_default_it_stands_for(self):
+        """bench/gen.py scripts its mock fixture with chunk_track's defaults
+        while synthesize chunks with cli.DEFAULTS, so the two must agree."""
+        from egoqa.chunking import chunk_track
+        from egoqa.endpoint import EndpointConfig
+        from egoqa.localization import decode_windows
+
+        def library(fn):
+            return {n: p.default for n, p in inspect.signature(fn).parameters.items()}
+
+        config = EndpointConfig()
+        stands_for = {
+            **{name: library(chunk_track)[name] for name in ("max_sentences", "max_span_s")},
+            **{name: library(decode_windows)[name]
+               for name in ("score_threshold", "nms_iou", "top_k")},
+            **{name: getattr(config, name)
+               for name in ("model", "temperature", "max_tokens", "max_retries", "parallelism")},
+            "timeout": config.request_timeout_s,
+        }
+        for name, value in stands_for.items():
+            assert (type(cli.DEFAULTS[name]), cli.DEFAULTS[name]) == (type(value), value), name
 
     def test_config_file_used_by_main(self, tmp_path):
         config = tmp_path / "config.json"

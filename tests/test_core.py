@@ -114,6 +114,16 @@ class TestEvalReport:
         with pytest.raises(InvariantBreach):
             EvalReport({}, {"recall@1_iou0.3": MetricValue(1.5)})
 
+    @pytest.mark.parametrize("value, dispersion, what", [
+        (math.nan, None, "non-finite value nan"),
+        (0.5, math.inf, "non-finite dispersion"),
+    ])
+    def test_rejects_a_non_finite_value_or_dispersion(self, value, dispersion, what):
+        from egoqa.core import InvariantBreach
+
+        with pytest.raises(InvariantBreach, match=f"metric 'rouge_l' has {what}"):
+            EvalReport({}, {"rouge_l": MetricValue(value, dispersion)})
+
 
 class TestValidateTrack:
     def test_clean_track_has_no_violations(self):

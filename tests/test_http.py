@@ -14,6 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import egoqa.cli as cli
+from egoqa.core import ValidationError
 from egoqa.embedding import EmbedderUnavailable, HttpEmbedder
 from egoqa.endpoint import (
     EndpointConfig,
@@ -565,6 +566,13 @@ def test_https_verifies_with_the_default_context(monkeypatch):
         assert len(server.requests) == 3
     finally:
         server.close()
+
+
+def test_an_empty_base_url_fails_the_http_url_check():
+    # An empty base_url has the scheme "", so the http(s) check rejects it.
+    with pytest.raises(ValidationError) as info:
+        HttpChatEndpoint(EndpointConfig())
+    assert str(info.value) == "HttpChatEndpoint: base_url must be an http(s) URL, got ''"
 
 
 def _fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:

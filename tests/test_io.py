@@ -24,9 +24,9 @@ from egoqa.jsonl_io import (
     make_meta,
     pred_to_row,
     qa_to_row,
-    query_id_for,
-    read_first_row,
+    read_ground_truth,
     read_jsonl,
+    read_narrations,
     row_to_head,
     row_to_pred,
     row_to_qa,
@@ -41,7 +41,8 @@ from egoqa.localization import HeadOutputs
 
 def read_meta(path):
     """The header's _meta object, or None when the file has none."""
-    meta = (read_first_row(path)[0] or {}).get("_meta")
+    with open(path, encoding="utf-8") as f:
+        meta = json.loads(f.readline()).get("_meta")
     return meta if isinstance(meta, dict) else None
 
 
@@ -98,13 +99,16 @@ class TestRepeatedKeys:
         with pytest.raises(UnreadableInput, match=r"x\.jsonl:2: repeated key 'c'"):
             list(read_jsonl(str(path)))
 
-    def test_first_row_raises_rather_than_sniffing_none(self, tmp_path):
+    def test_narrations_sniff_raises_rather_than_reading_an_export(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1, "a": 2}\n{"b": 1}\n')
+        # The sniff runs at the call, before any track is asked for.
         with pytest.raises(UnreadableInput, match=r"x\.jsonl:1: repeated key 'a'"):
-            read_first_row(str(path))
+            read_narrations(str(path), "merge", print)
         path.write_text('{\n"a": 1}\n')
-        assert read_first_row(str(path)) == (None, False)
+        rejects = []
+        assert list(read_narrations(str(path), "merge", lambda *r: rejects.append(r))) == []
+        assert rejects == [("clip", "a", "not_an_object")]
 
 
 class TestWriteRead:
@@ -141,6 +145,8 @@ class TestWriteRead:
         write_json(path, {"b": 1, "a": "ü"})
         with open(path, encoding="utf-8") as f:
             assert f.read() == '{"a":"ü","b":1}\n'
+        write_json(path, {"b": 1}, make_meta({}, 3))
+        assert read_meta(path) == make_meta({}, 3)["_meta"]
         assert os.stat(path).st_mode == os.stat(plain).st_mode
         assert sorted(os.listdir(tmp_path)) == ["doc.json", "plain.txt"]
 
@@ -283,9 +289,18 @@ class TestCodecs:
             row_to_qa({"question": "Q?"}, where="qa.jsonl:17")
 
 
-def test_query_id_convention():
-    assert query_id_for("clip-a", 0) == "clip-a::0"
-    assert query_id_for("clip-a", 12) == "clip-a::12"
+def test_ground_truth_is_keyed_by_per_clip_ordinal(tmp_path):
+    path = str(tmp_path / "gt.jsonl")
+    samples = [QASample(clip, f"Q{i}?", "a", TemporalWindow(0, 1))
+               for i, clip in enumerate(["clip-a", "clip-b", "clip-a"] + ["clip-c"] * 13)]
+    write_jsonl(path, map(qa_to_row, samples), make_meta({}))
+    gts = read_ground_truth(path)
+    assert list(gts) == ["clip-a::0", "clip-b::0", "clip-a::1",
+                         *(f"clip-c::{k}" for k in range(13))]
+    assert list(gts.values()) == samples
+    write_jsonl(path, [], make_meta({}))
+    with pytest.raises(EmptyCorpus, match="gt.jsonl has no samples"):
+        read_ground_truth(path)
 
 
 def test_empty_corpus_error_importable():

@@ -1,8 +1,10 @@
 """Grounding recall, text metrics, and seeded accuracy."""
 from __future__ import annotations
 
+import inspect
 import math
 import random
+import sys
 import time
 from types import SimpleNamespace
 
@@ -252,6 +254,29 @@ class TestAlignment:
         assert capped_search_align(hyp.split(), ref.split()) is None
         assert metrics._align(hyp.split(), ref.split()) == (14, 4)
         assert _best_of_three_s(hyp, ref) <= 0.1
+
+    def test_a_stale_heap_entry_is_skipped(self):
+        # This pair reaches one state twice, the second time with more links,
+        # so the search pops the first entry after it went stale.
+        hyp, ref = "b c c a a b a a c b b".split(), "a b b a c c a".split()
+        lines, first = inspect.getsourcelines(metrics._max_links)
+        check = next(n for n, line in enumerate(lines) if "> links:" in line)
+        ran = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code is metrics._max_links.__code__ and event == "line":
+                ran.add(frame.f_lineno)
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            got = metrics._align(hyp, ref)
+        finally:
+            sys.settrace(previous)
+        assert lines[check + 1].strip() == "continue"
+        assert first + check + 1 in ran
+        assert got == oracle_align(tuple(hyp), tuple(ref)) == (7, 4)
 
     @pytest.mark.parametrize("alphabet", ["ab", "abc"])
     def test_random_pairs_up_to_20_tokens_score_within_100ms(self, alphabet):
