@@ -50,8 +50,6 @@ class FrequencyPriorAnswerer:
         scores = [self._counts[normalize_answer(c)] for c in choices]
         best = max(scores)
         tied = [i for i, s in enumerate(scores) if s == best]
-        if len(tied) == 1:
-            return choices[tied[0]]
         return choices[tied[derive_seed("freq-prior", seed, question) % len(tied)]]
 
     def sure_pick(self, normalized: Sequence[str]) -> str | None:

@@ -353,8 +353,9 @@ def cmd_filter_blind(args: argparse.Namespace) -> int:
 
 
 def _load_preds(path: str, gts: Mapping[str, QASample]) -> dict[str, PredictionSet]:
-    """Predictions keyed by query id. One for a ground-truth query must name
-    that query's clip; one for a query the ground truth lacks goes unscored."""
+    """Predictions keyed by query id; every ground-truth query must have one,
+    naming that query's clip. One for a query the ground truth lacks goes
+    unscored."""
     preds: dict[str, PredictionSet] = {}
     for where, pred in read_rows(path, row_to_pred, "query_id"):
         gt = gts.get(pred.query_id)
@@ -364,15 +365,15 @@ def _load_preds(path: str, gts: Mapping[str, QASample]) -> dict[str, PredictionS
                 f"{gt.clip_uid!r}, not {pred.clip_uid!r}"
             )
         preds[pred.query_id] = pred
+    missing = sorted(set(gts) - set(preds))
+    if missing:
+        raise metrics.MissingQuery(f"{path}: no predictions for queries: {missing}")
     return preds
 
 
 def _answers(gts: Mapping[str, QASample], path: str) -> list[tuple[str, str]]:
-    """(predicted, ground-truth) answers in query-id order; every query must be answered."""
+    """(predicted, ground-truth) answers in query-id order."""
     preds = _load_preds(path, gts)
-    missing = sorted(set(gts) - set(preds))
-    if missing:
-        raise metrics.MissingQuery(f"{path}: no predictions for queries: {missing}")
     return [(preds[qid].answer_text, gts[qid].answer) for qid in sorted(gts)]
 
 

@@ -10,7 +10,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from types import ModuleType
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 # Absolute tolerance for timestamp comparisons, in seconds. Narration
 # timestamps are sub-second floats; a fixed tolerance keeps invariant
@@ -95,10 +95,10 @@ class TemporalWindow:
 class QASample:
     """A question, its answer, and the grounding window within a clip.
 
-    wrong_answers, when present, holds exactly three distractors that are
-    pairwise distinct and distinct from the answer after normalization.
+    wrong_answers, when present, holds three distractors that pass
+    choice_forms with the answer, the one rule for a valid choice set.
     normalized then holds the normalized answer and distractors, in that
-    order, as the check computed them; it is None without distractors.
+    order, as choice_forms returns them; it is None without distractors.
     """
 
     clip_uid: str
@@ -128,17 +128,7 @@ class QASample:
         if self.wrong_answers is not None:
             wrong = tuple(self.wrong_answers)
             object.__setattr__(self, "wrong_answers", wrong)
-            if len(wrong) != 3:
-                raise ValidationError(
-                    f"wrong_answers must hold exactly 3 strings, got {len(wrong)}"
-                )
-            normed = (normalize_answer(self.answer), *map(normalize_answer, wrong))
-            if len(set(normed)) != 4:
-                raise ValidationError(
-                    "wrong_answers must be pairwise distinct and distinct from "
-                    "the answer after normalization"
-                )
-            object.__setattr__(self, "normalized", normed)
+            object.__setattr__(self, "normalized", choice_forms(self.answer, wrong))
 
 
 @dataclass(frozen=True)
@@ -248,6 +238,24 @@ def normalize_answer(text: str) -> str:
     idempotent.
     """
     return " ".join(text.lower().split()).rstrip(".,!?;: ")
+
+
+def choice_forms(answer: str, distractors: Sequence[str]) -> tuple[str, str, str, str]:
+    """The normalized answer and three distractors of a close-ended sample;
+    ValidationError names the first rule they break, in the order below."""
+    answer = normalize_answer(answer)
+    if not answer:
+        raise ValidationError("answer has no text after normalization")
+    if len(distractors) != 3:
+        raise ValidationError(f"wrong_answers must hold exactly 3 strings, got {len(distractors)}")
+    wrong = tuple(map(normalize_answer, distractors))
+    if len(set(wrong)) != 3:
+        raise ValidationError("duplicate distractor")
+    if answer in wrong:
+        raise ValidationError("distractor equals the correct answer")
+    if "" in wrong:
+        raise ValidationError("empty distractor")
+    return (answer, *wrong)
 
 
 def lazy_import(name: str) -> ModuleType:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .core import NarrationTrack, ValidationError, normalize_answer
+from .core import NarrationTrack, ValidationError, choice_forms
 from .jsonl_io import json_values
 
 if TYPE_CHECKING:
@@ -154,10 +154,11 @@ def parse_openqa_completion(raw: str) -> ParsedCompletion:
 def parse_closeqa_completion(raw: str, correct_answer: str) -> ParsedCompletion:
     """Extract the first well-formed 3-string list of distractors.
 
-    The correct answer is needed to enforce distinctness: any distractor that
-    normalizes equal to it, or to a sibling distractor, is a constraint
-    violation. Lists of the wrong arity are skipped; if none of the right
-    shape exists the completion is malformed.
+    The stripped list and the correct answer must pass core.choice_forms,
+    the rule QASample applies to wrong_answers: a list that breaks it is a
+    constraint violation with the rule's message as reason, such as "empty
+    distractor" for "?!". Lists of the wrong arity are skipped; if none of
+    the right shape exists the completion is malformed.
     """
     for value in json_values(raw, "["):
         if (
@@ -166,14 +167,9 @@ def parse_closeqa_completion(raw: str, correct_answer: str) -> ParsedCompletion:
             and all(isinstance(v, str) for v in value)
         ):
             distractors = tuple(v.strip() for v in value)
-            normed = [normalize_answer(d) for d in distractors]
-            if len(set(normed)) != 3:
-                return ParsedCompletion(PARSE_CONSTRAINT, reason="duplicate distractor")
-            if normalize_answer(correct_answer) in normed:
-                return ParsedCompletion(
-                    PARSE_CONSTRAINT, reason="distractor equals the correct answer"
-                )
-            if any(not d for d in distractors):
-                return ParsedCompletion(PARSE_CONSTRAINT, reason="empty distractor")
+            try:
+                choice_forms(correct_answer, distractors)
+            except ValidationError as exc:
+                return ParsedCompletion(PARSE_CONSTRAINT, reason=str(exc))
             return ParsedCompletion(PARSE_OK, distractors=distractors)
     return ParsedCompletion(PARSE_MALFORMED, reason="no 3-element string list")

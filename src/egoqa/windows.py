@@ -64,14 +64,10 @@ def compute_stats(tracks: Iterable[NarrationTrack]) -> CorpusTimingStats:
         if track.clip_uid in raw_beta:
             raise ValidationError(f"duplicate clip_uid {track.clip_uid!r}")
         ts = [n.t_s for n in track.narrations]
-        if len(ts) >= 2:
-            gaps = [b - a for a, b in zip(ts, ts[1:])]
-            beta = sum(gaps) / len(gaps)
-            # An all-zero-gap clip carries no pacing signal; treat like a
-            # single-narration clip rather than storing beta = 0.
-            raw_beta[track.clip_uid] = beta if beta > 0 else None
-        else:
-            raw_beta[track.clip_uid] = None
+        gaps = [b - a for a, b in zip(ts, ts[1:])]
+        beta = sum(gaps) / len(gaps) if gaps else 0.0
+        # No gap, or only zero gaps: no pacing signal, so beta falls back to alpha.
+        raw_beta[track.clip_uid] = beta if beta > 0 else None
 
     if not raw_beta:
         raise NoIntervalData("no clips")
@@ -81,16 +77,11 @@ def compute_stats(tracks: Iterable[NarrationTrack]) -> CorpusTimingStats:
             "no clip has >= 2 narrations with a positive mean interval"
         )
     alpha = sum(informative) / len(informative)
-
-    beta_by_clip: dict[str, float] = {}
-    fallback: set[str] = set()
-    for uid, beta in raw_beta.items():
-        if beta is None:
-            beta_by_clip[uid] = alpha
-            fallback.add(uid)
-        else:
-            beta_by_clip[uid] = beta
-    return CorpusTimingStats(alpha, beta_by_clip, frozenset(fallback))
+    return CorpusTimingStats(
+        alpha,
+        {uid: alpha if beta is None else beta for uid, beta in raw_beta.items()},
+        frozenset(uid for uid, beta in raw_beta.items() if beta is None),
+    )
 
 
 def narration_window(

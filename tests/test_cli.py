@@ -286,6 +286,26 @@ class TestSynthesize:
         rows = [json.loads(l) for l in _read(out).decode().splitlines()[1:]]
         assert rows and all("wrong_answers" not in r for r in rows)
 
+    def test_distractor_without_text_after_normalization_is_a_constraint_violation(
+        self, tmp_path
+    ):
+        from egoqa.endpoint import prompt_digest
+        from egoqa.prompts import load_template, render_closeqa_prompt
+
+        closeqa = render_closeqa_prompt("What did I hold?", "a cup", load_template("closeqa_llama"))
+        mock = _text_file(tmp_path, "mock.json", json.dumps({
+            "*": '{"Q": "What did I hold?", "A": "a cup"}',
+            prompt_digest(closeqa): '["?!", "a pan", "a lid"]',
+        }))
+        narrations = _narrations_file(tmp_path, ("c", [1.0, 3.0]))
+        out = str(tmp_path / "qa.jsonl")
+        assert cli.main(["synthesize", narrations, "--out", out, "--mock", mock]) == 0
+        records = [json.loads(l) for l in _read(out + ".records.jsonl").decode().splitlines()[1:]]
+        assert [(r["kind"], r["parse_status"], r.get("reason")) for r in records] == [
+            ("openqa", "ok", None), ("closeqa", "constraint_violation", "empty distractor")]
+        (sample,) = [json.loads(l) for l in _read(out).decode().splitlines()[1:]]
+        assert sample["answer"] == "a cup" and "wrong_answers" not in sample
+
     def test_empty_corpus_exits_2(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -1088,6 +1108,20 @@ MALFORMED_INPUTS = {
                      "--out", str(tmp / "kept.jsonl")],
         "qa.jsonl:1: bad qa sample",
     ),
+    # Every choice of a qa row must keep text after normalization: "" among
+    # the distractors, or "?" as the answer beside distractors, breaks the
+    # choice-set rule (an empty prediction would match that answer).
+    "filter-blind-empty-distractor": (
+        lambda tmp: ["filter-blind", _qa_file(tmp, wrong_answers=["in the sink", "", "a lid"]),
+                     "--out", str(tmp / "kept.jsonl")],
+        "qa.jsonl:1: bad qa sample: empty distractor",
+    ),
+    "eval-closeqa-answer-without-text": (
+        lambda tmp: ["eval", *[_pred_file(tmp, [], clip_uid="clip-a")] * 5,
+                     "--gt", _qa_file(tmp, answer="?"), "--task", "closeqa",
+                     "--out", str(tmp / "report.json")],
+        "qa.jsonl:1: bad qa sample: answer has no text after normalization",
+    ),
     "stats-window-overflows-float": (
         lambda tmp: ["stats", _qa_file(tmp, window=[TOO_BIG, 1]),
                      "--out", str(tmp / "stats.json")],
@@ -1153,6 +1187,12 @@ MALFORMED_INPUTS = {
         lambda tmp: ["eval", _pred_file(tmp, {}), "--gt", GT_VLG, "--task", "vlg",
                      "--out", str(tmp / "report.json")],
         "preds.jsonl:1: bad prediction set: windows must be an array, got dict",
+    ),
+    # Every task's predictions must answer every ground-truth query.
+    "eval-vlg-query-missing": (
+        lambda tmp: ["eval", _pred_file(tmp, []), "--gt", GT_VLG, "--task", "vlg",
+                     "--out", str(tmp / "report.json")],
+        "preds.jsonl: no predictions for queries: ['clip-e::0']",
     ),
     "eval-openqa-query-missing": (
         lambda tmp: ["eval", _pred_file(tmp, []), "--gt", GT_VLG, "--task", "openqa",

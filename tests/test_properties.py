@@ -1,6 +1,7 @@
 """Property tests for the decode path (greedy NMS against the scalar oracle,
 the HeadOutputs acceptance rule), the row decoders' and completion parsers'
-error contracts, shuffled choices against the choice-order definition, the
+error contracts, the distractor parser and QASample against one choice-set
+rule, shuffled choices against the choice-order definition, the
 frequency prior's blind-filter outcomes against the trial-by-trial protocol,
 answer normalization against its first, fixed-point form, and the canonical
 JSON encoder against json.dumps."""
@@ -26,7 +27,13 @@ from egoqa.jsonl_io import (
     row_to_track,
 )
 from egoqa.localization import HeadOutputs, LengthMismatch, decode_windows
-from egoqa.prompts import ParsedCompletion, parse_closeqa_completion, parse_openqa_completion
+from egoqa.prompts import (
+    PARSE_CONSTRAINT,
+    PARSE_OK,
+    ParsedCompletion,
+    parse_closeqa_completion,
+    parse_openqa_completion,
+)
 from egoqa.seeding import ORDERS, choice_heads, choice_seeds, derive_seed
 from egoqa.synthesis import shuffled_choices
 
@@ -287,6 +294,49 @@ def test_frequency_prior_outcomes_equal_the_naive_protocol(drawn, seeds):
     for reshuffle in (True, False):
         ((_, outcomes),) = filter_rows([sample], answerer, seeds, reshuffle)
         assert outcomes == _naive_outcomes(sample, answerer, seeds, reshuffle)
+
+
+# A choice in a drawn spelling, or one with no text after normalization:
+# blank, or punctuation alone.
+CHOICE = st.builds(lambda word, spelling: spelling[0] + spelling[1](word) + spelling[2],
+                   st.sampled_from(VOCAB[:4]), SPELLINGS) | st.sampled_from(["", " ", "?!", "..."])
+
+
+def first_broken_choice_rule(answer, distractors):
+    """The message of the first choice-set rule broken, or None."""
+    answer, *wrong = (fixed_point_normalize(t) for t in (answer, *distractors))
+    if not answer:
+        return "answer has no text after normalization"
+    if len(set(wrong)) != 3:
+        return "duplicate distractor"
+    if answer in wrong:
+        return "distractor equals the correct answer"
+    return "empty distractor" if "" in wrong else None
+
+
+# One rule decides a valid choice set: the distractor parser accepts a list
+# exactly when QASample accepts it, stripped, as wrong_answers, and both
+# name the same broken rule.
+@PROPERTY
+@given(answer=CHOICE.filter(str.strip), drawn=st.lists(CHOICE, min_size=3, max_size=3))
+@example(answer="a cup", drawn=["", "a pan", "a lid"])
+@example(answer="a cup", drawn=["?!", "a pan", "a lid"])
+@example(answer="?", drawn=["a pan", "a lid", "a jar"])
+def test_distractor_parser_and_qasample_apply_one_rule(answer, drawn):
+    want = first_broken_choice_rule(answer, drawn)
+    parsed = parse_closeqa_completion(json.dumps(drawn), answer)
+    assert (parsed.status, parsed.reason) == (
+        (PARSE_OK, None) if want is None else (PARSE_CONSTRAINT, want)
+    )
+    wrong = tuple(d.strip() for d in drawn)
+    if want is None:
+        sample = QASample("c", "Did I?", answer, TemporalWindow(0.0, 1.0), wrong_answers=wrong)
+        assert sample.normalized == tuple(map(fixed_point_normalize, (answer, *drawn)))
+        assert parsed.distractors == wrong
+    else:
+        with pytest.raises(ValidationError) as info:
+            QASample("c", "Did I?", answer, TemporalWindow(0.0, 1.0), wrong_answers=wrong)
+        assert str(info.value) == want
 
 
 # normalize_answer strips its tail in one rstrip; the fixed-point loop it
