@@ -22,10 +22,6 @@ from .seeding import choice_heads, choice_orders, choice_seeds, derive_seed
 TRIALS = 10
 
 
-class MissingDistractors(ValidationError):
-    """A sample submitted for blind filtering lacks its three distractors."""
-
-
 class BlindAnswerer(Protocol):
     """Text-only answerer: picks one of the shuffled choices for a question.
 
@@ -75,33 +71,11 @@ def trial_outcomes(
 ) -> tuple[bool, ...]:
     """One sample's outcomes from `filter_rows`; True marks a correct pick.
 
-    Takes exactly TRIALS seeds and raises MissingDistractors for a sample
+    Takes exactly TRIALS seeds and raises ValidationError for a sample
     without distractors, as `filter_rows` does.
     """
     ((_, outcomes),) = filter_rows((sample,), answerer, seeds, reshuffle_per_trial)
     return outcomes
-
-
-def _trials(
-    sample: QASample,
-    pool: tuple[str, ...],
-    answerer: BlindAnswerer,
-    seeds: Sequence[int],
-    orders: Sequence[Sequence[int]],
-) -> tuple[bool, ...]:
-    """The answerer's trials for one sample, trial t showing pool in orders[t].
-
-    The choices' normalized forms are the sample's own; only a pick outside
-    the choices is normalized on its own.
-    """
-    target = sample.normalized[0]
-    correct = {choice: normed == target for choice, normed in zip(pool, sample.normalized)}
-    outcomes = []
-    for seed, (a, b, c, d) in zip(seeds, orders):
-        pick = answerer.answer(sample.question, (pool[a], pool[b], pool[c], pool[d]), seed)
-        hit = correct.get(pick)
-        outcomes.append(normalize_answer(pick) == target if hit is None else hit)
-    return tuple(outcomes)
 
 
 def filter_rows(
@@ -112,12 +86,12 @@ def filter_rows(
 ) -> Iterator[tuple[QASample, tuple[bool, ...]]]:
     """Stream (sample, outcomes) pairs, one per input sample, in order.
 
-    outcomes[t] is True when the answerer picked the correct choice in the
-    trial with seeds[t], shown in the order of the sample's choice seed for
+    outcomes[t] is True when the answerer's pick normalizes to the answer in
+    the trial with seeds[t], shown in the order of the sample's choice seed for
     seeds[t] (for seeds[0] in every trial if reshuffle_per_trial is False).
     A sample is removed when every outcome is True. The seed count is
     checked before the first sample is read. A sample without distractors
-    raises MissingDistractors once the pairs before it are yielded; an
+    raises ValidationError once the pairs before it are yielded; an
     error from `samples` itself propagates as it is read. An answerer with a
     `sure_pick` method (FrequencyPriorAnswerer) gets each sample's normalized
     choices once; a pick it returns is that sample's pick in every trial.
@@ -131,7 +105,7 @@ def filter_rows(
     sure_pick = getattr(answerer, "sure_pick", None)
     for sample in samples:
         if sample.wrong_answers is None:
-            raise MissingDistractors(
+            raise ValidationError(
                 f"sample {sample.clip_uid!r}/{sample.question!r} has no distractors"
             )
         pick = sure_pick(sample.normalized) if sure_pick else None
@@ -142,4 +116,8 @@ def filter_rows(
             continue
         pool = (sample.answer, *sample.wrong_answers)
         orders = choice_orders(choice_seeds(sample, heads)) * repeat
-        yield sample, _trials(sample, pool, answerer, seeds, orders)
+        yield sample, tuple(
+            normalize_answer(answerer.answer(sample.question, [pool[i] for i in order], seed))
+            == sample.normalized[0]
+            for seed, order in zip(seeds, orders)
+        )

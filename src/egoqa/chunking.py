@@ -14,10 +14,6 @@ from .core import NarrationTrack, TemporalWindow, ValidationError
 from .windows import CorpusTimingStats, hull_window
 
 
-class EmptyTrack(ValidationError):
-    """Track has no narrations to chunk."""
-
-
 @dataclass(frozen=True)
 class NarrationChunk:
     """A run of consecutive narrations from one clip.
@@ -52,7 +48,7 @@ def chunk_track(
     if not max_span_s > 0:
         raise ValidationError(f"max_span_s must be > 0, got {max_span_s}")
     if not track.narrations:
-        raise EmptyTrack(f"clip {track.clip_uid!r} has no narrations")
+        raise ValidationError(f"clip {track.clip_uid!r} has no narrations")
 
     ts = [narration.t_s for narration in track.narrations]
     starts: list[int] = []

@@ -38,9 +38,7 @@ from .core import (
     validate_track,
 )
 from .jsonl_io import (
-    EmptyCorpus,
     SchemaMismatch,
-    UnwritableOutput,
     check_outputs,
     jsonl_writer,
     make_meta,
@@ -165,7 +163,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             yield track_to_row(track)
         if not written:
             reasons = ", ".join(f"{code}={n}" for code, n in sorted(rejects.items()))
-            raise EmptyCorpus(f"{args.input}: no usable clips (rejects: {reasons or 'none'})")
+            raise ValidationError(f"{args.input}: no usable clips (rejects: {reasons or 'none'})")
 
     meta = make_meta({"command": "ingest", "narration_pass": args.narration_pass})
     count = write_jsonl(args.out, valid_rows(), meta)
@@ -271,7 +269,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         except FileNotFoundError:
             pass
         except OSError as exc:
-            raise UnwritableOutput(f"{stats_path}: cannot remove output: {exc.strerror}") from None
+            raise ValidationError(f"{stats_path}: cannot remove output: {exc.strerror}") from None
     log.info(
         "synthesize: wrote %d samples to %s in %.2fs; parsed openqa %d/%d, closeqa %d/%d",
         count, args.out, elapsed,
@@ -367,7 +365,7 @@ def _load_preds(path: str, gts: Mapping[str, QASample]) -> dict[str, PredictionS
         preds[pred.query_id] = pred
     missing = sorted(set(gts) - set(preds))
     if missing:
-        raise metrics.MissingQuery(f"{path}: no predictions for queries: {missing}")
+        raise ValidationError(f"{path}: no predictions for queries: {missing}")
     return preds
 
 
@@ -446,7 +444,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for _, sample in read_rows(args.qa, row_to_qa):
         builder.add(sample)
     if builder.sample_count == 0:
-        raise EmptyCorpus(f"{args.qa} has no samples")
+        raise ValidationError(f"{args.qa} has no samples")
     if args.narrations:
         for track in _read_tracks(args.narrations):
             builder.add_narration_stats(len(track.narrations), track.duration_s)
@@ -456,7 +454,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         try:
             os.makedirs(args.tsv_dir, exist_ok=True)
         except OSError as exc:
-            raise UnwritableOutput(
+            raise ValidationError(
                 f"{args.tsv_dir}: cannot create directory: {exc.strerror}"
             ) from None
     meta = make_meta({"command": "stats"})

@@ -15,14 +15,9 @@ import math
 from collections import Counter
 from typing import Mapping, Protocol
 
-from .core import ServiceError
 from .endpoint import EndpointConfig, HttpClient
 
 TRIGRAM_DIM = 256
-
-
-class EmbedderUnavailable(ServiceError):
-    """Embedding backend failed after retries."""
 
 
 class Embedder(Protocol):
@@ -63,7 +58,6 @@ class TrigramEmbedder:
 class HttpEmbedder(HttpClient):
     """Client for a remote embedding endpoint at {base_url}/embeddings."""
 
-    unavailable = EmbedderUnavailable
     service = "embedding"
 
     def __init__(self, config: EndpointConfig, api_key: str | None = None):

@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 
 
 class EndpointUnavailable(ServiceError):
-    """Endpoint could not produce a completion after transport retries."""
+    """A chat or embedding endpoint failed after transport retries."""
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,11 @@ class HttpClient:
     once here; HTTPS verifies certificates against
     ssl.create_default_context(). Transport failures, non-2xx replies and
     malformed envelopes are retried at once, up to config.max_retries times,
-    then raised as `unavailable`; a failed attempt closes its connection.
+    then raised as EndpointUnavailable; a failed attempt closes its connection.
     The HTTP and TLS modules (http.client, ssl, urllib.request) are imported
     by the constructor, so a command that builds no client never loads them.
     """
 
-    unavailable: type[ServiceError]  # raised when every attempt failed
     service: str  # names the service in logs and errors
 
     def __init__(self, config: EndpointConfig, api_key: str | None = None):
@@ -194,7 +193,7 @@ class HttpClient:
             else:
                 self._idle.append(conn)
                 return reply
-        raise self.unavailable(
+        raise EndpointUnavailable(
             f"{self.service} endpoint failed after {attempts} attempts: {last_error}"
         )
 
@@ -226,7 +225,6 @@ def _chat_content(reply) -> str:
 class HttpChatEndpoint(HttpClient):
     """POSTs prompts to {base_url}/chat/completions."""
 
-    unavailable = EndpointUnavailable
     service = "chat"
 
     def complete(self, prompt: str) -> str:

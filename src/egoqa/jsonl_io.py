@@ -47,14 +47,6 @@ class SchemaMismatch(ValidationError):
     """A row decoded but does not match the expected record shape."""
 
 
-class EmptyCorpus(ValidationError):
-    """An input dataset contains no payload rows."""
-
-
-class UnwritableOutput(ValidationError):
-    """An output path that cannot be created or replaced."""
-
-
 # Canonical JSON: sorted keys, compact separators, raw UTF-8. One encoder
 # serves every writer; json.dumps with these options builds one per call.
 dumps_canonical: Callable[[Any], str] = json.JSONEncoder(
@@ -93,21 +85,21 @@ def staged_writer(path: str) -> Iterator[TextIO]:
     with open()'s usual mode (0666 & ~umask). On success it is renamed onto
     path; on any exception it is removed, so neither a partial target nor a
     stray temp file is left behind, and concurrent writers never collide.
-    UnwritableOutput names path when the temp file cannot be created or
+    ValidationError names path when the temp file cannot be created or
     renamed onto it; errors raised in the caller's block propagate unchanged.
     """
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         f = open(tmp, "x", encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise UnwritableOutput(f"{path}: cannot create output: {exc.strerror}") from None
+        raise ValidationError(f"{path}: cannot create output: {exc.strerror}") from None
     try:
         with f:
             yield f
         try:
             os.replace(tmp, path)
         except OSError as exc:
-            raise UnwritableOutput(f"{path}: cannot replace output: {exc.strerror}") from None
+            raise ValidationError(f"{path}: cannot replace output: {exc.strerror}") from None
     except BaseException:
         with suppress(OSError):
             os.remove(tmp)
@@ -115,7 +107,7 @@ def staged_writer(path: str) -> Iterator[TextIO]:
 
 
 def check_outputs(*paths: str, inputs: Iterable[str | None] = ()) -> None:
-    """Raise UnwritableOutput for the first path that is a directory, lies
+    """Raise ValidationError for the first path that is a directory, lies
     in a directory that does not exist, or names one of the inputs (None
     entries are skipped) or an earlier output again.
 
@@ -126,12 +118,12 @@ def check_outputs(*paths: str, inputs: Iterable[str | None] = ()) -> None:
     taken = dict.fromkeys(map(os.path.realpath, filter(None, inputs)), "both input and output")
     for path in paths:
         if os.path.isdir(path):
-            raise UnwritableOutput(f"{path}: cannot replace output: Is a directory")
+            raise ValidationError(f"{path}: cannot replace output: Is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
-            raise UnwritableOutput(f"{path}: cannot create output: No such file or directory")
+            raise ValidationError(f"{path}: cannot create output: No such file or directory")
         real = os.path.realpath(path)
         if real in taken:
-            raise UnwritableOutput(f"{path}: named as {taken[real]}")
+            raise ValidationError(f"{path}: named as {taken[real]}")
         taken[real] = "more than one output"
 
 
@@ -467,7 +459,7 @@ def read_ground_truth(path: str) -> dict[str, QASample]:
         ordinals[sample.clip_uid] = k + 1
         gts[f"{sample.clip_uid}::{k}"] = sample
     if not gts:
-        raise EmptyCorpus(f"{path} has no samples")
+        raise ValidationError(f"{path} has no samples")
     return gts
 
 

@@ -29,14 +29,6 @@ PROB_EPS = 1e-7
 DIST_SUM_TOL = 2e-6
 
 
-class LengthMismatch(ValidationError):
-    """Paired sequences have different lengths."""
-
-
-class NotADistribution(ValidationError):
-    """A row fails to be a probability distribution."""
-
-
 @dataclass(frozen=True, eq=False)
 class HeadOutputs:
     """Per-timestep relevance scores and boundary-distance offsets.
@@ -72,7 +64,7 @@ class HeadOutputs:
                 f"[left, right] pairs, got shapes {scores.shape} and {offsets.shape}"
             )
         if len(scores) != len(offsets):
-            raise LengthMismatch(f"{len(scores)} scores vs {len(offsets)} offsets")
+            raise ValidationError(f"{len(scores)} scores vs {len(offsets)} offsets")
         bad = ~((scores > 0.0) & (scores < 1.0))
         if bad.any():
             raise ValidationError(
@@ -123,7 +115,7 @@ class LabelAssignment:
 
     def __post_init__(self) -> None:
         if len(self.positives) != len(self.targets):
-            raise LengthMismatch("positives and targets must align")
+            raise ValidationError("positives and targets must align")
         for pos, target in zip(self.positives, self.targets):
             if pos != (target is not None):
                 raise InvariantBreach("targets must exist exactly at positives")
@@ -161,7 +153,7 @@ def focal_loss(
     p = np.asarray(scores, dtype=np.float64)
     y = np.asarray(positives, dtype=np.float64)
     if p.shape != y.shape or p.ndim != 1:
-        raise LengthMismatch(f"scores shape {p.shape} vs positives shape {y.shape}")
+        raise ValidationError(f"scores shape {p.shape} vs positives shape {y.shape}")
     if p.size == 0:
         raise ValidationError("focal_loss requires at least one timestep")
     p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
@@ -248,18 +240,18 @@ def token_cross_entropy(
     dists = np.asarray(pred_dists, dtype=np.float64)
     targets = np.asarray(target_ids, dtype=np.int64)
     if dists.ndim != 2:
-        raise NotADistribution("pred_dists must be a 2D array of rows")
+        raise ValidationError("pred_dists must be a 2D array of rows")
     if targets.ndim != 1 or dists.shape[0] != targets.shape[0]:
-        raise LengthMismatch(
+        raise ValidationError(
             f"{dists.shape[0]} distributions vs {targets.shape[0]} targets"
         )
     if dists.shape[0] == 0:
         raise ValidationError("token_cross_entropy requires at least one token")
     if np.any(targets < 0) or np.any(targets >= dists.shape[1]):
-        raise LengthMismatch("target id outside vocabulary")
+        raise ValidationError("target id outside vocabulary")
     sums = dists.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > DIST_SUM_TOL) or np.any(dists < -DIST_SUM_TOL):
-        raise NotADistribution("each row must be a probability distribution")
+        raise ValidationError("each row must be a probability distribution")
 
     n = dists.shape[0]
     p_target = np.clip(dists[np.arange(n), targets], PROB_EPS, 1.0)

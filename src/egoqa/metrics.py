@@ -42,18 +42,6 @@ M_VALUES = (0.3, 0.5)
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-class MissingQuery(ValidationError):
-    """Ground-truth queries lack prediction entries."""
-
-
-class RunLengthMismatch(ValidationError):
-    """Seeded accuracy runs disagree in count or length."""
-
-
-class EmptyEvaluation(ValidationError):
-    """No data to evaluate."""
-
-
 def iou_1d(a: TemporalWindow, b: TemporalWindow) -> float:
     """Interval intersection-over-union; 0 when the union has zero length."""
     inter = max(0.0, min(a.end_s, b.end_s) - max(a.start_s, b.start_s))
@@ -74,9 +62,9 @@ def vlg_recall(
     """
     missing = sorted(set(gts) - set(preds))
     if missing:
-        raise MissingQuery(f"no predictions for queries: {missing}")
+        raise ValidationError(f"no predictions for queries: {missing}")
     if not gts:
-        raise EmptyEvaluation("no ground-truth queries")
+        raise ValidationError("no ground-truth queries")
 
     hits = {(k, m): 0 for k in K_VALUES for m in M_VALUES}
     for query_id, gt in gts.items():
@@ -334,19 +322,29 @@ def closeqa_accuracy(runs: Sequence[Sequence[tuple[str, str]]]) -> EvalReport:
 
     Each run is a sequence of (predicted, correct) pairs over the same
     question set; a prediction counts when the normalized strings match.
-    Each distinct correct answer is normalized once, not once per run. The
+    Each distinct correct answer is normalized once, not once per run, and
+    must keep some text (else a blank prediction would match it). The
     mean is fsum(accuracies) / 5, the exact sum rounded once, over n (what
     statistics.fmean computes); the deviation is the two-pass
     sqrt(fsum((a - mean)^2) / 4).
     """
     if len(runs) != 5:
-        raise RunLengthMismatch(f"exactly 5 runs required, got {len(runs)}")
+        raise ValidationError(f"exactly 5 runs required, got {len(runs)}")
     lengths = {len(run) for run in runs}
     if len(lengths) != 1:
-        raise RunLengthMismatch(f"runs disagree in length: {sorted(lengths)}")
+        raise ValidationError(f"runs disagree in length: {sorted(lengths)}")
     if lengths == {0}:
-        raise EmptyEvaluation("runs contain no question pairs")
-    gold = lru_cache(maxsize=None)(normalize_answer)
+        raise ValidationError("runs contain no question pairs")
+
+    @lru_cache(maxsize=None)
+    def gold(correct: str) -> str:
+        form = normalize_answer(correct)
+        if not form:
+            raise ValidationError(
+                f"ground-truth answer {correct!r} has no text after normalization"
+            )
+        return form
+
     accuracies = [
         sum(1 for predicted, correct in run if normalize_answer(predicted) == gold(correct))
         / len(run)
@@ -368,7 +366,7 @@ def openqa_report(
     n (what statistics.fmean computes)."""
     pairs = list(pairs)
     if not pairs:
-        raise EmptyEvaluation("no hypothesis/reference pairs")
+        raise ValidationError("no hypothesis/reference pairs")
     n = len(pairs)
     sim = math.fsum(sentence_similarity(h, r, embedder) for h, r in pairs) / n
     rouge = math.fsum(rouge_l_f(h, r) for h, r in pairs) / n

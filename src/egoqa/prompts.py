@@ -27,10 +27,6 @@ PARSE_MALFORMED = "malformed"
 PARSE_CONSTRAINT = "constraint_violation"
 
 
-class TemplateMismatch(ValidationError):
-    """Template and arguments do not fit together."""
-
-
 @dataclass(frozen=True)
 class PromptTemplate:
     template_id: str
@@ -38,15 +34,15 @@ class PromptTemplate:
 
     def __post_init__(self) -> None:
         if self.template_id not in TEMPLATE_IDS:
-            raise TemplateMismatch(f"unknown template id {self.template_id!r}")
+            raise ValidationError(f"unknown template id {self.template_id!r}")
         if self.template_id.startswith("openqa"):
             # The openqa templates also mention "<question>"/"<answer>" in
             # their format description; only <narrations> is a fill slot.
             if self.text.count("<narrations>") != 1:
-                raise TemplateMismatch("openqa template needs one <narrations> slot")
+                raise ValidationError("openqa template needs one <narrations> slot")
         else:
             if self.text.count("<question>") != 1 or self.text.count("<answer>") != 1:
-                raise TemplateMismatch(
+                raise ValidationError(
                     "closeqa template needs one <question> and one <answer> slot"
                 )
 
@@ -54,7 +50,7 @@ class PromptTemplate:
 def load_template(template_id: str) -> PromptTemplate:
     """Load a bundled template by id."""
     if template_id not in TEMPLATE_IDS:
-        raise TemplateMismatch(
+        raise ValidationError(
             f"unknown template id {template_id!r}; expected one of {TEMPLATE_IDS}"
         )
     path = resources.files("egoqa").joinpath("templates", f"{template_id}.txt")
@@ -66,19 +62,19 @@ def render_openqa_prompt(
 ) -> str:
     """Splice the chunk's narration sentences into an openqa template."""
     if not template.template_id.startswith("openqa"):
-        raise TemplateMismatch(
+        raise ValidationError(
             f"render_openqa_prompt needs an openqa template, got {template.template_id}"
         )
     if chunk.clip_uid != track.clip_uid:
-        raise TemplateMismatch(
+        raise ValidationError(
             f"chunk belongs to {chunk.clip_uid!r}, not {track.clip_uid!r}"
         )
     for i in chunk.members:
         if not 0 <= i < len(track.narrations):
-            raise TemplateMismatch(f"member index {i} outside track")
+            raise ValidationError(f"member index {i} outside track")
     joined = " ".join(track.narrations[i].text.strip() for i in chunk.members)
     if not joined:
-        raise TemplateMismatch("chunk has no narration text")
+        raise ValidationError("chunk has no narration text")
     head, tail = template.text.split("<narrations>")
     return head + joined + tail
 
@@ -88,11 +84,11 @@ def render_closeqa_prompt(
 ) -> str:
     """Splice a question/answer pair into the distractor-generation template."""
     if template.template_id != "closeqa_llama":
-        raise TemplateMismatch(
+        raise ValidationError(
             f"render_closeqa_prompt needs the closeqa template, got {template.template_id}"
         )
     if not question.strip() or not answer.strip():
-        raise TemplateMismatch("question and answer must be non-empty")
+        raise ValidationError("question and answer must be non-empty")
     head, rest = template.text.split("<question>")
     mid, tail = rest.split("<answer>")
     return head + question + mid + answer + tail

@@ -18,10 +18,6 @@ class NoIntervalData(ValidationError):
     """No track, or none with two or more narrations and a positive gap."""
 
 
-class UnknownClip(ValidationError):
-    """Requested clip_uid is absent from the timing statistics."""
-
-
 @dataclass(frozen=True)
 class CorpusTimingStats:
     """alpha plus the per-clip beta values.
@@ -106,7 +102,7 @@ def hull_window(
     allows; one inside the tolerance is clamped into the clip first.
     """
     if clip_uid not in stats.beta_by_clip:
-        raise UnknownClip(f"clip {clip_uid!r} absent from timing statistics")
+        raise ValidationError(f"clip {clip_uid!r} absent from timing statistics")
     for t in ts:
         if not -TIME_EPS <= t <= duration_s + TIME_EPS:
             raise ValidationError(

@@ -26,7 +26,6 @@ from egoqa.core import (
     normalize_answer,
 )
 from egoqa.jsonl_io import SchemaMismatch
-from egoqa.localization import LengthMismatch
 
 
 def interval_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -344,7 +343,7 @@ def nested_head_arrays(scores_in: Any, offsets_in: Any) -> tuple[np.ndarray, np.
             f"[left, right] pairs, got shapes {scores.shape} and {offsets.shape}"
         )
     if len(scores) != len(offsets):
-        raise LengthMismatch(f"{len(scores)} scores vs {len(offsets)} offsets")
+        raise ValidationError(f"{len(scores)} scores vs {len(offsets)} offsets")
     bad = ~((scores > 0.0) & (scores < 1.0))
     if bad.any():
         raise ValidationError(f"scores must lie strictly in (0, 1), got {float(scores[bad][0])}")

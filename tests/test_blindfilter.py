@@ -12,7 +12,6 @@ import egoqa.blindfilter as blindfilter
 from egoqa.blindfilter import (
     TRIALS,
     FrequencyPriorAnswerer,
-    MissingDistractors,
     UniformRandomAnswerer,
     filter_rows,
     trial_outcomes,
@@ -81,7 +80,7 @@ def test_trial_outcomes_length_and_determinism():
 
 def test_trial_outcomes_requires_distractors():
     s = QASample("c1", "Did I?", "yes", TemporalWindow(0, 1), split="test")
-    with pytest.raises(MissingDistractors):
+    with pytest.raises(ValidationError, match="has no distractors"):
         trial_outcomes(s, UniformRandomAnswerer(), SEEDS)
 
 
@@ -243,7 +242,7 @@ def test_missing_distractors_mid_block_raises_after_earlier_rows():
     samples = _corpus(276)
     samples[261] = QASample("bad", "Q?", "yes", TemporalWindow(0, 1), split="test")
     seen = []
-    with pytest.raises(MissingDistractors):
+    with pytest.raises(ValidationError, match="has no distractors"):
         for sample, _ in filter_rows(samples, ChoiceRecorder(), SEEDS):
             seen.append(sample)
     assert seen == samples[:261]

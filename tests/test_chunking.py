@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egoqa.chunking import EmptyTrack, NarrationChunk, chunk_track
+from egoqa.chunking import NarrationChunk, chunk_track
 from egoqa.core import TIME_EPS, TemporalWindow, ValidationError
 from egoqa.windows import compute_stats, narration_window
 
@@ -63,7 +63,7 @@ def test_chunk_span_is_hull_of_member_windows():
 
 def test_empty_track_raises():
     stats = _stats_for(make_track("b", 10.0, [1, 5]))
-    with pytest.raises(EmptyTrack):
+    with pytest.raises(ValidationError, match="clip 'a' has no narrations"):
         chunk_track(make_track("a", 10.0, []), stats)
 
 

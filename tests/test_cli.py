@@ -1122,6 +1122,19 @@ MALFORMED_INPUTS = {
                      "--out", str(tmp / "report.json")],
         "qa.jsonl:1: bad qa sample: answer has no text after normalization",
     ),
+    # Without distractors the choice-set rule does not apply, yet an empty
+    # prediction would still match an answer that has no text.
+    "eval-closeqa-answer-without-text-no-distractors": (
+        lambda tmp: ["eval", *[_text_file(tmp, "preds.jsonl", "".join(
+                         json.dumps({"clip_uid": "clip-a", "query_id": f"clip-a::{k}",
+                                     "windows": []}) + "\n" for k in range(2)))] * 5,
+                     "--gt", _text_file(tmp, "gt.jsonl", "".join(
+                         json.dumps({**json.loads(QA_ROW), "answer": answer,
+                                     "wrong_answers": None}) + "\n"
+                         for answer in ("?", "on the mat"))),
+                     "--task", "closeqa", "--out", str(tmp / "report.json")],
+        "ground-truth answer '?' has no text after normalization",
+    ),
     "stats-window-overflows-float": (
         lambda tmp: ["stats", _qa_file(tmp, window=[TOO_BIG, 1]),
                      "--out", str(tmp / "stats.json")],

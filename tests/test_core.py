@@ -1,11 +1,16 @@
-"""Value-type validation and the answer normalization contract."""
+"""Value-type validation, the answer normalization contract, and the error
+classes."""
 from __future__ import annotations
 
+import ast
+import builtins
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import egoqa
 from egoqa.core import (
     EvalReport,
     MetricValue,
@@ -195,3 +200,35 @@ class TestNormalizeAnswer:
             raw = "".join(rng.choice(alphabet) for _ in range(n))
             once = normalize_answer(raw)
             assert normalize_answer(once) == once
+
+
+EXIT_CODE_ERRORS = {"EgoqaError", "ValidationError", "ServiceError", "InvariantBreach"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The class names an expression mentions: `X`, `module.X`, or a tuple of them."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_each_exception_class_is_an_exit_code_base_or_caught():
+    # The exit codes come from core's bases; a subclass earns its place only
+    # where some except clause in the package acts on it.
+    package = pathlib.Path(egoqa.__file__).parent
+    nodes = [node for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+    caught = set().union(*(_names(n.type) for n in nodes
+                           if isinstance(n, ast.ExceptHandler) and n.type))
+    bases = {n.name: set().union(*map(_names, n.bases))
+             for n in nodes if isinstance(n, ast.ClassDef)}
+    errors = {name for name, obj in vars(builtins).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)}
+    grown = True
+    while grown:
+        found = {name for name, parents in bases.items() if parents & errors}
+        grown = not found <= errors
+        errors |= found
+    defined = errors & bases.keys()
+    assert EXIT_CODE_ERRORS <= defined
+    stray = defined - caught - EXIT_CODE_ERRORS
+    assert not stray, f"error classes no except clause names: {sorted(stray)}"

@@ -15,7 +15,7 @@ import pytest
 
 import egoqa.cli as cli
 from egoqa.core import ValidationError
-from egoqa.embedding import EmbedderUnavailable, HttpEmbedder
+from egoqa.embedding import HttpEmbedder
 from egoqa.endpoint import (
     EndpointConfig,
     EndpointUnavailable,
@@ -208,7 +208,7 @@ def test_chat_raises_unavailable_after_every_attempt_fails(server):
 def test_embedder_raises_unavailable_after_every_attempt_fails(server):
     server.replies = [(200, {"data": [{"embedding": [0.0, 0.0]}]})]
     with closing(HttpEmbedder(_config(server, retries=1))) as embedder, \
-            pytest.raises(EmbedderUnavailable, match="2 attempts"):
+            pytest.raises(EndpointUnavailable, match="2 attempts"):
         embedder.embed("hi")
     assert len(server.requests) == 2
 
@@ -417,7 +417,14 @@ def test_threads_share_the_idle_stack_without_losing_or_sharing_a_connection(ser
     server.replies = [(200, CHAT_OK)]
     with closing(HttpChatEndpoint(_config(server, retries=0))) as endpoint:
         opened, open_connection = [], endpoint._open
-        endpoint._open = lambda *a, **kw: opened.append(open_connection(*a, **kw)) or opened[-1]
+
+        def record_open(*args, **kwargs):
+            # returns its own connection: opened[-1] may be another thread's
+            conn = open_connection(*args, **kwargs)
+            opened.append(conn)
+            return conn
+
+        endpoint._open = record_open
         threads, per_thread, replies = 8, 25, []
 
         def work():

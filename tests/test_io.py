@@ -13,12 +13,11 @@ from egoqa.core import (
     PredictionSet,
     QASample,
     TemporalWindow,
+    ValidationError,
 )
 from egoqa.jsonl_io import (
-    EmptyCorpus,
     SchemaMismatch,
     UnreadableInput,
-    UnwritableOutput,
     config_hash,
     dumps_canonical,
     make_meta,
@@ -164,11 +163,11 @@ class TestWriteRead:
 
     def test_staged_writer_names_target_it_cannot_write(self, tmp_path):
         missing = str(tmp_path / "absent" / "x.tsv")
-        with pytest.raises(UnwritableOutput, match="absent/x.tsv: cannot create output"):
+        with pytest.raises(ValidationError, match="absent/x.tsv: cannot create output"):
             with staged_writer(missing):
                 pass
         (tmp_path / "dir").mkdir()
-        with pytest.raises(UnwritableOutput, match="dir: cannot replace output"):
+        with pytest.raises(ValidationError, match="dir: cannot replace output"):
             with staged_writer(str(tmp_path / "dir")) as f:
                 f.write("x\n")
         # an error inside the block is the caller's, not the writer's
@@ -299,10 +298,6 @@ def test_ground_truth_is_keyed_by_per_clip_ordinal(tmp_path):
                          *(f"clip-c::{k}" for k in range(13))]
     assert list(gts.values()) == samples
     write_jsonl(path, [], make_meta({}))
-    with pytest.raises(EmptyCorpus, match="gt.jsonl has no samples"):
+    with pytest.raises(ValidationError, match="gt.jsonl has no samples"):
         read_ground_truth(path)
 
-
-def test_empty_corpus_error_importable():
-    # the class is the documented contract for "file had no payload rows"
-    assert issubclass(EmptyCorpus, Exception)

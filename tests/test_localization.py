@@ -10,8 +10,6 @@ from egoqa.core import InvariantBreach, TemporalWindow, ValidationError
 from egoqa.localization import (
     HeadOutputs,
     LabelAssignment,
-    LengthMismatch,
-    NotADistribution,
     assign_labels,
     combine_losses,
     decode_windows,
@@ -63,7 +61,7 @@ class TestFocalLoss:
                 _check_grad(grad[i], numeric)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValidationError, match="scores shape"):
             focal_loss([0.5, 0.5], [True])
 
     def test_empty_rejected(self):
@@ -148,11 +146,11 @@ class TestTokenCrossEntropy:
                 _check_grad(grad[r, t], numeric)
 
     def test_rejects_non_distribution(self):
-        with pytest.raises(NotADistribution):
+        with pytest.raises(ValidationError, match="each row must be a probability distribution"):
             token_cross_entropy([[0.5, 0.3]], [0])
 
     def test_rejects_target_out_of_vocab(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValidationError, match="target id outside vocabulary"):
             token_cross_entropy([[0.5, 0.5]], [2])
 
     def test_tolerates_fd_sized_probe(self):

@@ -14,12 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from egoqa import metrics
-from egoqa.core import InvariantBreach, PredictionSet, TemporalWindow
+from egoqa.core import InvariantBreach, PredictionSet, TemporalWindow, ValidationError
 from egoqa.embedding import TrigramEmbedder
 from egoqa.metrics import (
-    EmptyEvaluation,
-    MissingQuery,
-    RunLengthMismatch,
     closeqa_accuracy,
     iou_1d,
     meteor_exact,
@@ -108,11 +105,11 @@ class TestVlgRecall:
     def test_missing_query_rejected(self):
         gts = {"c::0": TemporalWindow(2, 8), "c::1": TemporalWindow(1, 4)}
         preds = {"c::0": _pred("c::0", [(2, 8, 0.9)])}
-        with pytest.raises(MissingQuery):
+        with pytest.raises(ValidationError, match=r"no predictions for queries: \['c::1'\]"):
             vlg_recall(preds, gts)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyEvaluation):
+        with pytest.raises(ValidationError, match="no ground-truth queries"):
             vlg_recall({}, {})
 
     def test_extra_predictions_ignored(self):
@@ -376,18 +373,24 @@ class TestCloseqaAccuracy:
         assert accuracy.dispersion == 0.0
 
     def test_run_count_enforced(self):
-        with pytest.raises(RunLengthMismatch):
+        with pytest.raises(ValidationError, match="exactly 5 runs required, got 3"):
             closeqa_accuracy(self._runs([0.4, 0.4, 0.4]))
 
     def test_equal_lengths_enforced(self):
         runs = self._runs([0.4] * 5)
         runs[2] = runs[2][:-1]
-        with pytest.raises(RunLengthMismatch):
+        with pytest.raises(ValidationError, match="runs disagree in length"):
             closeqa_accuracy(runs)
 
     def test_empty_runs_rejected(self):
-        with pytest.raises(EmptyEvaluation):
+        with pytest.raises(ValidationError, match="runs contain no question pairs"):
             closeqa_accuracy([[], [], [], [], []])
+
+    def test_correct_answer_without_text_rejected(self):
+        # Else the blank predictions would score 50% against "?".
+        runs = [[("", "?"), ("", "on the mat")] for _ in range(5)]
+        with pytest.raises(ValidationError, match=r"ground-truth answer '\?' has no text"):
+            closeqa_accuracy(runs)
 
     def test_each_correct_answer_normalized_once(self, monkeypatch):
         calls = []
@@ -428,7 +431,7 @@ class TestOpenqaReport:
         assert report.metrics["similarity"].value == pytest.approx(1.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyEvaluation):
+        with pytest.raises(ValidationError, match="no hypothesis/reference pairs"):
             openqa_report([], TrigramEmbedder())
 
     @settings(max_examples=200, deadline=None)

@@ -6,13 +6,12 @@ import os
 import pytest
 
 from egoqa.chunking import NarrationChunk
-from egoqa.core import Narration, NarrationTrack, TemporalWindow
+from egoqa.core import Narration, NarrationTrack, TemporalWindow, ValidationError
 from egoqa.prompts import (
     PARSE_CONSTRAINT,
     PARSE_MALFORMED,
     PARSE_OK,
     PromptTemplate,
-    TemplateMismatch,
     load_template,
     parse_closeqa_completion,
     parse_openqa_completion,
@@ -45,7 +44,7 @@ class TestTemplates:
             assert not t.text.endswith("\n")
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(TemplateMismatch):
+        with pytest.raises(ValidationError, match="unknown template id 'nope'"):
             load_template("nope")
 
     def test_openqa_keeps_format_descriptor_literal(self):
@@ -56,9 +55,9 @@ class TestTemplates:
             assert '{"Q": <question>, "A": <answer>}' in text
 
     def test_slot_count_validation(self):
-        with pytest.raises(TemplateMismatch):
+        with pytest.raises(ValidationError, match="openqa template needs one <narrations> slot"):
             PromptTemplate("openqa_llama", "no slot here")
-        with pytest.raises(TemplateMismatch):
+        with pytest.raises(ValidationError, match="closeqa template needs one <question>"):
             PromptTemplate("closeqa_llama", "only <question> present")
 
 
@@ -87,12 +86,12 @@ class TestRenderOpenqa:
     def test_clip_mismatch_rejected(self):
         chunk, track = _sink_track()
         other = NarrationTrack("other", 30.0, track.narrations)
-        with pytest.raises(TemplateMismatch):
+        with pytest.raises(ValidationError, match="not 'other'"):
             render_openqa_prompt(chunk, other, load_template("openqa_llama"))
 
     def test_wrong_template_kind_rejected(self):
         chunk, track = _sink_track()
-        with pytest.raises(TemplateMismatch):
+        with pytest.raises(ValidationError, match="render_openqa_prompt needs an openqa template"):
             render_openqa_prompt(chunk, track, load_template("closeqa_llama"))
 
 
@@ -111,7 +110,7 @@ class TestRenderCloseqa:
         assert rendered.count("<question> marks") == 1
 
     def test_blank_question_rejected(self):
-        with pytest.raises(TemplateMismatch):
+        with pytest.raises(ValidationError, match="question and answer must be non-empty"):
             render_closeqa_prompt("  ", "x", load_template("closeqa_llama"))
 
 

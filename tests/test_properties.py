@@ -26,7 +26,7 @@ from egoqa.jsonl_io import (
     row_to_qa,
     row_to_track,
 )
-from egoqa.localization import HeadOutputs, LengthMismatch, decode_windows
+from egoqa.localization import HeadOutputs, decode_windows
 from egoqa.prompts import (
     PARSE_CONSTRAINT,
     PARSE_OK,
@@ -110,7 +110,7 @@ def test_head_outputs_rejects_unequal_lengths(scores, offsets):
     if len(scores) == len(offsets):
         HeadOutputs(scores, offsets)
     else:
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValidationError, match=f"^{len(scores)} scores vs {len(offsets)} "):
             HeadOutputs(scores, offsets)
 
 

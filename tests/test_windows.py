@@ -8,7 +8,6 @@ from egoqa.core import TemporalWindow, ValidationError
 from egoqa.windows import (
     CorpusTimingStats,
     NoIntervalData,
-    UnknownClip,
     compute_stats,
     narration_window,
 )
@@ -90,7 +89,7 @@ def test_duplicate_clip_uid_rejected():
 
 def test_unknown_clip_rejected():
     stats = compute_stats([make_track("a", 10.0, [1, 5])])
-    with pytest.raises(UnknownClip):
+    with pytest.raises(ValidationError, match="clip 'zzz' absent from timing statistics"):
         narration_window(3.0, "zzz", stats, 10.0)
 
 
