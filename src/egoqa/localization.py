@@ -6,8 +6,10 @@ cross-entropy, the 0.5/0.5 grounding/answering loss combination, label
 assignment for a per-timestep classification + regression head, and greedy
 NMS decoding.
 
-HeadOutputs validation and NMS decoding run as array operations that
-repeat the scalar definitions' arithmetic in the same order, so decoded
+HeadOutputs validation runs as array operations. NMS decoding partially
+selects and sorts the best candidates, scans them in Python floats, and
+drops the rest that taken windows suppress in array passes. Every path
+repeats the scalar definitions' arithmetic in the same order, so decoded
 windows equal the scalar greedy NMS bit for bit.
 """
 from __future__ import annotations
@@ -326,33 +328,67 @@ def decode_windows(
     """Greedy hard NMS over per-timestep boundary candidates.
 
     Timestep t proposes ((t - left) * step, (t + right) * step) seconds,
-    clamped to the clip. Candidates under score_threshold are dropped;
-    survivors are taken best-first, suppressing any candidate with IoU >=
-    nms_iou against an already-taken window, until top_k are chosen. Ties
-    rank by earlier start, then lower timestep index. IoU is computed as
-    metrics.iou_1d does.
+    clamped to the clip; a bound that overflows to +-inf clamps like any
+    other. Candidates under score_threshold are dropped; survivors are taken
+    best-first, suppressing any candidate with IoU >= nms_iou against an
+    already-taken window, until top_k are chosen. Ties rank by earlier
+    start, then lower timestep index. IoU is computed as metrics.iou_1d does.
+
+    Only the best candidates are sorted and scanned, a batch at a time. A
+    batch holds every candidate scoring at least its cut, so all it leaves
+    out ranks after it. When a batch runs out before top_k, the windows
+    taken so far drop what they suppress from the rest in array passes,
+    and the next batch is twice as large.
     """
     check_duration(duration_s)
     n = len(heads.scores)
     if n == 0:
         return ()
     step = duration_s / n
-    scores, offsets = heads.scores, heads.offsets
-    t = np.flatnonzero(~(scores < score_threshold))
-    score = scores[t]
-    start = _clamp((t - offsets[t, 0]) * step, duration_s)
-    end = _clamp((t + offsets[t, 1]) * step, duration_s)
-    order = np.lexsort((t, start, -score))
-    score, start, end = score[order], start[order], end[order]
+    scores, left, right = heads.scores, heads.offsets[:, 0], heads.offsets[:, 1]
 
-    taken: list[tuple[TemporalWindow, float]] = []
-    while len(taken) < top_k and score.size:
-        s0, e0 = start[0], end[0]
-        taken.append((TemporalWindow(float(s0), float(e0)), float(score[0])))
-        score, start, end = score[1:], start[1:], end[1:]
-        inter = np.maximum(0.0, np.minimum(end, e0) - np.maximum(start, s0))
-        union = (end - start) + (e0 - s0) - inter
-        iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
-        live = ~(iou >= nms_iou)
-        score, start, end = score[live], start[live], end[live]
-    return tuple(taken)
+    def bounds(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (_clamp((t - left[t]) * step, duration_s),
+                _clamp((t + right[t]) * step, duration_s))
+
+    rest = np.flatnonzero(~(scores < score_threshold))
+    taken: list[tuple[float, float, float]] = []
+    size = max(64, 2 * top_k)
+    with np.errstate(over="ignore"):
+        while len(taken) < top_k and rest.size:
+            if rest.size > size:
+                ranked = scores[rest]
+                head = ~(ranked < np.partition(ranked, rest.size - size)[rest.size - size])
+                batch, rest = rest[head], rest[~head]
+            else:
+                batch, rest = rest, rest[:0]
+            start, end = bounds(batch)
+            order = np.lexsort((batch, start, -scores[batch]))
+            # Ties at the cut can make a batch larger than size; its tail
+            # ranks after what is scanned and goes back to the rest.
+            scan = order[:size]
+            rest = np.concatenate((batch[order[size:]], rest))
+            for s, e, score in zip(start[scan].tolist(), end[scan].tolist(),
+                                   scores[batch[scan]].tolist()):
+                for s0, e0, _ in taken:
+                    # metrics.iou_1d's arithmetic; with no NaN and no -0.0
+                    # here, these conditionals pick what min and max pick.
+                    inter = (e if e < e0 else e0) - (s if s > s0 else s0)
+                    union = (e - s) + (e0 - s0) - inter
+                    if (inter / union if inter > 0.0 and union > 0.0 else 0.0) >= nms_iou:
+                        break
+                else:
+                    taken.append((s, e, score))
+                    if len(taken) == top_k:
+                        break
+            if len(taken) < top_k and rest.size:
+                start, end = bounds(rest)
+                live = np.ones(rest.size, dtype=bool)
+                for s0, e0, _ in taken:
+                    inter = np.maximum(0.0, np.minimum(end, e0) - np.maximum(start, s0))
+                    union = (end - start) + (e0 - s0) - inter
+                    iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+                    live &= ~(iou >= nms_iou)
+                rest = rest[live]
+            size *= 2
+    return tuple((TemporalWindow(s, e), score) for s, e, score in taken)

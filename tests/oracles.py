@@ -187,6 +187,45 @@ def oracle_nms(
     return taken
 
 
+def array_nms(
+    scores: np.ndarray,
+    offsets: np.ndarray,
+    duration: float,
+    threshold: float = 0.05,
+    nms_iou: float = 0.5,
+    top_k: int = 5,
+) -> list[tuple[float, float, float]]:
+    """Greedy NMS as whole-array passes: every candidate's bounds, one sort
+    of all of them, then one suppression pass over the rest per pick. A
+    bound that overflows clamps like any other, without a warning."""
+    n = len(scores)
+    if n == 0:
+        return []
+    step = duration / n
+
+    def clamp(x):  # min(max(0.0, x), duration), never -0.0
+        return np.where(x > 0.0, np.where(duration < x, duration, x), 0.0)
+
+    with np.errstate(over="ignore"):
+        t = np.flatnonzero(~(scores < threshold))
+        score = scores[t]
+        start = clamp((t - offsets[t, 0]) * step)
+        end = clamp((t + offsets[t, 1]) * step)
+        order = np.lexsort((t, start, -score))
+        score, start, end = score[order], start[order], end[order]
+        taken: list[tuple[float, float, float]] = []
+        while len(taken) < top_k and score.size:
+            s0, e0 = start[0], end[0]
+            taken.append((float(s0), float(e0), float(score[0])))
+            score, start, end = score[1:], start[1:], end[1:]
+            inter = np.maximum(0.0, np.minimum(end, e0) - np.maximum(start, s0))
+            union = (end - start) + (e0 - s0) - inter
+            iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+            live = ~(iou >= nms_iou)
+            score, start, end = score[live], start[live], end[live]
+    return taken
+
+
 def merge_windows(windows: Iterable[TemporalWindow]) -> TemporalWindow:
     """Hull of the inputs: (min start, max end). Raises ValueError on none."""
     windows = tuple(windows)

@@ -6,6 +6,8 @@ import inspect
 import json
 import logging
 import os
+import subprocess
+import sys
 from itertools import takewhile
 
 import pytest
@@ -22,6 +24,7 @@ FILTER_INPUT = os.path.join(DATA_DIR, "filter_input.jsonl")
 HEADS = os.path.join(DATA_DIR, "head_outputs.jsonl")
 GT_VLG = os.path.join(DATA_DIR, "gt_vlg.jsonl")
 GOLDEN_PREDS = os.path.join(DATA_DIR, "golden_preds.jsonl")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 ANSWERS = [os.path.join(DATA_DIR, f"pred_answers_{r}.jsonl") for r in range(5)]
 
@@ -582,6 +585,23 @@ class TestDecodeEval:
         assert cli.main(["eval", preds, "--gt", GT_VLG, "--task", "vlg", "--out", report]) == 0
         doc = json.loads(_read(report))
         assert all(m["percent"] == "100.0" for m in doc["metrics"].values())
+
+    def test_decode_overflowing_bounds_exit_0_under_runtime_warnings_as_errors(self, tmp_path):
+        # (t + 1e308) * 500 overflows; the bound clamps to the clip, silently
+        heads = tmp_path / "heads.jsonl"
+        heads.write_text('{"clip_uid":"c","query_id":"c::0","duration_s":1000,'
+                         '"scores":[0.9,0.8],"offsets":[[1e308,1e308],[1e308,1e308]]}\n')
+        preds = tmp_path / "preds.jsonl"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "egoqa.cli",
+             "decode", str(heads), "--out", str(preds)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Warning" not in result.stderr
+        assert json.loads(preds.read_text().splitlines()[1])["windows"] == [[0.0, 1000.0, 0.9]]
 
     def test_decode_malformed_row_exits_2_with_line(self, tmp_path, caplog):
         bad = tmp_path / "heads.jsonl"

@@ -1,9 +1,11 @@
 """Properties holding the one-check row decoders, the flat conversion of
-head-output offsets, the bit-parallel LCS and the count similarity to their
-field-by-field and textbook references in tests/oracles.py: equal values, or
-the same exception type with the same message."""
+head-output offsets, the batched NMS decoder, the bit-parallel LCS and the
+count similarity to their field-by-field, whole-array and textbook
+references in tests/oracles.py: equal values, or the same exception type
+with the same message."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -14,9 +16,10 @@ from hypothesis import strategies as st
 from egoqa import metrics
 from egoqa.embedding import TrigramEmbedder
 from egoqa.jsonl_io import row_to_pred, row_to_qa, row_to_track
-from egoqa.localization import HeadOutputs
+from egoqa.localization import HeadOutputs, decode_windows
 
 from .oracles import (
+    array_nms,
     count_cosine,
     dp_lcs_len,
     field_row_to_pred,
@@ -191,6 +194,49 @@ def test_head_outputs_equal_the_nested_conversion(inputs):
         return heads.scores, heads.offsets
 
     assert _arrays(new, scores, offsets) == _arrays(nested_head_arrays, scores, offsets)
+
+
+@st.composite
+def nms_rows(draw):
+    """A head-output row of 0-400 steps with its decode settings. Scores on
+    a 0.1 grid tie across a batch's cut. Offsets are drawn on a 0.5 grid;
+    or most candidates overlap ("wide"); or each repeats one of a few
+    windows ("few windows"), so the scan walks past the first batch and
+    ties at its cut decide which window comes first; or every candidate
+    clamps to the whole clip ("one window"), so the taken window
+    suppresses the rest."""
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.integers(1, 10, n) / 10
+    shape = draw(st.sampled_from(["grid", "wide", "few windows", "one window"]))
+    if shape == "grid":
+        offsets = rng.integers(0, 49, (n, 2)) / 2
+    elif shape == "few windows":
+        t = np.arange(n)
+        starts = rng.choice([0, n // 8, n // 4], n)
+        ends = rng.choice([n // 2, 3 * n // 4, n], n)
+        offsets = np.stack([np.maximum(t - starts, 0), np.maximum(ends - t, 0)], axis=1) * 1.0
+    else:
+        offsets = np.full((n, 2), n / 2 if shape == "wide" else float(n))
+    return (scores.tolist(), offsets.tolist(), draw(st.integers(1, 480)) / 4,
+            draw(st.sampled_from([0.0, 0.05, 0.5])),
+            draw(st.sampled_from([-0.1, 0.0, 1 / 3, 0.5, 1.0, 1.5])),
+            draw(st.integers(0, n + 2)))
+
+
+@PROPERTY
+@given(nms_rows())
+# bounds that overflow; one window for all; every score tied at the cut
+@example(([0.9, 0.5], [[1e308, 1e308], [1e308, 1e308]], 1000.0, 0.05, 0.5, 5))
+@example(([0.5] * 200, [[200.0, 200.0]] * 200, 50.0, 0.05, 0.5, 3))
+@example(([0.5] * 130, [[0.0, 1.0]] * 130, 32.5, 0.05, 0.5, 1))
+def test_decode_equals_the_whole_array_nms(row):
+    scores, offsets, duration, threshold, nms_iou, top_k = row
+    heads = HeadOutputs(scores, offsets)
+    got = decode_windows(heads, duration, threshold, nms_iou, top_k)
+    want = array_nms(heads.scores, heads.offsets, duration, threshold, nms_iou, top_k)
+    # JSON text also tells 0.0 from -0.0, as the written predictions would
+    assert json.dumps([(w.start_s, w.end_s, s) for w, s in got]) == json.dumps(want)
 
 
 TOKENS = st.lists(st.sampled_from("abcde"), max_size=90)

@@ -17,6 +17,9 @@ from egoqa.localization import (
     focal_loss,
     token_cross_entropy,
 )
+from egoqa.metrics import iou_1d
+
+from .oracles import oracle_nms
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-4
@@ -264,6 +267,26 @@ class TestDecodeWindows:
     def test_duration_must_be_finite_and_positive(self, duration):
         with pytest.raises(ValidationError, match="finite and > 0"):
             decode_windows(self._heads([0.9], [(0.0, 1.0)]), duration)
+
+    def test_overflowing_bounds_clamp_to_the_clip_without_a_warning(self):
+        # (t + 1e308) * 500 overflows to inf and (t - 1e308) * 500 to -inf;
+        # both clamp to the clip. The tier-1 settings make a warning an error.
+        heads = self._heads([0.9, 0.8], [(1e308, 1e308), (1e308, 1e308)])
+        assert decode_windows(heads, 1000.0) == ((TemporalWindow(0.0, 1000.0), 0.9),)
+
+    def test_overflowing_union_reads_as_iou_0_without_a_warning(self):
+        # Of 241 steps, t = 0 proposes the whole clip and t = 1..120 one
+        # window of 120 steps, near half of it. With the clip 1.5e308 long,
+        # that window's length plus the clip's passes the largest float, so
+        # metrics.iou_1d reads IoU 0 and both are taken. The scan rejects
+        # the first batch's copies; the copies past it meet both windows in
+        # the array pass, whose sum overflows the same way.
+        scores = [0.9] + [0.8] * 120 + [0.01] * 120
+        offsets = [(0.0, 241.0)] + [(t, 120.0 - t) for t in range(1, 121)] + [(0.0, 0.0)] * 120
+        out = decode_windows(self._heads(scores, offsets), 1.5e308, top_k=3)
+        assert len(out) == 2 and iou_1d(out[0][0], out[1][0]) == 0.0
+        assert [(w.start_s, w.end_s, s) for w, s in out] == oracle_nms(
+            scores, offsets, 1.5e308, top_k=3)
 
     def test_underflowing_start_clamps_to_positive_zero(self):
         # (0 - 1e-300) * 1e-30 underflows to -0.0; Python's max(0.0, -0.0)
