@@ -5,9 +5,11 @@ EGOQA_BASE_URL) over a JSON --config file. Exit codes: 0 success, 2 input
 validation failure, 3 endpoint failure, 4 internal invariant breach.
 
 This module keeps the commands, their settings and the exit codes. Every
-input format, and every output header, is jsonl_io's. Commands stream
-their inputs row by row; only per-clip state and small aggregates are held
-in memory.
+input format, and every output header, is jsonl_io's. Commands read their
+inputs row by row, apart from ingest's raw export, but not all are bounded
+by the row: filter-blind holds a report row per sample and eval the samples
+and predictions keyed by query. README "File formats" lists what each
+command holds.
 
 Importing this module executes only core and jsonl_io of the package; every
 other package module executes when a command first uses it, so a command
@@ -27,6 +29,7 @@ from contextlib import closing
 from typing import Any, Iterator, Mapping
 
 from .core import (
+    SPLITS,
     EvalReport,
     InvariantBreach,
     NarrationTrack,
@@ -106,7 +109,7 @@ DEFAULTS: dict[str, Any] = {
 }
 CHOICES: dict[str, tuple[str, ...]] = {
     "narration_pass": ("1", "2", "merge"),
-    "split": ("train", "val", "test"),
+    "split": SPLITS,
     "openqa_template": ("openqa_llama", "openqa_chat"),
     "answerer": ("frequency", "uniform"),
 }

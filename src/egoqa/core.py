@@ -86,10 +86,6 @@ class TemporalWindow:
     def length_s(self) -> float:
         return self.end_s - self.start_s
 
-    @property
-    def center_s(self) -> float:
-        return (self.start_s + self.end_s) / 2.0
-
 
 @dataclass(frozen=True)
 class QASample:

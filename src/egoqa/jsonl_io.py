@@ -10,8 +10,11 @@ canonical. The writers place the header and the readers skip it.
 
 Every input-format rule is here: the row decoders, the raw narration export
 (export_tracks), the narrations sniff (read_narrations) and the positional
-query ids of ground truth (read_ground_truth). Readers are generators: rows
-are decoded as they stream, so memory stays bounded by the largest row.
+query ids of ground truth (read_ground_truth). The row readers are
+generators that decode one row at a time, but not every reader is bounded
+by the row: read_rows with unique keeps each key it has seen,
+read_ground_truth returns every sample, and a raw export is read whole.
+README "File formats" lists what each command holds.
 """
 from __future__ import annotations
 
@@ -38,10 +41,6 @@ from .core import (
 localization = lazy_import("egoqa.localization")
 
 TOOL_NAME = "egoqa"
-
-class UnreadableInput(ValidationError):
-    """File missing, undecodable, or not JSONL."""
-
 
 class SchemaMismatch(ValidationError):
     """A row decoded but does not match the expected record shape."""
@@ -129,21 +128,17 @@ def check_outputs(*paths: str, inputs: Iterable[str | None] = ()) -> None:
 
 @contextmanager
 def jsonl_writer(
-    path: str, meta: Mapping[str, Any] | None = None
+    path: str, meta: Mapping[str, Any]
 ) -> Iterator[Callable[[Mapping[str, Any]], None]]:
-    """Yield a function that appends one row to path, after a header if meta
-    is given. Like staged_writer, path is replaced only if the block
-    completes."""
+    """Yield a function that appends one row to path, after the header meta.
+    Like staged_writer, path is replaced only if the block completes."""
     with staged_writer(path) as f:
-        if meta is not None:
-            f.write(dumps_canonical(meta) + "\n")
+        f.write(dumps_canonical(meta) + "\n")
         yield lambda row: f.write(dumps_canonical(row) + "\n")
 
 
-def write_jsonl(
-    path: str, rows: Iterable[Mapping[str, Any]], meta: Mapping[str, Any] | None = None
-) -> int:
-    """Write a header (if given) plus rows; returns the payload row count."""
+def write_jsonl(path: str, rows: Iterable[Mapping[str, Any]], meta: Mapping[str, Any]) -> int:
+    """Write the header meta plus rows; returns the payload row count."""
     count = 0
     with jsonl_writer(path, meta) as write:
         for count, row in enumerate(rows, 1):
@@ -151,11 +146,11 @@ def write_jsonl(
     return count
 
 
-def write_json(path: str, doc: Mapping[str, Any], meta: Mapping[str, Any] | None = None) -> None:
-    """Write one canonical JSON document (stats, reports) atomically; with
-    meta, the header's key sits beside doc's."""
+def write_json(path: str, doc: Mapping[str, Any], meta: Mapping[str, Any]) -> None:
+    """Write one canonical JSON document (stats, reports) atomically, the
+    header's key beside doc's."""
     with staged_writer(path) as f:
-        f.write(dumps_canonical(doc if meta is None else {**meta, **doc}) + "\n")
+        f.write(dumps_canonical({**meta, **doc}) + "\n")
 
 
 class _RepeatedKey(ValueError):
@@ -175,16 +170,16 @@ DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def _decode(text: str, where: str) -> Any:
-    """DECODER.decode, raising UnreadableInput for any text it rejects:
+    """DECODER.decode, raising ValidationError for any text it rejects:
     syntax errors, integers over the interpreter's digit limit (a plain
     ValueError), nesting deeper than the recursion limit, and an object
     that repeats a key."""
     try:
         return DECODER.decode(text)
     except _RepeatedKey as exc:
-        raise UnreadableInput(f"{where}: repeated key {exc.args[0]!r}") from exc
+        raise ValidationError(f"{where}: repeated key {exc.args[0]!r}") from exc
     except (ValueError, RecursionError) as exc:
-        raise UnreadableInput(f"{where}: not JSON: {exc}") from exc
+        raise ValidationError(f"{where}: not JSON: {exc}") from exc
 
 
 def read_json_object(path: str, what: str) -> dict[str, Any]:
@@ -193,10 +188,10 @@ def read_json_object(path: str, what: str) -> dict[str, Any]:
         with open(path, encoding="utf-8") as f:
             text = f.read()
     except (OSError, ValueError) as exc:
-        raise UnreadableInput(f"cannot read {what} {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     doc = _decode(text, f"{what} {path}")
     if not isinstance(doc, dict):
-        raise UnreadableInput(f"{what} {path} must hold a JSON object")
+        raise ValidationError(f"{what} {path} must hold a JSON object")
     return doc
 
 
@@ -209,14 +204,14 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
     try:
         f = open(path, "rb")
     except OSError as exc:
-        raise UnreadableInput(f"cannot open {path}: {exc}") from exc
+        raise ValidationError(f"cannot open {path}: {exc}") from exc
     scan = DECODER.raw_decode
     with f:
         for lineno, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise UnreadableInput(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+                raise ValidationError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             # One scan of a stripped line, which DECODER.decode would take
@@ -471,16 +466,16 @@ def read_narrations(
     narrations JSONL (read_rows, clip_uid unique); anything else makes it a
     raw export for export_tracks, that line's object if no other line has
     text, else the whole file (a pretty-printed export, say). A repeated key
-    on that line raises UnreadableInput, as it would in either format."""
+    on that line raises ValidationError, as it would in either format."""
     try:
         with open(path, encoding="utf-8") as f:
             first = f.readline()
             sole = not any(line.strip() for line in f)
     except (OSError, ValueError) as exc:
-        raise UnreadableInput(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         doc = _decode(first, f"{path}:1")
-    except UnreadableInput as exc:
+    except ValidationError as exc:
         if isinstance(exc.__cause__, _RepeatedKey):
             raise
         doc = None

@@ -296,8 +296,8 @@ def assign_labels(
     positives = []
     targets: list[tuple[float, float] | None] = []
     for t in range(n_steps):
-        center_s = (t + 0.5) * duration_s / n_steps
-        if gt.start_s <= center_s <= gt.end_s:
+        mid_s = (t + 0.5) * duration_s / n_steps
+        if gt.start_s <= mid_s <= gt.end_s:
             positives.append(True)
             center_idx = t + 0.5
             targets.append(

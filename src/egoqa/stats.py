@@ -1,13 +1,17 @@
 """Streaming dataset statistics.
 
-The builder consumes QA rows one at a time and keeps only counters, so
-stats over million-row files run in constant memory. Word counts use the
-normalized form of each string; window durations land in 1-second bins.
+The builder consumes QA rows one at a time. It keeps counters, each
+clip_uid and one duration per narrated clip, so its memory grows with the
+clips and the distinct question prefixes and answers, not with the rows.
+The durations are summed exactly, so no output depends on the clip order.
+Word counts use the normalized form of each string; window durations land
+in 1-second bins.
 Each fact is counted once: the histograms are the only store of lengths,
 and the sample count and means are read off them when the document is built.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Any
 
@@ -36,7 +40,7 @@ class StatsBuilder:
         self.prefixes: Counter[str] = Counter()
         self.answers: Counter[str] = Counter()
         self.narration_count = 0
-        self.narrated_seconds = 0.0
+        self.durations: list[float] = []  # one per clip, summed exactly in finalize
 
     @property
     def sample_count(self) -> int:
@@ -57,7 +61,7 @@ class StatsBuilder:
 
     def add_narration_stats(self, narration_count: int, duration_s: float) -> None:
         self.narration_count += narration_count
-        self.narrated_seconds += duration_s
+        self.durations.append(duration_s)
 
     def finalize(self) -> dict[str, Any]:
         """The stats document. distractor_words_mean is present only when some
@@ -81,8 +85,9 @@ class StatsBuilder:
         }
         if hists["distractor_words"]:
             doc["distractor_words_mean"] = _mean(hists["distractor_words"])
-        if self.narrated_seconds > 0:
-            doc["narration_per_minute"] = self.narration_count / (self.narrated_seconds / 60.0)
+        narrated_seconds = math.fsum(self.durations)
+        if narrated_seconds > 0:
+            doc["narration_per_minute"] = self.narration_count / (narrated_seconds / 60.0)
         return doc
 
     def tsv_lines(self, name: str) -> list[str]:

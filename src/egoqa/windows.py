@@ -9,6 +9,7 @@ before clamping.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -53,7 +54,8 @@ def compute_stats(tracks: Iterable[NarrationTrack]) -> CorpusTimingStats:
     beta_i = mean consecutive-timestamp difference of clip i; alpha = mean of
     the beta_i over clips that contribute interval data. Clips without usable
     intervals fall back to beta_i = alpha and are flagged. Tracks are
-    consumed streaming; only one number per clip is retained.
+    consumed streaming; only one number per clip is retained. The sum behind
+    alpha is exact (math.fsum), so alpha does not depend on the clip order.
     """
     raw_beta: dict[str, float | None] = {}
     for track in tracks:
@@ -72,7 +74,7 @@ def compute_stats(tracks: Iterable[NarrationTrack]) -> CorpusTimingStats:
         raise NoIntervalData(
             "no clip has >= 2 narrations with a positive mean interval"
         )
-    alpha = sum(informative) / len(informative)
+    alpha = math.fsum(informative) / len(informative)
     return CorpusTimingStats(
         alpha,
         {uid: alpha if beta is None else beta for uid, beta in raw_beta.items()},

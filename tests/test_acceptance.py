@@ -205,7 +205,7 @@ def test_loss_gradients_match_finite_differences():
         crit = [
             pred.start_s - gt.start_s,
             pred.end_s - gt.end_s,
-            pred.center_s - gt.center_s,
+            (pred.start_s + pred.end_s) / 2.0 - (gt.start_s + gt.end_s) / 2.0,
             min(pred.end_s, gt.end_s) - max(pred.start_s, gt.start_s),
         ]
         if any(abs(c) < 10 * FD_STEP for c in crit):

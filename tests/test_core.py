@@ -31,7 +31,6 @@ class TestTemporalWindow:
     def test_length_and_center(self):
         w = TemporalWindow(2.0, 8.0)
         assert w.length_s == 6.0
-        assert w.center_s == 5.0
 
     def test_degenerate_point_allowed(self):
         w = TemporalWindow(3.0, 3.0)

@@ -328,7 +328,7 @@ def test_write_failing_mid_run_stops_the_pool_and_closes_every_connection(
     narrations, out = str(tmp_path / "narrations.jsonl"), str(tmp_path / "qa.jsonl")
     assert cli.main(["ingest", EXPORT, "--out", narrations]) == 0
 
-    def write_one_then_fail(path, rows, meta=None):
+    def write_one_then_fail(path, rows, meta):
         next(iter(rows))
         raise OSError(28, "No space left on device")
 

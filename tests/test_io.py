@@ -17,7 +17,6 @@ from egoqa.core import (
 )
 from egoqa.jsonl_io import (
     SchemaMismatch,
-    UnreadableInput,
     config_hash,
     dumps_canonical,
     make_meta,
@@ -86,23 +85,24 @@ class TestMeta:
         assert meta["seed"] == 7
 
     def test_read_meta_absent(self, tmp_path):
-        path = str(tmp_path / "x.jsonl")
-        write_jsonl(path, [{"a": 1}])
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a":1}\n', encoding="utf-8")
         assert read_meta(path) is None
+        assert list(read_jsonl(str(path))) == [(1, {"a": 1})]
 
 
 class TestRepeatedKeys:
     def test_jsonl_row_names_line_and_key(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1}\n{"b": {"c": 1, "c": 2}}\n')
-        with pytest.raises(UnreadableInput, match=r"x\.jsonl:2: repeated key 'c'"):
+        with pytest.raises(ValidationError, match=r"x\.jsonl:2: repeated key 'c'"):
             list(read_jsonl(str(path)))
 
     def test_narrations_sniff_raises_rather_than_reading_an_export(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1, "a": 2}\n{"b": 1}\n')
         # The sniff runs at the call, before any track is asked for.
-        with pytest.raises(UnreadableInput, match=r"x\.jsonl:1: repeated key 'a'"):
+        with pytest.raises(ValidationError, match=r"x\.jsonl:1: repeated key 'a'"):
             read_narrations(str(path), "merge", print)
         path.write_text('{\n"a": 1}\n')
         rejects = []
@@ -131,7 +131,7 @@ class TestWriteRead:
             raise RuntimeError("mid-stream failure")
 
         with pytest.raises(RuntimeError):
-            write_jsonl(path, rows())
+            write_jsonl(path, rows(), make_meta({}, 0))
         assert not os.path.exists(path)
         assert os.listdir(tmp_path) == []
 
@@ -140,11 +140,10 @@ class TestWriteRead:
         with open(plain, "w") as f:
             f.write("x")
         path = str(tmp_path / "doc.json")
-        write_json(path, {"old": True})
-        write_json(path, {"b": 1, "a": "ü"})
+        write_json(path, {"old": True}, make_meta({}, 2))
+        write_json(path, {"b": 1, "a": "ü"}, make_meta({}, 3))
         with open(path, encoding="utf-8") as f:
-            assert f.read() == '{"a":"ü","b":1}\n'
-        write_json(path, {"b": 1}, make_meta({}, 3))
+            assert f.read() == dumps_canonical({**make_meta({}, 3), "a": "ü", "b": 1}) + "\n"
         assert read_meta(path) == make_meta({}, 3)["_meta"]
         assert os.stat(path).st_mode == os.stat(plain).st_mode
         assert sorted(os.listdir(tmp_path)) == ["doc.json", "plain.txt"]
@@ -178,14 +177,14 @@ class TestWriteRead:
         assert sorted(os.listdir(tmp_path)) == ["dir"]
 
     def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(UnreadableInput):
+        with pytest.raises(ValidationError, match=r"cannot open .*absent\.jsonl"):
             list(read_jsonl(str(tmp_path / "absent.jsonl")))
 
     def test_non_json_line_raises_with_position(self, tmp_path):
         path = str(tmp_path / "x.jsonl")
         with open(path, "w") as f:
             f.write('{"ok": 1}\nnot json\n')
-        with pytest.raises(UnreadableInput, match=":2"):
+        with pytest.raises(ValidationError, match=r"x\.jsonl:2: not JSON"):
             list(read_jsonl(path))
 
     def test_non_object_row_raises(self, tmp_path):
@@ -208,13 +207,13 @@ class TestWriteRead:
             f.write('{"a": 1}\nbroken\n')
         it = read_jsonl(path)
         assert next(it)[1] == {"a": 1}
-        with pytest.raises(UnreadableInput):
+        with pytest.raises(ValidationError, match=r"x\.jsonl:2: not JSON"):
             next(it)
 
     def test_streaming_memory_stays_bounded(self, tmp_path):
         # 200k rows ~ 6 MB of file; peak traced memory must stay far below it
         path = str(tmp_path / "big.jsonl")
-        write_jsonl(path, ({"i": i, "pad": "x" * 10} for i in range(200_000)))
+        write_jsonl(path, ({"i": i, "pad": "x" * 10} for i in range(200_000)), make_meta({}))
         tracemalloc.start()
         count = sum(1 for _ in read_jsonl(path))
         _, peak = tracemalloc.get_traced_memory()

@@ -51,6 +51,15 @@ def test_clamping_at_clip_edges():
     assert end_edge.end_s == 10.0
 
 
+def test_alpha_does_not_depend_on_clip_order():
+    # betas 0.1, 0.2, 0.3: a left-to-right float sum gives 0.6000000000000001
+    # in this order and 0.6 in reverse; the exact sum gives 0.6 in both
+    tracks = [make_track(uid, 1.0, [0.0, beta]) for uid, beta in zip("abc", (0.1, 0.2, 0.3))]
+    forward, backward = compute_stats(tracks), compute_stats(tracks[::-1])
+    assert forward.alpha_s == backward.alpha_s == 0.6 / 3
+    assert forward.beta_by_clip == backward.beta_by_clip
+
+
 def test_fallback_for_single_narration_clip():
     tracks = [make_track("a", 30.0, [2, 10, 20]), make_track("solo", 30.0, [5])]
     stats = compute_stats(tracks)
